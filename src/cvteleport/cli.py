@@ -85,8 +85,9 @@ def _default_cutoff() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(2) from None
-    if value < 1:
+        value = None
+    if value is None or value < 1:
+        print(f"error: {CUTOFF_ENV_VAR} must be an integer >= 1, got {raw!r}", file=sys.stderr)
         raise SystemExit(2)
     return value
 
@@ -190,7 +191,7 @@ def cmd_polarization(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = SamplerConfig(master_seed=args.seed, shots=args.shots, q=args.q, cutoff=args.cutoff)
-    result = run_shots(config, workers=args.workers)
+    result = run_shots(config)
     rows = [
         [
             float(rec.shot_index),
@@ -278,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--shots", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--cutoff", type=int, default=cutoff)
-    sub.add_argument("--workers", type=int, default=1)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sample)
 
@@ -313,3 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError):
             os.close(devnull)
         return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

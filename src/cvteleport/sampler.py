@@ -2,8 +2,8 @@
 
 Each shot owns an independent random stream derived from
 ``SeedSequence(master_seed, spawn_key=(shot_index,))`` feeding a Philox
-counter-based generator, so results are bit-identical however shots are
-batched across workers.
+counter-based generator, so results are bit-identical however the shot
+list is split into chunks.
 
 For the single-photon input the radial law of |beta| has the exact CDF
 over t = |beta|^2
@@ -19,7 +19,6 @@ the envelope raises, never clips.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import EnvelopeError, ZeroNormError
 from .fock import StateVector, as_cutoff, displacement_matrix, number_state
 from .teleport import (
     EntanglementParam,
+    _is_single_photon,
     as_entanglement,
     beta_density,
     single_photon_beta_density,
@@ -151,9 +151,14 @@ def _invert_radial_cdf(u: np.ndarray, q: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _is_single_photon_input(state: StateVector) -> bool:
-    amps = state.amplitudes
-    return amps[1] == 1.0 and not np.any(amps[:1]) and not np.any(amps[2:])
+def _single_photon_outcomes(u: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """t = |beta|^2 and beta for the single-photon input, one per row of uniforms.
+
+    Column 0 fixes t through the exact radial CDF, column 1 the angle.
+    """
+    t = _invert_radial_cdf(u[:, 0], q)
+    theta = 2.0 * math.pi * u[:, 1]
+    return t, np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
 
 
 def _envelope_rate(q: float) -> float:
@@ -204,11 +209,9 @@ def sample_beta(
 ) -> complex:
     """Draw one measurement outcome beta from the outcome density."""
     q = as_entanglement(q).q
-    if _is_single_photon_input(input_state):
-        u = rng.uniform(size=2)
-        t = float(_invert_radial_cdf(np.array([u[0]]), q)[0])
-        theta = 2.0 * math.pi * u[1]
-        return complex(math.sqrt(t) * math.cos(theta), math.sqrt(t) * math.sin(theta))
+    if _is_single_photon(input_state):
+        _, betas = _single_photon_outcomes(rng.uniform(size=2)[None, :], q)
+        return complex(betas[0])
     state = _as_unit(input_state)
     bound = _envelope_bound(state, q)
     return _rejection_sample(state, q, bound, rng)
@@ -289,13 +292,11 @@ def _run_chunk(config: SamplerConfig, start: int, stop: int) -> list[ShotRecord]
     input_state = config.resolved_input()
     indices = range(start, stop)
 
-    if _is_single_photon_input(input_state):
+    if _is_single_photon(input_state):
         uniforms = np.empty((stop - start, 3))
         for row, i in enumerate(indices):
             uniforms[row] = _shot_generator(config.master_seed, i).uniform(size=3)
-        t = _invert_radial_cdf(uniforms[:, 0], q)
-        theta = 2.0 * math.pi * uniforms[:, 1]
-        betas = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
+        t, betas = _single_photon_outcomes(uniforms, q)
         weights = _single_photon_weight_matrix(q, betas, cutoff.n_max)
         a = 1.0 - q * q
         totals = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
@@ -337,21 +338,18 @@ def _run_chunk(config: SamplerConfig, start: int, stop: int) -> list[ShotRecord]
     return records
 
 
-def run_shots(config: SamplerConfig, workers: int = 1) -> ShotRunResult:
+def run_shots(config: SamplerConfig) -> ShotRunResult:
     """Run the full shot list; identical configs give identical results.
 
-    ``workers`` only partitions the fixed chunk list across threads. Because
-    each shot draws from its own counter-derived stream and the chunk
-    boundaries are constant, the record list is bit-identical for every
-    worker count.
+    Shots run in fixed chunks of at most ``_CHUNK`` to bound the memory of
+    the vectorized single-photon path. Each shot draws from its own
+    counter-derived stream, so the records do not depend on the chunking.
     """
-    spans = [(s, min(s + _CHUNK, config.shots)) for s in range(0, config.shots, _CHUNK)]
-    if workers <= 1 or len(spans) <= 1:
-        chunks = [_run_chunk(config, s, e) for s, e in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda span: _run_chunk(config, *span), spans))
-    records = [rec for part in chunks for rec in part]
+    records = [
+        rec
+        for start in range(0, config.shots, _CHUNK)
+        for rec in _run_chunk(config, start, min(start + _CHUNK, config.shots))
+    ]
     counts = {name: 0 for name in CATEGORIES}
     overflow = 0
     for rec in records:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError
-from .fock import FockCutoff, StateVector, as_cutoff, displacement_matrix, number_state
+from .fock import FockCutoff, StateVector, as_cutoff, number_state
 from .tables import OutputTable
 from .teleport import (
     EntanglementParam,
@@ -23,6 +23,7 @@ from .teleport import (
     as_entanglement,
     as_outcome,
     single_photon_beta_density,
+    transfer_operator,
 )
 
 __all__ = [
@@ -163,16 +164,6 @@ def loss_gain_split(q: EntanglementParam | float) -> LossGainSplit:
     )
 
 
-def _transfer_radial_factor(q: float, r: float, cutoff: FockCutoff) -> np.ndarray:
-    """T_q(r) for real r >= 0; T_q(r e^{i theta}) is its phase conjugation."""
-    pref = math.sqrt((1.0 - q * q) / math.pi)
-    weights = q ** np.arange(cutoff.dim)
-    if r == 0.0:
-        return np.diag(pref * weights).astype(complex)
-    disp = displacement_matrix(r, cutoff).matrix
-    return pref * ((disp * weights) @ disp.conj().T)
-
-
 def photon_statistics_quadrature(
     input_state: StateVector,
     q: EntanglementParam | float,
@@ -197,7 +188,7 @@ def photon_statistics_quadrature(
     rotated = input_state.amplitudes[:, None] * phases  # (dim, angular_count)
     acc = np.zeros(cutoff.dim)
     for r, w in zip(grid.radial_nodes, grid.radial_weights):
-        t_r = _transfer_radial_factor(q, float(r), cutoff)
+        t_r = transfer_operator(q, float(r), cutoff).matrix
         out = t_r @ rotated
         acc += (w * grid.angular_weight) * (np.abs(out) ** 2).sum(axis=1)
     total = float(acc.sum())

@@ -1,6 +1,6 @@
 """Shared pytest plumbing for the acceptance report.
 
-Acceptance tests record one line per criterion; the lines are echoed in a
+Acceptance tests record one line per check; the lines are echoed in a
 terminal section after the run so every pass/fail verdict is visible even
 under output capture.
 """
@@ -10,11 +10,13 @@ import pytest
 _CRITERION_LINES: list[tuple[int, str]] = []
 
 
-def _record(index: int, name: str, passed: bool, detail: str) -> None:
-    verdict = "PASS" if passed else "FAIL"
-    line = f"[criterion {index}] {verdict} {name}: {detail}"
-    _CRITERION_LINES.append((index, line))
-    print(line)
+def _record(index: int, *results) -> bool:
+    """Record each ``CheckResult`` of criterion ``index``; True when all passed."""
+    for result in results:
+        line = f"[criterion {index}] {result.line()}"
+        _CRITERION_LINES.append((index, line))
+        print(line)
+    return all(result.passed for result in results)
 
 
 @pytest.fixture(scope="session")
@@ -26,5 +28,5 @@ def pytest_terminal_summary(terminalreporter):
     if not _CRITERION_LINES:
         return
     terminalreporter.section("acceptance criteria")
-    for _, line in sorted(_CRITERION_LINES):
+    for _, line in sorted(_CRITERION_LINES, key=lambda item: item[0]):
         terminalreporter.write_line(line)

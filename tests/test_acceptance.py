@@ -1,228 +1,68 @@
-"""Acceptance gate: eight pinned criteria, one reported line each.
+"""Acceptance gate: eight pinned criteria, each judged by the checks of ``cvteleport verify``.
 
-Each test computes its observable, records a PASS/FAIL line through the
-shared report fixture (echoed in the terminal summary), then asserts.
+Each test runs its checks from ``cvteleport.verification``, records one line
+per check through the shared report fixture (echoed in the terminal summary)
+and asserts that every check passed. Criteria 1 and 7 also hold a wall-time
+limit, reported as one more line.
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
-
-from cvteleport.fock import coherent_state, number_state
-from cvteleport.polarization import polarization_budget, polarization_budget_numerical
-from cvteleport.sampler import CATEGORIES, SamplerConfig, run_shots
-from cvteleport.statistics import (
-    QuadratureGrid,
-    conditional_beta_density,
-    integrate_over_plane,
-    loss_gain_split,
-    photon_statistics_closed_form,
-    photon_statistics_quadrature,
-)
-from cvteleport.teleport import (
-    end_to_end_projection,
-    single_photon_beta_density,
-    teleport_output,
-    transfer_operator,
+from cvteleport.verification import (
+    CheckResult,
+    check_conditional_integrals,
+    check_density_closed_form,
+    check_diagonal_at_zero,
+    check_hermiticity,
+    check_loss_gain_identities,
+    check_monte_carlo,
+    check_ordering_invariants,
+    check_path_equivalence,
+    check_photon_stats_quadrature,
+    check_polarization_identities,
+    check_polarization_quadrature,
+    check_vacuum_success,
 )
 
-Q_GRID = (0.0, 0.33, 0.5, 0.82)
-BETA_GRID = (0j, 1 + 0j, -1 + 0j, 1j, 0.7 + 0.3j)
+
+def _wall_time(start: float, limit_s: float) -> CheckResult:
+    elapsed = time.perf_counter() - start
+    return CheckResult("wall time in seconds", elapsed < limit_s, limit_s, elapsed)
 
 
 def test_criterion_1_route_equivalence(criterion_report):
     start = time.perf_counter()
-    n_max = 48
-    inputs = [
-        number_state(0, n_max),
-        number_state(1, n_max),
-        number_state(2, n_max),
-        coherent_state(0.5, n_max),
-    ]
-    worst = 0.0
-    for q in Q_GRID:
-        for beta in BETA_GRID:
-            for state in inputs:
-                via_projection = end_to_end_projection(state, q, beta)
-                via_operator = teleport_output(state, q, beta)
-                defect = float(np.max(np.abs(via_projection.amplitudes - via_operator.amplitudes)))
-                worst = max(worst, defect)
-    elapsed = time.perf_counter() - start
-    passed = worst < 1e-9 and elapsed < 10.0
-    criterion_report(
-        1,
-        "transfer-operator route equivalence",
-        passed,
-        f"max elementwise defect {worst:.3e} (tol 1e-9), {elapsed:.1f}s (limit 10s)",
-    )
-    assert worst < 1e-9
-    assert elapsed < 10.0
+    result = check_path_equivalence(48)
+    assert criterion_report(1, result, _wall_time(start, 10.0))
 
 
 def test_criterion_2_closed_form_density(criterion_report):
-    worst = 0.0
-    for q in (0.2, 0.5, 0.8):
-        one = number_state(1, 64)
-        for r in np.arange(0.0, 4.0 + 1e-12, 0.25):
-            numeric = teleport_output(one, q, complex(r)).norm_sq()
-            closed = single_photon_beta_density(q, complex(r))
-            worst = max(worst, abs(numeric - closed) / closed)
-    passed = worst < 1e-9
-    criterion_report(
-        2,
-        "outcome density closed form",
-        passed,
-        f"max relative error {worst:.3e} (tol 1e-9)",
-    )
-    assert passed
+    assert criterion_report(2, check_density_closed_form(64))
 
 
 def test_criterion_3_photon_statistics(criterion_report):
-    worst = 0.0
-    for q in (0.2, 0.5, 0.8):
-        dist = photon_statistics_quadrature(number_state(1, 48), q)
-        for n in range(7):
-            closed = photon_statistics_closed_form(q, n)
-            worst = max(worst, abs(float(dist.probabilities[n]) - closed))
-    split = loss_gain_split(0.5)
-    triple_err = max(
-        abs(split.p_loss - 0.1875),
-        abs(split.p_success - 0.46875),
-        abs(split.p_gain - 0.34375),
-    )
-    passed = worst < 1e-6 and triple_err < 1e-12
-    criterion_report(
-        3,
-        "photon statistics",
-        passed,
-        f"quadrature error {worst:.3e} (tol 1e-6), q=1/2 triple error {triple_err:.3e} (tol 1e-12)",
-    )
-    assert worst < 1e-6
-    assert triple_err < 1e-12
+    assert criterion_report(3, check_photon_stats_quadrature(48), check_loss_gain_identities())
 
 
 def test_criterion_4_conditional_densities(criterion_report):
-    worst = 0.0
-    for q in (0.2, 0.5, 0.8):
-        grid = QuadratureGrid.for_entanglement(q)
-        mass0 = integrate_over_plane(lambda b: conditional_beta_density(0, q, b), grid)
-        mass1 = integrate_over_plane(lambda b: conditional_beta_density(1, q, b), grid)
-        worst = max(worst, abs(mass0 - 0.25 * (1 - q * q)))
-        worst = max(worst, abs(mass1 - 0.25 * (1 + q + q * q + q**3)))
-    origin_ok = all(
-        conditional_beta_density(0, q, 0j) == 0.0
-        and conditional_beta_density("ge2", q, 0j) == 0.0
-        and conditional_beta_density(1, q, 0j) > 0.0
-        for q in (0.2, 0.5, 0.8)
-    )
-    passed = worst < 1e-6 and origin_ok
-    criterion_report(
-        4,
-        "conditional densities",
-        passed,
-        f"max integral error {worst:.3e} (tol 1e-6), origin split {'ok' if origin_ok else 'WRONG'}",
-    )
-    assert worst < 1e-6
-    assert origin_ok
+    assert criterion_report(4, check_conditional_integrals())
 
 
 def test_criterion_5_polarization_budget(criterion_report):
-    worst = 0.0
-    for q in (0.33, 0.5, 0.82):
-        numeric = polarization_budget_numerical(q, 48)
-        closed = polarization_budget(q)
-        for a, b in zip(numeric.as_tuple(), closed.as_tuple()):
-            worst = max(worst, abs(a - b))
-    sum_err = max(
-        abs(polarization_budget(float(q)).total() - 1.0) for q in np.arange(0.0, 0.995, 0.01)
-    )
-    thresholds = polarization_budget(0.7).p_trans > 0.5 and polarization_budget(0.8).p_trans > 0.66
-    passed = worst < 1e-6 and sum_err < 1e-12 and thresholds
-    criterion_report(
-        5,
-        "polarization budget",
-        passed,
-        f"closed-vs-quadrature {worst:.3e} (tol 1e-6), budget sum defect {sum_err:.3e} "
-        f"(tol 1e-12), thresholds {'ok' if thresholds else 'WRONG'}",
-    )
-    assert worst < 1e-6
-    assert sum_err < 1e-12
-    assert thresholds
+    assert criterion_report(5, check_polarization_quadrature(48), check_polarization_identities())
 
 
 def test_criterion_6_vacuum_fidelity(criterion_report):
-    worst = 0.0
-    for q in (0.2, 0.5, 0.8):
-        dist = photon_statistics_quadrature(number_state(0, 48), q)
-        worst = max(worst, abs(float(dist.probabilities[0]) - 0.5 * (1.0 + q)))
-    passed = worst < 1e-6
-    criterion_report(
-        6,
-        "vacuum success probability (1+q)/2",
-        passed,
-        f"max error {worst:.3e} (tol 1e-6)",
-    )
-    assert passed
+    assert criterion_report(6, check_vacuum_success(48))
 
 
 def test_criterion_7_monte_carlo(criterion_report):
     start = time.perf_counter()
-    shots = 100_000
-    config = SamplerConfig(master_seed=20260815, shots=shots, q=0.5)
-    single = run_shots(config, workers=1)
-    threaded = run_shots(config, workers=4)
-    identical = single.counts == threaded.counts and all(
-        a.beta == b.beta and a.photon_count == b.photon_count
-        for a, b in zip(single.records, threaded.records)
-    )
-    expected = dict(zip(CATEGORIES, loss_gain_split(0.5).as_tuple()))
-    worst_sigma = 0.0
-    for name, p in expected.items():
-        sigma = math.sqrt(p * (1.0 - p) / shots)
-        worst_sigma = max(worst_sigma, abs(single.counts[name] / shots - p) / sigma)
-    elapsed = time.perf_counter() - start
-    passed = identical and worst_sigma < 3.0 and elapsed < 30.0
-    criterion_report(
-        7,
-        "Monte Carlo consistency",
-        passed,
-        f"worst deviation {worst_sigma:.2f} sigma (limit 3), thread-count invariance "
-        f"{'ok' if identical else 'BROKEN'}, {elapsed:.1f}s (limit 30s)",
-    )
-    assert identical
-    assert worst_sigma < 3.0
-    assert elapsed < 30.0
+    result = check_monte_carlo()
+    assert criterion_report(7, result, _wall_time(start, 30.0))
 
 
 def test_criterion_8_structural_invariants(criterion_report):
-    worst_herm = 0.0
-    for q in Q_GRID:
-        for beta in BETA_GRID:
-            worst_herm = max(worst_herm, transfer_operator(q, beta, 32).hermiticity_defect())
-    zero_mat = transfer_operator(0.5, 0j, 32).matrix
-    diagonal = not np.any(zero_mat - np.diag(np.diag(zero_mat)))
-    ordering = True
-    for q in np.arange(0.0, 0.995, 0.01):
-        split = loss_gain_split(float(q))
-        ordering = ordering and split.p_gain >= split.p_loss
-    flip_smallest = True
-    for q in np.arange(0.01, 0.995, 0.01):
-        budget = polarization_budget(float(q))
-        flip_smallest = flip_smallest and all(
-            budget.p_flip < other for other in (budget.p_trans, budget.p_zero, budget.p_multi)
-        )
-    passed = worst_herm < 1e-12 and diagonal and ordering and flip_smallest
-    criterion_report(
-        8,
-        "structural invariants",
-        passed,
-        f"hermiticity {worst_herm:.3e} (tol 1e-12), diagonal at beta=0 "
-        f"{'ok' if diagonal else 'WRONG'}, gain>=loss {'ok' if ordering else 'WRONG'}, "
-        f"flip smallest {'ok' if flip_smallest else 'WRONG'}",
+    assert criterion_report(
+        8, check_hermiticity(32), check_diagonal_at_zero(32), check_ordering_invariants()
     )
-    assert worst_herm < 1e-12
-    assert diagonal
-    assert ordering
-    assert flip_smallest

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvteleport
 from cvteleport.cli import main, parse_range_spec
 from cvteleport.tables import OutputTable
 
@@ -104,7 +108,7 @@ def test_sample_metadata_carries_seed(capsys):
 
 def test_sample_is_reproducible(capsys):
     _, out1 = run_cli(capsys, "sample", "--shots", "64", "--seed", "9")
-    _, out2 = run_cli(capsys, "sample", "--shots", "64", "--seed", "9", "--workers", "3")
+    _, out2 = run_cli(capsys, "sample", "--shots", "64", "--seed", "9")
     assert out1 == out2
 
 
@@ -169,11 +173,27 @@ def test_cutoff_env_override(capsys, monkeypatch):
     assert OutputTable.from_csv(out).metadata["cutoff"] == 16
 
 
-def test_invalid_cutoff_env_exits_two(monkeypatch):
+def test_invalid_cutoff_env_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("CVTELEPORT_CUTOFF", "zero")
     with pytest.raises(SystemExit) as exc:
         main(["photon-stats"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "CVTELEPORT_CUTOFF" in err and "'zero'" in err
+
+
+def test_module_runs_as_script():
+    src = Path(cvteleport.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvteleport.cli", "beta-density", "--range", "0:1:0.5"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(OutputTable.from_csv(proc.stdout).rows) == 9
 
 
 class _ClosedPipeStdout:
