@@ -42,17 +42,14 @@ from .sampler import (
     ShotRunResult,
     category_for_count,
     run_shots,
-    sample_beta,
     sample_photon_count,
 )
 from .statistics import (
     LossGainSplit,
     PhotonDistribution,
-    QuadratureGrid,
     conditional_beta_density,
     crossing_radius,
     integrate_over_plane,
-    integrated_beta_density,
     loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,

@@ -3,8 +3,9 @@
 Subcommands: beta-density, photon-stats, loss-gain, conditional,
 polarization, sample, verify. Tables go to --out as CSV (RFC-4180 body,
 17-significant-digit floats) or JSON; '-' writes to stdout. The default
-cutoff honors the CVTELEPORT_CUTOFF environment variable. Exit codes:
-0 success, 1 verification failure, 2 usage error.
+cutoff of the subcommands that take --cutoff honors the CVTELEPORT_CUTOFF
+environment variable. Exit codes: 0 success, 1 verification failure, 2
+usage error, including a q the quadrature grid cannot hold.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ import sys
 import numpy as np
 
 from . import __version__
+from .errors import GridMismatchError
 from .fock import number_state
-from .polarization import polarization_budget
 from .sampler import SamplerConfig, run_shots
 from .statistics import (
-    QuadratureGrid,
     conditional_beta_density,
-    loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     single_photon_beta_density,
@@ -150,11 +149,11 @@ def cmd_photon_stats(args: argparse.Namespace) -> int:
     return _write_output(table.serialize(args.format), args.out)
 
 
-def cmd_loss_gain(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     table = sweep_q(
-        "loss_gain", args.q_range, with_quadrature=args.with_quadrature, cutoff=args.cutoff
+        args.quantity, args.q_range, with_quadrature=args.with_quadrature, cutoff=args.cutoff
     )
-    table.metadata.update(_base_metadata(command="loss-gain", q_range=args.q_range_text))
+    table.metadata.update(_base_metadata(command=args.command, q_range=args.q_range_text))
     return _write_output(table.serialize(args.format), args.out)
 
 
@@ -178,14 +177,6 @@ def cmd_conditional(args: argparse.Namespace) -> int:
             command="conditional", q=args.q, radial_range=args.radial_range_text
         ),
     )
-    return _write_output(table.serialize(args.format), args.out)
-
-
-def cmd_polarization(args: argparse.Namespace) -> int:
-    table = sweep_q(
-        "polarization", args.q_range, with_quadrature=args.with_quadrature, cutoff=args.cutoff
-    )
-    table.metadata.update(_base_metadata(command="polarization", q_range=args.q_range_text))
     return _write_output(table.serialize(args.format), args.out)
 
 
@@ -232,6 +223,15 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="-", help="output path; '-' writes to stdout")
 
 
+def _add_sweep(commands, name: str, quantity: str, help_text: str) -> None:
+    sub = commands.add_parser(name, help=help_text)
+    sub.add_argument("--q-range", dest="q_range_text", default="0:0.99:0.01")
+    sub.add_argument("--with-quadrature", action="store_true")
+    sub.add_argument("--cutoff", type=int)
+    _add_table_flags(sub)
+    sub.set_defaults(func=cmd_sweep, quantity=quantity)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvteleport",
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    cutoff = _default_cutoff()
 
     sub = commands.add_parser("beta-density", help="outcome density grid for the photon input")
     sub.add_argument("--q", type=_q_value, default=0.5)
@@ -250,16 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("photon-stats", help="output photon-number distribution")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--max-n", type=int, default=10)
-    sub.add_argument("--cutoff", type=int, default=cutoff)
+    sub.add_argument("--cutoff", type=int)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_photon_stats)
 
-    sub = commands.add_parser("loss-gain", help="loss/success/gain split swept over q")
-    sub.add_argument("--q-range", dest="q_range_text", default="0:0.99:0.01")
-    sub.add_argument("--with-quadrature", action="store_true")
-    sub.add_argument("--cutoff", type=int, default=cutoff)
-    _add_table_flags(sub)
-    sub.set_defaults(func=cmd_loss_gain)
+    _add_sweep(commands, "loss-gain", "loss_gain", "loss/success/gain split swept over q")
 
     sub = commands.add_parser("conditional", help="joint photon-count/outcome densities vs |beta|")
     sub.add_argument("--q", type=_q_value, default=0.5)
@@ -267,18 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_conditional)
 
-    sub = commands.add_parser("polarization", help="polarization outcome budget swept over q")
-    sub.add_argument("--q-range", dest="q_range_text", default="0:0.99:0.01")
-    sub.add_argument("--with-quadrature", action="store_true")
-    sub.add_argument("--cutoff", type=int, default=cutoff)
-    _add_table_flags(sub)
-    sub.set_defaults(func=cmd_polarization)
+    _add_sweep(
+        commands, "polarization", "polarization", "polarization outcome budget swept over q"
+    )
 
     sub = commands.add_parser("sample", help="seeded Monte Carlo shot list")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--shots", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--cutoff", type=int, default=cutoff)
+    sub.add_argument("--cutoff", type=int)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sample)
 
@@ -301,10 +292,15 @@ def main(argv: list[str] | None = None) -> int:
             args.radial_range = parse_range_spec(args.radial_range_text)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    if hasattr(args, "cutoff") and args.cutoff is None:
+        args.cutoff = _default_cutoff()
     if getattr(args, "cutoff", 1) < 1 or getattr(args, "shots", 0) < 0:
         parser.error("cutoff must be >= 1 and shots >= 0")
     try:
         return args.func(args)
+    except GridMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except BrokenPipeError:
         # Reader closed the pipe (e.g. `... --out - | head`); exit quietly.
         devnull = os.open(os.devnull, os.O_WRONLY)

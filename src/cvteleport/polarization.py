@@ -28,7 +28,7 @@ from .fock import (
     number_state,
     tensor_product,
 )
-from .statistics import QuadratureGrid, photon_statistics_quadrature
+from .statistics import photon_statistics_quadrature
 from .teleport import EntanglementParam, MeasurementOutcome, as_entanglement, transfer_operator
 
 __all__ = [
@@ -109,7 +109,6 @@ def polarization_budget(q: EntanglementParam | float) -> PolarizationOutcomeBudg
 def polarization_budget_numerical(
     q: EntanglementParam | float,
     cutoff: FockCutoff | int = 32,
-    grid: QuadratureGrid | None = None,
 ) -> PolarizationOutcomeBudget:
     """Outcome budget assembled from per-channel quadrature integrals.
 
@@ -120,8 +119,8 @@ def polarization_budget_numerical(
     """
     q = as_entanglement(q).q
     cutoff = as_cutoff(cutoff)
-    dist_photon = photon_statistics_quadrature(number_state(1, cutoff), q, grid)
-    dist_vacuum = photon_statistics_quadrature(number_state(0, cutoff), q, grid)
+    dist_photon = photon_statistics_quadrature(number_state(1, cutoff), q)
+    dist_vacuum = photon_statistics_quadrature(number_state(0, cutoff), q)
     h0, h1 = float(dist_photon.probabilities[0]), float(dist_photon.probabilities[1])
     v0, v1 = float(dist_vacuum.probabilities[0]), float(dist_vacuum.probabilities[1])
     p_trans = h1 * v0
@@ -138,25 +137,23 @@ def polarization_budget_numerical(
 def two_mode_total_probability(
     q: EntanglementParam | float,
     cutoff: FockCutoff | int = 32,
-    grid: QuadratureGrid | None = None,
-    spot_checks: int = 3,
 ) -> float:
     """Integral of ||polarized_output||^2 over both outcome planes.
 
     The norm of a product state factorizes exactly, so the four-dimensional
-    integral is the product of the two single-channel totals; a handful of
+    integral is the product of the two single-channel totals; three random
     spot nodes verify the factorization against the literally constructed
     two-mode output before the product is returned.
     """
     q = as_entanglement(q).q
     cutoff = as_cutoff(cutoff)
-    dist_photon = photon_statistics_quadrature(number_state(1, cutoff), q, grid)
-    dist_vacuum = photon_statistics_quadrature(number_state(0, cutoff), q, grid)
+    dist_photon = photon_statistics_quadrature(number_state(1, cutoff), q)
+    dist_vacuum = photon_statistics_quadrature(number_state(0, cutoff), q)
     total_h = float(dist_photon.probabilities.sum())
     total_v = float(dist_vacuum.probabilities.sum())
 
     rng = np.random.default_rng(7)
-    for _ in range(spot_checks):
+    for _ in range(3):
         beta_h = complex(*rng.normal(0.0, 1.0, 2))
         beta_v = complex(*rng.normal(0.0, 1.0, 2))
         joint = polarized_output(q, DualModeMeasurement(beta_h, beta_v), cutoff)

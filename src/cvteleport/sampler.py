@@ -13,7 +13,9 @@ over t = |beta|^2
 obtained by integrating the outcome density; it is inverted by bisection.
 Other inputs go through rejection sampling against an isotropic Gaussian
 envelope whose bound is certified at sample time: a target density above
-the envelope raises, never clips.
+the envelope raises, never clips. Each candidate builds T_q(beta) once; its
+output's squared norm is the target density, and the accepted candidate's
+output is the state the photon count is drawn from.
 """
 
 from __future__ import annotations
@@ -26,14 +28,7 @@ from scipy.special import gammaln
 
 from .errors import EnvelopeError, ZeroNormError
 from .fock import StateVector, as_cutoff, displacement_matrix, number_state
-from .teleport import (
-    EntanglementParam,
-    _is_single_photon,
-    as_entanglement,
-    beta_density,
-    single_photon_beta_density,
-    teleport_output,
-)
+from .teleport import _is_single_photon, as_entanglement, teleport_output
 
 __all__ = [
     "OVERFLOW_COUNT",
@@ -42,7 +37,6 @@ __all__ = [
     "SamplerConfig",
     "ShotRunResult",
     "category_for_count",
-    "sample_beta",
     "sample_photon_count",
     "run_shots",
 ]
@@ -202,36 +196,28 @@ def _as_unit(state: StateVector) -> StateVector:
     return state if abs(state.norm_sq() - 1.0) <= 1e-12 else state.unit()
 
 
-def sample_beta(
-    input_state: StateVector,
-    q: EntanglementParam | float,
-    rng: np.random.Generator,
-) -> complex:
-    """Draw one measurement outcome beta from the outcome density."""
-    q = as_entanglement(q).q
-    if _is_single_photon(input_state):
-        _, betas = _single_photon_outcomes(rng.uniform(size=2)[None, :], q)
-        return complex(betas[0])
-    state = _as_unit(input_state)
-    bound = _envelope_bound(state, q)
-    return _rejection_sample(state, q, bound, rng)
-
-
 def _rejection_sample(
     unit_state: StateVector, q: float, bound: float, rng: np.random.Generator
-) -> complex:
+) -> tuple[complex, StateVector]:
+    """Accepted beta and its conditional output T_q(beta)|psi>.
+
+    The proposal makes (1-q^2)|beta|^2 a chi-square variable with two degrees
+    of freedom, so a candidate reaches the far tail where the density
+    underflows (exponent 690) with probability e^-345.
+    """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
     for _ in range(_MAX_REJECTION_DRAWS):
         x, y = rng.normal(0.0, sigma, size=2)
         beta = complex(x, y)
-        target = beta_density(unit_state, q, beta)
+        output = teleport_output(unit_state, q, beta)
+        target = output.norm_sq()
         cap = bound * float(_envelope_density(q, abs(beta) ** 2))
         if target > cap * (1.0 + 1e-12):
             raise EnvelopeError(
                 f"density {target:.6e} exceeds envelope cap {cap:.6e} at beta={beta:.4f}"
             )
         if rng.uniform() * cap <= target:
-            return beta
+            return beta, output
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
@@ -286,15 +272,15 @@ def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.
     return weights
 
 
-def _run_chunk(config: SamplerConfig, start: int, stop: int) -> list[ShotRecord]:
+def _run_chunk(config: SamplerConfig, start: int, stop: int) -> tuple[list, list]:
+    """Outcomes beta and photon counts of shots ``start`` to ``stop - 1``."""
     q = config.q
     cutoff = as_cutoff(config.cutoff)
     input_state = config.resolved_input()
-    indices = range(start, stop)
 
     if _is_single_photon(input_state):
         uniforms = np.empty((stop - start, 3))
-        for row, i in enumerate(indices):
+        for row, i in enumerate(range(start, stop)):
             uniforms[row] = _shot_generator(config.master_seed, i).uniform(size=3)
         t, betas = _single_photon_outcomes(uniforms, q)
         weights = _single_photon_weight_matrix(q, betas, cutoff.n_max)
@@ -303,39 +289,17 @@ def _run_chunk(config: SamplerConfig, start: int, stop: int) -> list[ShotRecord]
         cdf = np.cumsum(weights, axis=1)
         draw = uniforms[:, 2] * np.maximum(totals, cdf[:, -1])
         counts = (draw[:, None] > cdf).sum(axis=1)
-        records = []
-        for row, i in enumerate(indices):
-            n = int(counts[row])
-            n = OVERFLOW_COUNT if n > cutoff.n_max else n
-            records.append(
-                ShotRecord(
-                    beta=complex(betas[row]),
-                    photon_count=n,
-                    category=category_for_count(n),
-                    master_seed=config.master_seed,
-                    shot_index=i,
-                )
-            )
-        return records
+        return betas.tolist(), np.where(counts > cutoff.n_max, OVERFLOW_COUNT, counts).tolist()
 
     state = _as_unit(input_state)
     bound = _envelope_bound(state, q)
-    records = []
-    for i in indices:
+    betas, counts = [], []
+    for i in range(start, stop):
         rng = _shot_generator(config.master_seed, i)
-        beta = _rejection_sample(state, q, bound, rng)
-        output = teleport_output(state, q, beta)
-        n = sample_photon_count(output, rng)
-        records.append(
-            ShotRecord(
-                beta=beta,
-                photon_count=n,
-                category=category_for_count(n),
-                master_seed=config.master_seed,
-                shot_index=i,
-            )
-        )
-    return records
+        beta, output = _rejection_sample(state, q, bound, rng)
+        betas.append(beta)
+        counts.append(sample_photon_count(output, rng))
+    return betas, counts
 
 
 def run_shots(config: SamplerConfig) -> ShotRunResult:
@@ -345,15 +309,24 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     the vectorized single-photon path. Each shot draws from its own
     counter-derived stream, so the records do not depend on the chunking.
     """
-    records = [
-        rec
-        for start in range(0, config.shots, _CHUNK)
-        for rec in _run_chunk(config, start, min(start + _CHUNK, config.shots))
-    ]
+    records = []
     counts = {name: 0 for name in CATEGORIES}
     overflow = 0
-    for rec in records:
-        counts[rec.category] += 1
-        if rec.photon_count == OVERFLOW_COUNT:
-            overflow += 1
+    for start in range(0, config.shots, _CHUNK):
+        stop = min(start + _CHUNK, config.shots)
+        betas, photon_counts = _run_chunk(config, start, stop)
+        for i, beta, n in zip(range(start, stop), betas, photon_counts):
+            category = category_for_count(n)
+            records.append(
+                ShotRecord(
+                    beta=beta,
+                    photon_count=n,
+                    category=category,
+                    master_seed=config.master_seed,
+                    shot_index=i,
+                )
+            )
+            counts[category] += 1
+            if n == OVERFLOW_COUNT:
+                overflow += 1
     return ShotRunResult(records=records, counts=counts, overflow=overflow)

@@ -1,10 +1,14 @@
 """Output photon statistics, conditional densities, and q sweeps.
 
 Two independent routes to the output photon-number distribution exist side
-by side: polar quadrature over the measurement outcome beta (a deliberately
-oversized 128 x 64 Gauss-Legendre x uniform-angle grid) and the closed
-forms. The split into loss (n=0), success (n=1) and gain (n>=2) has the
-closed form (¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3)).
+by side: polar quadrature over the measurement outcome beta and the closed
+forms. The quadrature grid is fixed by q alone: a deliberately oversized
+128 x 64 Gauss-Legendre x uniform-angle grid reaching |beta| =
+sqrt(40/(1-q^2)). Where its edge envelope exceeds 1e-14 (q above about
+0.9915) it raises ``GridMismatchError`` instead of truncating silently. The
+split into loss (n=0), success (n=1) and gain (n>=2) has the closed form
+(¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3)). ``sweep_q`` tabulates the split or
+the polarization budget across q, optionally beside its quadrature.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .teleport import (
 )
 
 __all__ = [
-    "QuadratureGrid",
     "PhotonDistribution",
     "LossGainSplit",
     "photon_statistics_closed_form",
@@ -37,7 +40,6 @@ __all__ = [
     "crossing_radius",
     "squeezing_db_to_q",
     "integrate_over_plane",
-    "integrated_beta_density",
     "sweep_q",
     "SWEEP_QUANTITIES",
 ]
@@ -45,59 +47,32 @@ __all__ = [
 # Grid validity: the integrand envelope e^{-(1-q^2)R^2}(1+R^2) must be below
 # this at the grid edge, otherwise the truncated radial domain bites.
 _GRID_EDGE_TOLERANCE = 1e-14
-# Default radial extent R = sqrt(40/(1-q^2)) passes the edge test up to
-# q = 0.95 while keeping 128 radial nodes comfortably dense.
+# The radial extent R = sqrt(40/(1-q^2)) passes the edge test up to
+# q ~ 0.9915 while keeping 128 radial nodes comfortably dense.
 _RADIAL_EXPONENT_SPAN = 40.0
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Polar integration grid: Gauss-Legendre radii against r dr, uniform angles.
+# The fixed polar grid: 128 Gauss-Legendre radii against r dr on
+# [0, sqrt(40/(1-q^2))] and 64 uniform angles. The plane integral of f(beta)
+# is sum_i sum_j w_i * _ANGULAR_WEIGHT * f(r_i e^{i theta_j}).
+_RADIAL_NODES = 128
+_ANGULAR_NODES = 64
+_ANGLES = 2.0 * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES
+_ANGULAR_WEIGHT = 2.0 * math.pi / _ANGULAR_NODES
 
-    ``radial_weights`` already include the r dr measure, so for an integrand
-    f(beta) the plane integral is sum_i sum_j radial_weights[i] *
-    (2 pi / angular_count) * f(r_i e^{i theta_j}).
-    """
 
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_count: int
-    radius: float
-
-    @classmethod
-    def for_entanglement(
-        cls,
-        q: EntanglementParam | float,
-        radial_count: int = 128,
-        angular_count: int = 64,
-        radius: float | None = None,
-    ) -> "QuadratureGrid":
-        q = as_entanglement(q).q
-        if radius is None:
-            radius = math.sqrt(_RADIAL_EXPONENT_SPAN / (1.0 - q * q))
-        nodes, weights = np.polynomial.legendre.leggauss(radial_count)
-        r = 0.5 * radius * (nodes + 1.0)
-        w = 0.5 * radius * weights * r
-        grid = cls(radial_nodes=r, radial_weights=w, angular_count=angular_count, radius=radius)
-        grid.validate(q)
-        return grid
-
-    def validate(self, q: EntanglementParam | float) -> None:
-        q = as_entanglement(q).q
-        edge = math.exp(-(1.0 - q * q) * self.radius**2) * (1.0 + self.radius**2)
-        if edge > _GRID_EDGE_TOLERANCE:
-            raise GridMismatchError(
-                f"grid radius {self.radius:.4g} too small for q = {q:g}: "
-                f"edge envelope {edge:.3e} > {_GRID_EDGE_TOLERANCE:g}"
-            )
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.angular_count) / self.angular_count
-
-    @property
-    def angular_weight(self) -> float:
-        return 2.0 * math.pi / self.angular_count
+def _polar_grid(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes and their r dr weights for q; raises where the edge bites."""
+    radius = math.sqrt(_RADIAL_EXPONENT_SPAN / (1.0 - q * q))
+    edge = math.exp(-(1.0 - q * q) * radius**2) * (1.0 + radius**2)
+    if edge > _GRID_EDGE_TOLERANCE:
+        raise GridMismatchError(
+            f"quadrature grid cannot hold q = {q:g}: "
+            f"edge envelope {edge:.3e} > {_GRID_EDGE_TOLERANCE:g}"
+        )
+    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    r = 0.5 * radius * (nodes + 1.0)
+    return r, 0.5 * radius * weights * r
 
 
 @dataclass(frozen=True)
@@ -167,7 +142,6 @@ def loss_gain_split(q: EntanglementParam | float) -> LossGainSplit:
 def photon_statistics_quadrature(
     input_state: StateVector,
     q: EntanglementParam | float,
-    grid: QuadratureGrid | None = None,
 ) -> PhotonDistribution:
     """Integrate |<n| T_q(beta) |input>|^2 over the outcome plane.
 
@@ -178,19 +152,17 @@ def photon_statistics_quadrature(
     deterministic.
     """
     q = as_entanglement(q).q
-    if grid is None:
-        grid = QuadratureGrid.for_entanglement(q)
-    grid.validate(q)
+    radii, weights = _polar_grid(q)
     cutoff = input_state.cutoff
     n = np.arange(cutoff.dim)
     # column m of `phases` modulates amplitude m at each angle
-    phases = np.exp(-1j * np.outer(n, grid.angles))
-    rotated = input_state.amplitudes[:, None] * phases  # (dim, angular_count)
+    phases = np.exp(-1j * np.outer(n, _ANGLES))
+    rotated = input_state.amplitudes[:, None] * phases  # (dim, angles)
     acc = np.zeros(cutoff.dim)
-    for r, w in zip(grid.radial_nodes, grid.radial_weights):
+    for r, w in zip(radii, weights):
         t_r = transfer_operator(q, float(r), cutoff).matrix
         out = t_r @ rotated
-        acc += (w * grid.angular_weight) * (np.abs(out) ** 2).sum(axis=1)
+        acc += (w * _ANGULAR_WEIGHT) * (np.abs(out) ** 2).sum(axis=1)
     total = float(acc.sum())
     residual = 1.0 - total
     if residual < -1e-9:
@@ -269,28 +241,19 @@ def squeezing_db_to_q(db: float) -> EntanglementParam:
     return EntanglementParam(math.tanh(db * math.log(10.0) / 20.0))
 
 
-def integrate_over_plane(fn, grid: QuadratureGrid) -> float:
-    """Integrate a scalar function of beta over the plane on the polar grid."""
+def integrate_over_plane(fn, q: EntanglementParam | float) -> float:
+    """Integrate a scalar function of beta over the plane on the polar grid for q."""
+    radii, weights = _polar_grid(as_entanglement(q).q)
     total = 0.0
-    for r, w in zip(grid.radial_nodes, grid.radial_weights):
+    for r, w in zip(radii, weights):
         ring = 0.0
-        for theta in grid.angles:
+        for theta in _ANGLES:
             ring += fn(complex(r * math.cos(theta), r * math.sin(theta)))
-        total += w * ring * grid.angular_weight
+        total += w * ring * _ANGULAR_WEIGHT
     return total
 
 
-def integrated_beta_density(
-    input_state: StateVector,
-    q: EntanglementParam | float,
-    grid: QuadratureGrid | None = None,
-) -> float:
-    """Total outcome probability; 1 for any normalized input."""
-    dist = photon_statistics_quadrature(input_state, q, grid)
-    return float(dist.probabilities.sum())
-
-
-SWEEP_QUANTITIES = ("loss_gain", "polarization", "photon_stats")
+SWEEP_QUANTITIES = ("loss_gain", "polarization")
 
 # closed-form vs quadrature disagreement that flags a sweep row
 _SWEEP_FLAG_TOLERANCE = 1e-6
@@ -301,7 +264,6 @@ def sweep_q(
     q_values: np.ndarray,
     with_quadrature: bool = False,
     cutoff: FockCutoff | int = 32,
-    max_n: int = 6,
 ) -> OutputTable:
     """Tabulate a closed-form quantity across q, optionally cross-checked.
 
@@ -318,47 +280,32 @@ def sweep_q(
     for q in q_values:
         as_entanglement(float(q))
 
+    # quantity -> (column names, closed form, quadrature route), each route
+    # returning an object with as_tuple()
+    names, closed_form, quadrature = {
+        "loss_gain": (
+            ["p_loss", "p_success", "p_gain"],
+            loss_gain_split,
+            lambda q: photon_statistics_quadrature(number_state(1, cutoff), q).loss_gain(),
+        ),
+        "polarization": (
+            ["p_trans", "p_flip", "p_zero", "p_multi"],
+            polarization_budget,
+            lambda q: polarization_budget_numerical(q, cutoff),
+        ),
+    }[quantity]
+    columns = ["q", *names]
+    if with_quadrature:
+        columns += [f"{name}_quad" for name in names] + ["flag"]
     rows = []
-    if quantity == "loss_gain":
-        columns = ["q", "p_loss", "p_success", "p_gain"]
+    for q in q_values:
+        closed = closed_form(float(q)).as_tuple()
+        row = [float(q), *closed]
         if with_quadrature:
-            columns += ["p_loss_quad", "p_success_quad", "p_gain_quad", "flag"]
-        for q in q_values:
-            split = loss_gain_split(float(q)).as_tuple()
-            row = [float(q), *split]
-            if with_quadrature:
-                dist = photon_statistics_quadrature(number_state(1, cutoff), float(q))
-                quad = dist.loss_gain().as_tuple()
-                flag = float(max(abs(c - n) for c, n in zip(split, quad)) > _SWEEP_FLAG_TOLERANCE)
-                row += [*quad, flag]
-            rows.append(row)
-    elif quantity == "polarization":
-        columns = ["q", "p_trans", "p_flip", "p_zero", "p_multi"]
-        if with_quadrature:
-            columns += ["p_trans_quad", "p_flip_quad", "p_zero_quad", "p_multi_quad", "flag"]
-        for q in q_values:
-            budget = polarization_budget(float(q)).as_tuple()
-            row = [float(q), *budget]
-            if with_quadrature:
-                numeric = polarization_budget_numerical(float(q), cutoff).as_tuple()
-                flag = float(
-                    max(abs(c - n) for c, n in zip(budget, numeric)) > _SWEEP_FLAG_TOLERANCE
-                )
-                row += [*numeric, flag]
-            rows.append(row)
-    else:
-        columns = ["q"] + [f"p_n{n}" for n in range(max_n + 1)]
-        if with_quadrature:
-            columns += [f"p_n{n}_quad" for n in range(max_n + 1)] + ["flag"]
-        for q in q_values:
-            closed = [photon_statistics_closed_form(float(q), n) for n in range(max_n + 1)]
-            row = [float(q), *closed]
-            if with_quadrature:
-                dist = photon_statistics_quadrature(number_state(1, cutoff), float(q))
-                quad = [float(dist.probabilities[n]) for n in range(max_n + 1)]
-                flag = float(max(abs(c - n) for c, n in zip(closed, quad)) > _SWEEP_FLAG_TOLERANCE)
-                row += [*quad, flag]
-            rows.append(row)
+            quad = quadrature(float(q)).as_tuple()
+            flag = float(max(abs(c - n) for c, n in zip(closed, quad)) > _SWEEP_FLAG_TOLERANCE)
+            row += [*quad, flag]
+        rows.append(row)
 
     metadata = {"quantity": quantity, "with_quadrature": with_quadrature}
     if with_quadrature:

@@ -3,7 +3,8 @@
 CSV: metadata travels as '#'-prefixed JSON header lines above an RFC-4180
 body whose floats carry 17 significant digits, enough to reproduce every
 float64 bit for bit. JSON: one top-level object with "metadata", "columns"
-and "rows". parse(serialize(table)) == table holds exactly for both formats.
+and "rows". parse(serialize(table)) == table holds exactly for both formats;
+equality counts NaN cells as equal, and -0.0 as equal to 0.0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["OutputTable"]
@@ -36,7 +38,11 @@ class OutputTable:
             self.columns == other.columns
             and self.metadata == other.metadata
             and len(self.rows) == len(other.rows)
-            and all(a == b for a, b in zip(self.rows, other.rows))
+            and all(
+                x == y or (math.isnan(x) and math.isnan(y))
+                for a, b in zip(self.rows, other.rows)
+                for x, y in zip(a, b)
+            )
         )
 
     def to_csv(self) -> str:

