@@ -21,6 +21,7 @@ from .fock import (
     apply_to_mode,
     coherent_state,
     displacement_matrix,
+    displacement_stack,
     fidelity,
     identity_operator,
     inner_product,

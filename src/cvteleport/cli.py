@@ -70,6 +70,16 @@ def _q_value(text: str) -> float:
     return q
 
 
+def _photon_number(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"photon number must be an integer, got {text!r}") from exc
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"photon number must be >= 0, got {n}")
+    return n
+
+
 def _q_range(text: str) -> np.ndarray:
     values = parse_range_spec(text)
     if values[-1] >= 1.0 or values[0] < 0.0:
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("photon-stats", help="output photon-number distribution")
     sub.add_argument("--q", type=_q_value, default=0.5)
-    sub.add_argument("--max-n", type=int, default=10)
+    sub.add_argument("--max-n", type=_photon_number, default=10)
     sub.add_argument("--cutoff", type=int)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_photon_stats)

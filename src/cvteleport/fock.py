@@ -3,14 +3,22 @@
 Everything in the package works in a photon-number basis truncated at a
 cutoff ``n_max`` (dimension ``n_max + 1``). Single-mode states are plain
 complex amplitude vectors, multimode states are labelled tensors, and
-operators are dense matrices. The displacement matrix is evaluated with the
-two-term associated-Laguerre recurrence along diagonals of fixed ``m - n``,
-with prefactors assembled in the log domain so no factorial ratio is ever
-formed directly.
+operators are dense matrices.
+
+Displacement matrices come from one batched kernel, ``displacement_stack``:
+the two-term associated-Laguerre recurrence runs once for a whole batch of
+alphas along diagonals of fixed ``m - n``, and the prefactors are assembled
+in the log domain over the index triangle, so no factorial ratio is ever
+formed directly. ``displacement_matrix`` is its batch of one. Every row is
+bit-identical to a single build of the same alpha: |alpha| is taken with
+``np.hypot`` and the unit phase componentwise as ``re/r + 1j*(im/r)``,
+which round exactly like Python's ``abs(alpha)`` and ``alpha / r`` (numpy's
+complex ``abs`` and division do not).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +43,7 @@ __all__ = [
     "number_state",
     "coherent_state",
     "displacement_matrix",
+    "displacement_stack",
     "annihilation_matrix",
     "identity_operator",
     "tensor_product",
@@ -235,46 +244,71 @@ def annihilation_matrix(cutoff: FockCutoff | int) -> ModeOperator:
     return ModeOperator(mat, cutoff)
 
 
-def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> ModeOperator:
-    """Matrix elements <m|D(alpha)|n> of the displacement operator.
+@functools.lru_cache(maxsize=None)
+def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (j, k) with j + k < dim and their 0.5 (ln j! - ln (j+k)!)."""
+    j, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
+    lg = gammaln(np.arange(dim) + 1.0)
+    half_log_ratio = 0.5 * (lg[j] - lg[j + k])
+    for arr in (j, k, half_log_ratio):
+        arr.setflags(write=False)
+    return j, k, half_log_ratio
+
+
+def displacement_stack(alphas, cutoff: FockCutoff | int) -> np.ndarray:
+    """Matrices <m|D(alpha)|n> for a 1-D batch of alphas, shape (B, dim, dim).
 
     For m >= n the element is sqrt(n!/m!) alpha^{m-n} e^{-|a|^2/2}
     L_n^{(m-n)}(|a|^2); for m < n the same expression applies after swapping
-    indices and alpha -> -conj(alpha). Each diagonal k = m - n is filled by
-    the stable two-term recurrence in the Laguerre degree, and the
-    sqrt(n!/m!)|alpha|^k prefactor is built from log-gamma differences so
-    large cutoffs never overflow. D(-alpha) equals D(alpha)^dagger bit for
-    bit by this construction.
+    indices and alpha -> -conj(alpha). The stable two-term recurrence in the
+    Laguerre degree j runs once for the whole batch, filling L[b, j, k] for
+    the diagonal k = m - n; the sqrt(n!/m!)|alpha|^k prefactor is then formed
+    from log-gamma differences over the triangle j + k < dim, so large
+    cutoffs never overflow. D(-alpha) equals D(alpha)^dagger bit for bit by
+    this construction, and alpha = 0 gives exactly the identity.
     """
     cutoff = as_cutoff(cutoff)
     dim = cutoff.dim
-    alpha = complex(alpha)
-    if alpha == 0:
-        return identity_operator(cutoff)
-    r = abs(alpha)
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    re, im = alphas.real, alphas.imag
+    # hypot and the componentwise unit phase round exactly like abs(alpha)
+    # and alpha / abs(alpha) on a Python complex
+    r = np.hypot(re, im)
+    zero = r == 0.0
+    r = np.where(zero, 1.0, r)  # alpha = 0 rows become the identity below
     x = r * r
-    u = alpha / r
-    k = np.arange(dim, dtype=float)
-    lg = gammaln(np.arange(dim) + 1.0)
+    u = re / r + 1j * (im / r)
     # unit phases u^k and (-conj(u))^k via cumulative products (exact conj symmetry)
-    lower_phase = np.concatenate(([1.0 + 0j], np.cumprod(np.full(dim - 1, u))))
-    upper_phase = np.concatenate(([1.0 + 0j], np.cumprod(np.full(dim - 1, -np.conj(u)))))
-    log_r = np.log(r)
+    ones = np.ones((alphas.size, 1), dtype=complex)
+    steps = (alphas.size, dim - 1)
+    lower_phase = np.concatenate((ones, np.cumprod(np.broadcast_to(u[:, None], steps), 1)), 1)
+    upper_phase = np.concatenate(
+        (ones, np.cumprod(np.broadcast_to(-np.conj(u)[:, None], steps), 1)), 1
+    )
 
-    out = np.zeros((dim, dim), dtype=complex)
-    L_prev = np.zeros(dim)
-    L_cur = np.ones(dim)  # L_0^{(k)} = 1 for every k
+    # laguerre[b, j, k] = L_j^{(k)}(x_b), advanced in j for every k and b at once
+    degree = np.arange(dim, dtype=float)
+    laguerre = np.empty((alphas.size, dim, dim))
+    L_prev = np.zeros((alphas.size, dim))
+    L_cur = np.ones((alphas.size, dim))  # L_0^{(k)} = 1 for every k
     for j in range(dim):
-        width = dim - j
-        kk = k[:width]
-        logmag = 0.5 * (lg[j] - lg[j : j + width]) + kk * log_r - 0.5 * x
-        mag = np.exp(logmag) * L_cur[:width]
-        out[j:, j] = mag * lower_phase[:width]
-        out[j, j:] = mag * upper_phase[:width]
-        # advance L_j -> L_{j+1} for all k at once
-        L_next = ((2 * j + 1 + k - x) * L_cur - (j + k) * L_prev) / (j + 1)
+        laguerre[:, j] = L_cur
+        L_next = ((2 * j + 1 + degree - x[:, None]) * L_cur - (j + degree) * L_prev) / (j + 1)
         L_prev, L_cur = L_cur, L_next
-    return ModeOperator(out, cutoff)
+
+    j, k, half_log_ratio = _triangle(dim)
+    logmag = half_log_ratio + k * np.log(r)[:, None] - 0.5 * x[:, None]
+    mag = np.exp(logmag) * laguerre[:, j, k]
+    out = np.zeros((alphas.size, dim, dim), dtype=complex)
+    out[:, j + k, j] = mag * lower_phase[:, k]
+    out[:, j, j + k] = mag * upper_phase[:, k]
+    out[zero] = np.eye(dim)
+    return out
+
+
+def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> ModeOperator:
+    """The displacement operator D(alpha); one row of ``displacement_stack``."""
+    return ModeOperator(displacement_stack([alpha], cutoff)[0], cutoff)
 
 
 class MultiModeState:

@@ -28,7 +28,7 @@ from .fock import (
     number_state,
     tensor_product,
 )
-from .statistics import photon_statistics_quadrature
+from .statistics import PhotonDistribution, _photon_distribution, _photon_transfer_matrix
 from .teleport import EntanglementParam, MeasurementOutcome, as_entanglement, transfer_operator
 
 __all__ = [
@@ -106,6 +106,18 @@ def polarization_budget(q: EntanglementParam | float) -> PolarizationOutcomeBudg
     )
 
 
+def _channel_distributions(
+    q: float, cutoff: FockCutoff
+) -> tuple[PhotonDistribution, PhotonDistribution]:
+    """Quadrature photon statistics of the H channel (|1> in) and V channel (|0> in).
+
+    Both are columns of one photon-transfer matrix: column m is the
+    quadrature of the number state |m>.
+    """
+    transfer = _photon_transfer_matrix(q, cutoff)
+    return _photon_distribution(transfer[:, 1]), _photon_distribution(transfer[:, 0])
+
+
 def polarization_budget_numerical(
     q: EntanglementParam | float,
     cutoff: FockCutoff | int = 32,
@@ -118,9 +130,7 @@ def polarization_budget_numerical(
     probability is a product of one H integral and one V integral.
     """
     q = as_entanglement(q).q
-    cutoff = as_cutoff(cutoff)
-    dist_photon = photon_statistics_quadrature(number_state(1, cutoff), q)
-    dist_vacuum = photon_statistics_quadrature(number_state(0, cutoff), q)
+    dist_photon, dist_vacuum = _channel_distributions(q, as_cutoff(cutoff))
     h0, h1 = float(dist_photon.probabilities[0]), float(dist_photon.probabilities[1])
     v0, v1 = float(dist_vacuum.probabilities[0]), float(dist_vacuum.probabilities[1])
     p_trans = h1 * v0
@@ -147,8 +157,7 @@ def two_mode_total_probability(
     """
     q = as_entanglement(q).q
     cutoff = as_cutoff(cutoff)
-    dist_photon = photon_statistics_quadrature(number_state(1, cutoff), q)
-    dist_vacuum = photon_statistics_quadrature(number_state(0, cutoff), q)
+    dist_photon, dist_vacuum = _channel_distributions(q, cutoff)
     total_h = float(dist_photon.probabilities.sum())
     total_v = float(dist_vacuum.probabilities.sum())
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import EnvelopeError, ZeroNormError
-from .fock import StateVector, as_cutoff, displacement_matrix, number_state
+from .fock import StateVector, as_cutoff, displacement_stack, number_state
 from .teleport import _is_single_photon, as_entanglement, teleport_output
 
 __all__ = [
@@ -50,6 +50,8 @@ _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
+# radii per displacement stack in the envelope bound; bounds its peak memory
+_ENVELOPE_BLOCK = 16
 
 
 def category_for_count(n: int) -> str:
@@ -183,12 +185,13 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     t_hi = (4.0 * cutoff.dim + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
     ratio_max = 0.0
-    for r in radii:
-        disp = displacement_matrix(complex(-r), cutoff).matrix
-        col = np.abs(disp) @ moduli_in
-        majorant = (a / math.pi) * float(weights @ (col * col))
-        ratio = majorant / float(_envelope_density(q, r * r))
-        ratio_max = max(ratio_max, ratio)
+    for start in range(0, radii.size, _ENVELOPE_BLOCK):
+        block = radii[start : start + _ENVELOPE_BLOCK]
+        for r, disp in zip(block, displacement_stack(-block, cutoff)):
+            col = np.abs(disp) @ moduli_in
+            majorant = (a / math.pi) * float(weights @ (col * col))
+            ratio = majorant / float(_envelope_density(q, r * r))
+            ratio_max = max(ratio_max, ratio)
     return _ENVELOPE_SAFETY * ratio_max
 
 

@@ -3,9 +3,12 @@
 Two independent routes to the output photon-number distribution exist side
 by side: polar quadrature over the measurement outcome beta and the closed
 forms. The quadrature grid is fixed by q alone: a deliberately oversized
-128 x 64 Gauss-Legendre x uniform-angle grid reaching |beta| =
-sqrt(40/(1-q^2)). Where its edge envelope exceeds 1e-14 (q above about
-0.9915) it raises ``GridMismatchError`` instead of truncating silently. The
+128-node Gauss-Legendre radial grid reaching |beta| = sqrt(40/(1-q^2)).
+The angle is integrated exactly, so each q builds one photon-transfer
+matrix M[n, m], the output law of the number state |m>, and an input enters
+only through its photon-number populations. Where the grid's edge envelope
+exceeds 1e-14 (q above about 0.9915) it raises ``GridMismatchError``
+instead of truncating silently. The
 split into loss (n=0), success (n=1) and gain (n>=2) has the closed form
 (¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3)). ``sweep_q`` tabulates the split or
 the polarization budget across q, optionally beside its quadrature.
@@ -24,10 +27,10 @@ from .tables import OutputTable
 from .teleport import (
     EntanglementParam,
     MeasurementOutcome,
+    _transfer_stack,
     as_entanglement,
     as_outcome,
     single_photon_beta_density,
-    transfer_operator,
 )
 
 __all__ = [
@@ -53,9 +56,12 @@ _RADIAL_EXPONENT_SPAN = 40.0
 
 
 # The fixed polar grid: 128 Gauss-Legendre radii against r dr on
-# [0, sqrt(40/(1-q^2))] and 64 uniform angles. The plane integral of f(beta)
-# is sum_i sum_j w_i * _ANGULAR_WEIGHT * f(r_i e^{i theta_j}).
+# [0, sqrt(40/(1-q^2))]. The photon statistics integrate the angle exactly;
+# ``integrate_over_plane`` adds 64 uniform angles, so the plane integral of
+# f(beta) is sum_i sum_j w_i * _ANGULAR_WEIGHT * f(r_i e^{i theta_j}).
 _RADIAL_NODES = 128
+# radial operators built per stack; bounds the peak memory of the quadrature
+_RADIAL_BLOCK = 16
 _ANGULAR_NODES = 64
 _ANGLES = 2.0 * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES
 _ANGULAR_WEIGHT = 2.0 * math.pi / _ANGULAR_NODES
@@ -139,35 +145,45 @@ def loss_gain_split(q: EntanglementParam | float) -> LossGainSplit:
     )
 
 
+def _photon_transfer_matrix(q: float, cutoff: FockCutoff) -> np.ndarray:
+    """M[n, m]: the outcome-plane integral of |<n| T_q(beta) |m>|^2.
+
+    By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
+    e^{-i theta n} and Parseval's identity the angular integral is exact,
+    int dtheta |<n|T(r e^{i theta})|psi>|^2 = 2 pi sum_m |T_nm(r)|^2 |psi_m|^2,
+    so only the radial nodes are summed, ``_RADIAL_BLOCK`` operators at a time.
+    """
+    radii, weights = _polar_grid(q)
+    out = np.zeros((cutoff.dim, cutoff.dim))
+    for start in range(0, radii.size, _RADIAL_BLOCK):
+        block = slice(start, start + _RADIAL_BLOCK)
+        t_r = _transfer_stack(q, radii[block], cutoff)
+        out += np.einsum("b,bnm->nm", (2.0 * math.pi) * weights[block], np.abs(t_r) ** 2)
+    return out
+
+
+def _photon_distribution(probabilities: np.ndarray) -> PhotonDistribution:
+    """Quadrature probabilities with the mass beyond the cutoff as residual."""
+    total = float(probabilities.sum())
+    residual = 1.0 - total
+    if residual < -1e-9:
+        raise GridMismatchError(f"quadrature total {total!r} exceeds 1 beyond tolerance")
+    return PhotonDistribution(probabilities=probabilities, residual=max(residual, 0.0))
+
+
 def photon_statistics_quadrature(
     input_state: StateVector,
     q: EntanglementParam | float,
 ) -> PhotonDistribution:
     """Integrate |<n| T_q(beta) |input>|^2 over the outcome plane.
 
-    Uses the exact polar factorization T_q(r e^{i theta}) =
-    e^{i theta n} T_q(r) e^{-i theta n} (an elementwise phase identity of the
-    displacement matrix), so one operator build per radial node serves every
-    angular node. Node traversal order is fixed, making the reduction
-    deterministic.
+    The angle is integrated exactly (see ``_photon_transfer_matrix``), so the
+    input enters only through its photon-number populations |input_m|^2.
+    Node traversal order is fixed, making the reduction deterministic.
     """
     q = as_entanglement(q).q
-    radii, weights = _polar_grid(q)
-    cutoff = input_state.cutoff
-    n = np.arange(cutoff.dim)
-    # column m of `phases` modulates amplitude m at each angle
-    phases = np.exp(-1j * np.outer(n, _ANGLES))
-    rotated = input_state.amplitudes[:, None] * phases  # (dim, angles)
-    acc = np.zeros(cutoff.dim)
-    for r, w in zip(radii, weights):
-        t_r = transfer_operator(q, float(r), cutoff).matrix
-        out = t_r @ rotated
-        acc += (w * _ANGULAR_WEIGHT) * (np.abs(out) ** 2).sum(axis=1)
-    total = float(acc.sum())
-    residual = 1.0 - total
-    if residual < -1e-9:
-        raise GridMismatchError(f"quadrature total {total!r} exceeds 1 beyond tolerance")
-    return PhotonDistribution(probabilities=acc, residual=max(residual, 0.0))
+    transfer = _photon_transfer_matrix(q, input_state.cutoff)
+    return _photon_distribution(transfer @ (np.abs(input_state.amplitudes) ** 2))
 
 
 def conditional_beta_density(

@@ -33,6 +33,7 @@ from .fock import (
     annihilation_matrix,
     as_cutoff,
     displacement_matrix,
+    displacement_stack,
 )
 
 __all__ = [
@@ -170,14 +171,16 @@ def transfer_operator(
     """
     q = as_entanglement(q).q
     beta = as_outcome(beta).beta
+    return ModeOperator(_transfer_stack(q, [beta], cutoff)[0], cutoff)
+
+
+def _transfer_stack(q: float, betas, cutoff: FockCutoff | int) -> np.ndarray:
+    """Matrices of T_q(beta) for a 1-D batch of betas, shape (B, dim, dim)."""
     cutoff = as_cutoff(cutoff)
     pref = math.sqrt((1.0 - q * q) / math.pi)
     weights = q ** np.arange(cutoff.dim)
-    if beta == 0:
-        return ModeOperator(np.diag(pref * weights).astype(complex), cutoff)
-    disp = displacement_matrix(beta, cutoff).matrix
-    mat = pref * ((disp * weights) @ disp.conj().T)
-    return ModeOperator(mat, cutoff)
+    disp = displacement_stack(betas, cutoff)
+    return pref * ((disp * weights) @ disp.conj().transpose(0, 2, 1))
 
 
 def teleport_output(

@@ -154,6 +154,7 @@ def test_verify_fast_passes(capsys):
         ["loss-gain", "--q-range", "0:1.2:0.1"],
         ["nonsense"],
         ["photon-stats", "--q", "0.995"],
+        ["photon-stats", "--max-n", "-1"],
     ],
 )
 def test_usage_errors_exit_two(argv):

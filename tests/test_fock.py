@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cvteleport.errors import (
@@ -20,6 +22,7 @@ from cvteleport.fock import (
     as_cutoff,
     coherent_state,
     displacement_matrix,
+    displacement_stack,
     fidelity,
     identity_operator,
     inner_product,
@@ -127,6 +130,25 @@ def test_displacement_adjoint_is_bitwise_inverse_argument():
 def test_displacement_at_zero_is_exact_identity():
     mat = displacement_matrix(0.0, 16).matrix
     assert np.array_equal(mat, np.eye(17, dtype=complex))
+
+
+_ALPHA_PART = st.one_of(
+    st.just(0.0), st.floats(-1e-8, 1e-8), st.floats(-7.0, 7.0, allow_subnormal=False)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphas=st.lists(st.builds(complex, _ALPHA_PART, _ALPHA_PART), min_size=1, max_size=6),
+    n_max=st.integers(1, 64),
+)
+def test_displacement_stack_rows_match_single_builds(alphas, n_max):
+    batch = [*alphas, 0j, 1e-8j, 7.0]
+    stack = displacement_stack(batch, n_max)
+    assert stack.shape == (len(batch), n_max + 1, n_max + 1)
+    for row, alpha in zip(stack, batch):
+        assert np.array_equal(row, displacement_stack([alpha], n_max)[0])
+    assert np.array_equal(stack[len(alphas)], np.eye(n_max + 1))
 
 
 def test_displacement_unitary_on_leading_block():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from cvteleport.errors import GridMismatchError, NoCrossingError
-from cvteleport.fock import number_state
+from cvteleport.fock import coherent_state, number_state
 from cvteleport.statistics import (
     PhotonDistribution,
     _polar_grid,
@@ -17,7 +19,7 @@ from cvteleport.statistics import (
     squeezing_db_to_q,
     sweep_q,
 )
-from cvteleport.teleport import single_photon_beta_density
+from cvteleport.teleport import single_photon_beta_density, transfer_operator
 
 
 @pytest.mark.parametrize(
@@ -104,6 +106,34 @@ def test_quadrature_masses_integrate_to_one():
     for n in (0, 1):
         dist = photon_statistics_quadrature(number_state(n, 48), 0.5)
         assert np.isclose(dist.probabilities.sum(), 1.0, atol=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    q=st.floats(0.0, 0.75),
+)
+def test_quadrature_ignores_the_input_phase(alpha, phi, q):
+    rotated = photon_statistics_quadrature(coherent_state(alpha * np.exp(1j * phi), 32), q)
+    real = photon_statistics_quadrature(coherent_state(alpha, 32), q)
+    assert np.max(np.abs(rotated.probabilities - real.probabilities)) <= 1e-15
+    assert abs(rotated.residual - real.residual) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha,q", [(0.5, 0.3), (1.0 + 1.0j, 0.5), (-0.8j, 0.7)])
+def test_quadrature_matches_64_angle_rule(alpha, q):
+    # the polar rule with 64 uniform angles, one transfer operator per radius
+    state = coherent_state(alpha, 32)
+    angles = 2.0 * math.pi * np.arange(64) / 64
+    rotated = state.amplitudes[:, None] * np.exp(-1j * np.outer(np.arange(33), angles))
+    radii, weights = _polar_grid(q)
+    reference = np.zeros(33)
+    for r, w in zip(radii, weights):
+        out = transfer_operator(q, float(r), 32).matrix @ rotated
+        reference += (w * 2.0 * math.pi / 64) * (np.abs(out) ** 2).sum(axis=1)
+    dist = photon_statistics_quadrature(state, q)
+    assert np.max(np.abs(dist.probabilities - reference)) <= 1e-14
 
 
 def test_conditional_densities_at_origin():

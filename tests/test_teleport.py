@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport.errors import TruncationWarning, ZeroNormError
 from cvteleport.fock import annihilation_matrix, coherent_state, number_state
 from cvteleport.teleport import (
     EntanglementParam,
+    _transfer_stack,
     MeasurementOutcome,
     beta_density,
     end_to_end_projection,
@@ -81,6 +84,20 @@ def test_transfer_operator_prefactor_without_entanglement():
 @pytest.mark.parametrize("beta", [0.4 + 0.1j, -1.0 + 0.8j])
 def test_transfer_operator_hermitian(q, beta):
     assert transfer_operator(q, beta, 32).hermiticity_defect() < 1e-12
+
+
+_BETA_PART = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.0, 0.95),
+    betas=st.lists(st.builds(complex, _BETA_PART, _BETA_PART), min_size=1, max_size=5),
+    n_max=st.integers(1, 40),
+)
+def test_transfer_stack_rows_are_hermitian(q, betas, n_max):
+    for mat in _transfer_stack(q, betas, n_max):
+        assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
 
 def test_displacement_commutation_with_raising_operator():
