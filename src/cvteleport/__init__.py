@@ -43,7 +43,6 @@ from .sampler import (
     ShotRunResult,
     category_for_count,
     run_shots,
-    sample_photon_count,
 )
 from .statistics import (
     LossGainSplit,

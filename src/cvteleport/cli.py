@@ -36,8 +36,6 @@ __all__ = ["main", "build_parser", "parse_range_spec"]
 CUTOFF_ENV_VAR = "CVTELEPORT_CUTOFF"
 _DEFAULT_CUTOFF = 32
 
-CATEGORY_CODES = {"loss": 0.0, "success": 1.0, "gain": 2.0}
-
 
 def parse_range_spec(spec: str) -> np.ndarray:
     """Parse 'start:end:step' into an inclusive grid.
@@ -52,6 +50,8 @@ def parse_range_spec(spec: str) -> np.ndarray:
         start, end, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"non-numeric range {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (start, end, step)):
+        raise argparse.ArgumentTypeError(f"range must be finite, got {spec!r}")
     if step <= 0.0:
         raise argparse.ArgumentTypeError(f"step must be > 0, got {step}")
     if end < start:
@@ -70,13 +70,13 @@ def _q_value(text: str) -> float:
     return q
 
 
-def _photon_number(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"photon number must be an integer, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
     if n < 0:
-        raise argparse.ArgumentTypeError(f"photon number must be >= 0, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
 
 
@@ -193,16 +193,15 @@ def cmd_conditional(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     config = SamplerConfig(master_seed=args.seed, shots=args.shots, q=args.q, cutoff=args.cutoff)
     result = run_shots(config)
-    rows = [
-        [
-            float(rec.shot_index),
-            rec.beta.real,
-            rec.beta.imag,
-            float(rec.photon_count),
-            CATEGORY_CODES[rec.category],
-        ]
-        for rec in result.records
-    ]
+    rows = np.column_stack(
+        (
+            np.arange(args.shots),
+            result.betas.real,
+            result.betas.imag,
+            result.photon_counts,
+            result.category_codes,
+        )
+    ).tolist()
     table = OutputTable(
         columns=["shot_index", "x_minus", "y_plus", "photon_count", "category_code"],
         rows=rows,
@@ -212,7 +211,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             cutoff=args.cutoff,
             seed=args.seed,
             shots=args.shots,
-            counts=dict(result.counts),
+            counts=result.counts,
             overflow=result.overflow,
         ),
     )
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("photon-stats", help="output photon-number distribution")
     sub.add_argument("--q", type=_q_value, default=0.5)
-    sub.add_argument("--max-n", type=_photon_number, default=10)
+    sub.add_argument("--max-n", type=_non_negative_int, default=10)
     sub.add_argument("--cutoff", type=int)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_photon_stats)
@@ -277,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sample", help="seeded Monte Carlo shot list")
     sub.add_argument("--q", type=_q_value, default=0.5)
-    sub.add_argument("--shots", type=int, default=10_000)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--shots", type=_non_negative_int, default=10_000)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument("--cutoff", type=int)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sample)
@@ -304,8 +303,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     if hasattr(args, "cutoff") and args.cutoff is None:
         args.cutoff = _default_cutoff()
-    if getattr(args, "cutoff", 1) < 1 or getattr(args, "shots", 0) < 0:
-        parser.error("cutoff must be >= 1 and shots >= 0")
+    if getattr(args, "cutoff", 1) < 1:
+        parser.error("cutoff must be >= 1")
     try:
         return args.func(args)
     except GridMismatchError as exc:

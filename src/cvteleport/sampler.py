@@ -16,6 +16,9 @@ envelope whose bound is certified at sample time: a target density above
 the envelope raises, never clips. Each candidate builds T_q(beta) once; its
 output's squared norm is the target density, and the accepted candidate's
 output is the state the photon count is drawn from.
+
+Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
+shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "SamplerConfig",
     "ShotRunResult",
     "category_for_count",
-    "sample_photon_count",
     "run_shots",
 ]
 
@@ -95,6 +97,8 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         as_entanglement(self.q)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.input_state is not None and self.input_state.n_max != as_cutoff(self.cutoff).n_max:
@@ -106,17 +110,60 @@ class SamplerConfig:
         return number_state(1, as_cutoff(self.cutoff))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotRunResult:
-    """Records plus the aggregate category histogram."""
+    """Per-shot columns of a run; shot i sits at index i of each.
 
-    records: list[ShotRecord]
-    counts: dict
-    overflow: int
+    ``betas`` holds the outcomes, ``photon_counts`` the detected photon numbers
+    (``OVERFLOW_COUNT`` above the cutoff); both are read-only copies.
+    """
+
+    master_seed: int
+    betas: np.ndarray
+    photon_counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("betas", complex), ("photon_counts", np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShotRunResult):
+            return NotImplemented
+        return (
+            self.master_seed == other.master_seed
+            and np.array_equal(self.betas, other.betas)
+            and np.array_equal(self.photon_counts, other.photon_counts)
+        )
+
+    @property
+    def category_codes(self) -> np.ndarray:
+        """Index into ``CATEGORIES`` per shot: 0 loss, 1 success, 2 gain (overflow too)."""
+        n = self.photon_counts
+        return np.where(n == OVERFLOW_COUNT, 2, np.minimum(n, 2))
+
+    @property
+    def counts(self) -> dict:
+        tally = np.bincount(self.category_codes, minlength=len(CATEGORIES))
+        return {name: int(k) for name, k in zip(CATEGORIES, tally)}
+
+    @property
+    def overflow(self) -> int:
+        return int(np.count_nonzero(self.photon_counts == OVERFLOW_COUNT))
 
     def frequencies(self) -> dict:
-        total = max(len(self.records), 1)
-        return {name: self.counts[name] / total for name in CATEGORIES}
+        total = max(self.photon_counts.size, 1)
+        return {name: k / total for name, k in self.counts.items()}
+
+    @property
+    def records(self) -> list[ShotRecord]:
+        """One ``ShotRecord`` per shot, built on each access."""
+        rows = zip(self.betas.tolist(), self.photon_counts.tolist())
+        return [
+            ShotRecord(beta, n, category_for_count(n), self.master_seed, i)
+            for i, (beta, n) in enumerate(rows)
+        ]
 
 
 def _shot_generator(master_seed: int, shot_index: int) -> np.random.Generator:
@@ -124,13 +171,8 @@ def _shot_generator(master_seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _radial_cdf(t: np.ndarray, q: float) -> np.ndarray:
-    a = 1.0 - q * q
-    return 1.0 - np.exp(-a * t) * (1.0 + a * a * t)
-
-
 def _invert_radial_cdf(u: np.ndarray, q: float) -> np.ndarray:
-    """Solve F(t) = u elementwise by bisection on t = |beta|^2.
+    """Solve F(t) = u elementwise by bisection on t = |beta|^2, F the radial CDF.
 
     The interval halves identically for every element, so the iteration
     count (and therefore the result, bit for bit) is independent of how
@@ -141,20 +183,10 @@ def _invert_radial_cdf(u: np.ndarray, q: float) -> np.ndarray:
     hi = np.full_like(u, 800.0 / a)  # F(hi) rounds to 1.0 in float64
     while np.max(hi - lo) > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        below = _radial_cdf(mid, q) < u
+        below = 1.0 - np.exp(-a * mid) * (1.0 + a * a * mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def _single_photon_outcomes(u: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """t = |beta|^2 and beta for the single-photon input, one per row of uniforms.
-
-    Column 0 fixes t through the exact radial CDF, column 1 the angle.
-    """
-    t = _invert_radial_cdf(u[:, 0], q)
-    theta = 2.0 * math.pi * u[:, 1]
-    return t, np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
 
 
 def _envelope_rate(q: float) -> float:
@@ -224,30 +256,19 @@ def _rejection_sample(
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
-def sample_photon_count(
-    output_state: StateVector,
-    rng: np.random.Generator,
-    total_norm_sq: float | None = None,
-) -> int:
-    """Draw the detected photon number from an unnormalized output state.
+def _draw_counts(weights: np.ndarray, totals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Photon counts by inverse CDF, one row of level weights per shot.
 
-    Probabilities are |a_n|^2 relative to ``total_norm_sq`` when the true
-    (untruncated) norm is known; any mass missing above the cutoff becomes
-    the overflow sentinel rather than being renormalized away.
+    Row i picks level n with probability weights[i, n] / max(totals[i], row
+    sum) from the uniform u[i]; a total above the row sum is the untruncated
+    norm, and the mass missing above the cutoff draws ``OVERFLOW_COUNT``.
     """
-    weights = np.abs(output_state.amplitudes) ** 2
-    subtotal = float(weights.sum())
-    if subtotal == 0.0:
+    cdf = np.cumsum(weights, axis=1)
+    if np.any(cdf[:, -1] == 0.0):
         raise ZeroNormError("cannot sample a photon count from a zero output state")
-    total = subtotal if total_norm_sq is None else float(total_norm_sq)
-    if total < subtotal:
-        total = subtotal  # rounding guard; never inflate in-cutoff probabilities
-    u = rng.uniform() * total
-    cumulative = np.cumsum(weights)
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    if idx >= weights.size:
-        return OVERFLOW_COUNT
-    return idx
+    draw = u * np.maximum(totals, cdf[:, -1])
+    counts = (cdf <= draw[:, None]).sum(axis=1)
+    return np.where(counts >= weights.shape[1], OVERFLOW_COUNT, counts)
 
 
 def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.ndarray:
@@ -275,61 +296,38 @@ def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.
     return weights
 
 
-def _run_chunk(config: SamplerConfig, start: int, stop: int) -> tuple[list, list]:
-    """Outcomes beta and photon counts of shots ``start`` to ``stop - 1``."""
-    q = config.q
-    cutoff = as_cutoff(config.cutoff)
-    input_state = config.resolved_input()
-
-    if _is_single_photon(input_state):
-        uniforms = np.empty((stop - start, 3))
-        for row, i in enumerate(range(start, stop)):
-            uniforms[row] = _shot_generator(config.master_seed, i).uniform(size=3)
-        t, betas = _single_photon_outcomes(uniforms, q)
-        weights = _single_photon_weight_matrix(q, betas, cutoff.n_max)
-        a = 1.0 - q * q
-        totals = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
-        cdf = np.cumsum(weights, axis=1)
-        draw = uniforms[:, 2] * np.maximum(totals, cdf[:, -1])
-        counts = (draw[:, None] > cdf).sum(axis=1)
-        return betas.tolist(), np.where(counts > cutoff.n_max, OVERFLOW_COUNT, counts).tolist()
-
-    state = _as_unit(input_state)
-    bound = _envelope_bound(state, q)
-    betas, counts = [], []
-    for i in range(start, stop):
-        rng = _shot_generator(config.master_seed, i)
-        beta, output = _rejection_sample(state, q, bound, rng)
-        betas.append(beta)
-        counts.append(sample_photon_count(output, rng))
-    return betas, counts
-
-
 def run_shots(config: SamplerConfig) -> ShotRunResult:
     """Run the full shot list; identical configs give identical results.
 
-    Shots run in fixed chunks of at most ``_CHUNK`` to bound the memory of
-    the vectorized single-photon path. Each shot draws from its own
-    counter-derived stream, so the records do not depend on the chunking.
+    Shot i draws from its own counter-derived stream, so a k-shot run is the
+    first k shots of any longer run with the same seed. The single-photon path
+    runs in chunks of at most ``_CHUNK`` shots to bound its memory.
     """
-    records = []
-    counts = {name: 0 for name in CATEGORIES}
-    overflow = 0
-    for start in range(0, config.shots, _CHUNK):
-        stop = min(start + _CHUNK, config.shots)
-        betas, photon_counts = _run_chunk(config, start, stop)
-        for i, beta, n in zip(range(start, stop), betas, photon_counts):
-            category = category_for_count(n)
-            records.append(
-                ShotRecord(
-                    beta=beta,
-                    photon_count=n,
-                    category=category,
-                    master_seed=config.master_seed,
-                    shot_index=i,
-                )
+    q = config.q
+    input_state = config.resolved_input()
+    betas = np.empty(config.shots, dtype=complex)
+    counts = np.empty(config.shots, dtype=np.int64)
+    if _is_single_photon(input_state):
+        a = 1.0 - q * q
+        n_max = input_state.n_max
+        for start in range(0, config.shots, _CHUNK):
+            stop = min(start + _CHUNK, config.shots)
+            # per shot: |beta|^2 by the exact radial CDF, the angle, the count
+            u = np.array(
+                [_shot_generator(config.master_seed, i).uniform(size=3) for i in range(start, stop)]
             )
-            counts[category] += 1
-            if n == OVERFLOW_COUNT:
-                overflow += 1
-    return ShotRunResult(records=records, counts=counts, overflow=overflow)
+            t = _invert_radial_cdf(u[:, 0], q)
+            theta = 2.0 * math.pi * u[:, 1]
+            betas[start:stop] = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
+            weights = _single_photon_weight_matrix(q, betas[start:stop], n_max)
+            totals = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
+            counts[start:stop] = _draw_counts(weights, totals, u[:, 2])
+    elif config.shots:
+        state = _as_unit(input_state)
+        bound = _envelope_bound(state, q)
+        for i in range(config.shots):
+            rng = _shot_generator(config.master_seed, i)
+            betas[i], output = _rejection_sample(state, q, bound, rng)
+            weights = np.abs(output.amplitudes[None, :]) ** 2
+            counts[i] = _draw_counts(weights, weights.sum(axis=1), rng.uniform(size=1))[0]
+    return ShotRunResult(master_seed=config.master_seed, betas=betas, photon_counts=counts)

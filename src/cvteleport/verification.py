@@ -244,7 +244,7 @@ def check_monte_carlo(seed: int = 20260815, shots: int = 100_000) -> CheckResult
         observed = result.counts[name] / shots
         sigma = math.sqrt(expected * (1.0 - expected) / shots)
         worst_sigmas = max(worst_sigmas, abs(observed - expected) / sigma)
-    identical = run_shots(config).records == result.records
+    identical = run_shots(config) == result
     return CheckResult(
         "Monte Carlo frequencies and determinism",
         worst_sigmas < 3.0 and identical,

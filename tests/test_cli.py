@@ -155,12 +155,17 @@ def test_verify_fast_passes(capsys):
         ["nonsense"],
         ["photon-stats", "--q", "0.995"],
         ["photon-stats", "--max-n", "-1"],
+        ["sample", "--seed", "-1"],
+        ["loss-gain", "--q-range", "nan:0.5:0.1"],
+        ["beta-density", "--range", "0:inf:1"],
     ],
 )
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_unwritable_output_exits_two(capsys):

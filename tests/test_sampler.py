@@ -6,12 +6,14 @@ import pytest
 from scipy.stats import chisquare
 
 from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
-from cvteleport.fock import StateVector, coherent_state, number_state
+from cvteleport.fock import coherent_state, number_state
 from cvteleport.sampler import (
     CATEGORIES,
     OVERFLOW_COUNT,
     SamplerConfig,
     ShotRecord,
+    ShotRunResult,
+    _draw_counts,
     _envelope_bound,
     _envelope_density,
     _rejection_sample,
@@ -19,12 +21,17 @@ from cvteleport.sampler import (
     _single_photon_weight_matrix,
     category_for_count,
     run_shots,
-    sample_photon_count,
 )
 from cvteleport.statistics import loss_gain_split
 from cvteleport.teleport import beta_density, teleport_output
 
 SEED = 20260815
+
+
+@pytest.fixture(scope="module")
+def photon_run():
+    # shot i has its own stream, so every shorter run with this seed is a prefix
+    return run_shots(SamplerConfig(master_seed=SEED, shots=100_000, q=0.5))
 
 
 def test_category_mapping():
@@ -41,6 +48,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=-1, q=0.5)
     with pytest.raises(ValueError):
+        SamplerConfig(master_seed=-1, shots=0, q=0.5)
+    with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=1, q=1.0)
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=1, q=0.5, cutoff=16, input_state=number_state(0, 8))
@@ -51,9 +60,23 @@ def test_shot_record_lineage():
     assert rec.seed_lineage == (9, 4)
 
 
-def test_runs_are_reproducible():
-    config = SamplerConfig(master_seed=SEED, shots=40_000, q=0.5)
-    assert run_shots(config) == run_shots(config)
+def test_runs_are_reproducible(photon_run):
+    shots = 40_000
+    prefix = ShotRunResult(SEED, photon_run.betas[:shots], photon_run.photon_counts[:shots])
+    assert run_shots(SamplerConfig(master_seed=SEED, shots=shots, q=0.5)) == prefix
+
+
+def test_result_columns():
+    result = ShotRunResult(7, [1j, 2.0, 0j, -1.5], [1, 0, OVERFLOW_COUNT, 5])
+    assert not result.betas.flags.writeable and not result.photon_counts.flags.writeable
+    assert result.category_codes.tolist() == [1, 0, 2, 2]
+    assert result.counts == {"loss": 1, "success": 1, "gain": 2}
+    assert result.overflow == 1
+    assert result.frequencies() == {"loss": 0.25, "success": 0.25, "gain": 0.5}
+    assert result.records[2] == ShotRecord(0j, OVERFLOW_COUNT, "gain", 7, 2)
+    assert result == ShotRunResult(7, result.betas, result.photon_counts)
+    assert result != ShotRunResult(8, result.betas, result.photon_counts)
+    assert result != ShotRunResult(7, result.betas, [1, 0, OVERFLOW_COUNT, 4])
 
 
 def test_different_seeds_differ():
@@ -68,34 +91,33 @@ def test_zero_shots():
     assert result.counts == {name: 0 for name in CATEGORIES}
 
 
-def test_radial_moments_match_density():
+def test_radial_moments_match_density(photon_run):
     # E t = 1 + 1/a and E t^2 = 6/a + 2 q^2/a^2 for t = |beta|^2, a = 1 - q^2
     q, shots = 0.5, 100_000
     a = 1.0 - q * q
-    result = run_shots(SamplerConfig(master_seed=SEED, shots=shots, q=q))
-    t = np.array([abs(r.beta) ** 2 for r in result.records])
+    t = np.abs(photon_run.betas[:shots]) ** 2
     mean = 1.0 + 1.0 / a
     var = 6.0 / a + 2.0 * q * q / (a * a) - mean * mean
     assert abs(t.mean() - mean) < 3.0 * math.sqrt(var / shots)
 
 
-def test_radius_and_angle_distributions():
+def test_radius_and_angle_distributions(photon_run):
     q, shots = 0.5, 50_000
     a = 1.0 - q * q
-    result = run_shots(SamplerConfig(master_seed=SEED, shots=shots, q=q))
-    t = np.array([abs(r.beta) ** 2 for r in result.records])
+    betas = photon_run.betas[:shots]
+    t = np.abs(betas) ** 2
     # probability integral transform of the exact radial law
     u = 1.0 - np.exp(-a * t) * (1.0 + a * a * t)
     hist, _ = np.histogram(u, bins=10, range=(0.0, 1.0))
     assert chisquare(hist).pvalue > 1e-3
-    angles = np.array([np.angle(r.beta) for r in result.records])
+    angles = np.angle(betas)
     hist, _ = np.histogram(angles, bins=8, range=(-np.pi, np.pi))
     assert chisquare(hist).pvalue > 1e-3
 
 
-def test_category_frequencies_within_three_sigma():
+def test_category_frequencies_within_three_sigma(photon_run):
     q, shots = 0.5, 100_000
-    result = run_shots(SamplerConfig(master_seed=SEED, shots=shots, q=q))
+    result = ShotRunResult(SEED, photon_run.betas[:shots], photon_run.photon_counts[:shots])
     expected = dict(zip(CATEGORIES, loss_gain_split(q).as_tuple()))
     for name, p in expected.items():
         sigma = math.sqrt(p * (1.0 - p) / shots)
@@ -171,14 +193,16 @@ def test_rejection_raises_on_broken_envelope():
         _rejection_sample(state, 0.5, 1e-12, _shot_generator(0, 0))
 
 
-def test_sample_photon_count_paths():
-    rng = _shot_generator(3, 0)
-    one = number_state(1, 8)
-    assert all(sample_photon_count(one, rng) == 1 for _ in range(64))
+def test_draw_counts_paths():
+    one = np.abs(number_state(1, 8).amplitudes) ** 2
+    u = np.append(_shot_generator(3, 0).uniform(size=63), 0.0)
+    weights = np.tile(one, (u.size, 1))
+    assert np.all(_draw_counts(weights, weights.sum(axis=1), u) == 1)
     with pytest.raises(ZeroNormError):
-        sample_photon_count(StateVector(np.zeros(9), 8), rng)
+        _draw_counts(np.vstack([one, np.zeros(9)]), np.ones(2), np.full(2, 0.5))
     # declaring extra unseen mass routes draws to the overflow sentinel
-    draws = np.array([sample_photon_count(one, rng, total_norm_sq=2.0) for _ in range(2000)])
+    u = _shot_generator(3, 1).uniform(size=2000)
+    draws = _draw_counts(np.tile(one, (u.size, 1)), np.full(u.size, 2.0), u)
     frac = np.mean(draws == OVERFLOW_COUNT)
     assert np.all(np.isin(draws, [1, OVERFLOW_COUNT]))
     assert abs(frac - 0.5) < 3.0 * math.sqrt(0.25 / 2000)
