@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import GridMismatchError
 from .fock import number_state
-from .sampler import SamplerConfig, run_shots
+from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
     conditional_beta_density,
     photon_statistics_closed_form,
@@ -77,6 +77,13 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _shot_count(text: str) -> int:
+    n = _non_negative_int(text)
+    if n > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be <= 2**32 = {MAX_SHOTS}, got {n}")
     return n
 
 
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sample", help="seeded Monte Carlo shot list")
     sub.add_argument("--q", type=_q_value, default=0.5)
-    sub.add_argument("--shots", type=_non_negative_int, default=10_000)
+    sub.add_argument("--shots", type=_shot_count, default=10_000)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument("--cutoff", type=int)
     _add_table_flags(sub)

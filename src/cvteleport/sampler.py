@@ -1,9 +1,13 @@
 """Seeded Monte Carlo over measurement outcomes and photon counts.
 
-Each shot owns an independent random stream derived from
-``SeedSequence(master_seed, spawn_key=(shot_index,))`` feeding a Philox
-counter-based generator, so results are bit-identical however the shot
-list is split into chunks.
+Each shot owns an independent random stream: numpy's Philox counter-based
+generator seeded by numpy's seed sequence of ``master_seed`` with spawn key
+``(shot_index,)``, so results are bit-identical however the shot list is
+split into chunks. Philox needs no state beyond its key and counter, so the
+keys of all shots (the seed-sequence hash) and the first Philox4x64-10 block
+of each shot are computed together as integer array arithmetic,
+bit-identical to numpy's own streams. A shot index must fit in one 32-bit
+word, so a run has at most ``MAX_SHOTS`` = 2**32 shots.
 
 For the single-photon input the radial law of |beta| has the exact CDF
 over t = |beta|^2
@@ -15,7 +19,9 @@ Other inputs go through rejection sampling against an isotropic Gaussian
 envelope whose bound is certified at sample time: a target density above
 the envelope raises, never clips. Each candidate builds T_q(beta) once; its
 output's squared norm is the target density, and the accepted candidate's
-output is the state the photon count is drawn from.
+output is the state the photon count is drawn from. This path needs numpy's
+normal sampler, so each shot seeds numpy's ``Philox`` directly with its
+derived key.
 
 Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
 shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
@@ -34,6 +40,7 @@ from .fock import StateVector, as_cutoff, displacement_stack, number_state
 from .teleport import _is_single_photon, as_entanglement, teleport_output
 
 __all__ = [
+    "MAX_SHOTS",
     "OVERFLOW_COUNT",
     "CATEGORIES",
     "ShotRecord",
@@ -54,6 +61,19 @@ _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
 # radii per displacement stack in the envelope bound; bounds its peak memory
 _ENVELOPE_BLOCK = 16
+# shot indices must fit one 32-bit spawn-key word
+MAX_SHOTS = 2**32
+
+# numpy's seed-sequence hash constants
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
 
 
 def category_for_count(n: int) -> str:
@@ -99,8 +119,8 @@ class SamplerConfig:
         as_entanglement(self.q)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in [0, {MAX_SHOTS}], got {self.shots}")
         if self.input_state is not None and self.input_state.n_max != as_cutoff(self.cutoff).n_max:
             raise ValueError("input_state cutoff disagrees with config cutoff")
 
@@ -166,9 +186,95 @@ class ShotRunResult:
         ]
 
 
-def _shot_generator(master_seed: int, shot_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(master_seed, spawn_key=(shot_index,))
-    return np.random.Generator(np.random.Philox(seq))
+def _hashmix(value: np.ndarray, h: int) -> tuple[np.ndarray, int]:
+    """numpy's seed-sequence hashmix of uint32 words; returns the next hash constant too."""
+    h_next = (h * _MULT_A) & _MASK32
+    value = (value ^ h) * h_next
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _stream_keys(master_seed: int, indices) -> np.ndarray:
+    """Philox key of every shot index, shape (n, 2) uint64.
+
+    Row i is the ``generate_state(2, np.uint64)`` of numpy's seed sequence of
+    ``master_seed`` with spawn key ``(indices[i],)``, which is how numpy keys
+    Philox: its entropy pool, transcribed as uint32 array arithmetic over all
+    indices at once. Each index must fit in one 32-bit word, as every shot
+    index of a run does (``MAX_SHOTS``).
+    """
+    spawn = np.asarray(indices, dtype=np.uint32)
+    seed_words = [
+        master_seed >> shift & _MASK32 for shift in range(0, max(master_seed.bit_length(), 1), 32)
+    ]
+    # a spawn key zero-pads the run entropy to the pool size
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    entropy = [np.full(spawn.shape, w, dtype=np.uint32) for w in seed_words] + [spawn]
+    h = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        word, h = _hashmix(word, h)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    # entropy past the pool (seed words 5 and up, then the index) mixes into every word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], hashed)
+    # generate_state(2, np.uint64): four output words, paired little-endian
+    h = _INIT_B
+    state = []
+    for word in pool:
+        h_next = (h * _MULT_B) & _MASK32
+        word = (word ^ h) * h_next
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+        h = h_next
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x_lo, x_hi = x & _MASK32, x >> 32
+    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    carry = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    hi = m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32)
+    return hi, np.uint64(m) * x
+
+
+def _stream_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """First three uniforms of shots start..stop-1, shape (n, 3).
+
+    Row i equals ``uniform(size=3)`` of numpy's Philox generator seeded for
+    shot start + i: one Philox4x64-10 block at counter (1, 0, 0, 0), since
+    numpy bumps the zero counter before its first block, with each word w
+    mapped to (w >> 11) * 2**-53.
+    """
+    keys = _stream_keys(master_seed, np.arange(start, stop))
+    k0, k1 = keys[:, 0], keys[:, 1]
+    zero = np.zeros(stop - start, dtype=np.uint64)
+    c0, c1, c2, c3 = np.ones_like(zero), zero, zero, zero
+    for round_index in range(_PHILOX_ROUNDS):
+        if round_index:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2], axis=-1)
+    return (words >> 11).astype(float) * 2.0**-53
+
+
+def _shot_generator(key: np.ndarray) -> np.random.Generator:
+    """numpy generator of one shot: Philox keyed by the shot's derived key."""
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _invert_radial_cdf(u: np.ndarray, q: float) -> np.ndarray:
@@ -313,9 +419,7 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
         for start in range(0, config.shots, _CHUNK):
             stop = min(start + _CHUNK, config.shots)
             # per shot: |beta|^2 by the exact radial CDF, the angle, the count
-            u = np.array(
-                [_shot_generator(config.master_seed, i).uniform(size=3) for i in range(start, stop)]
-            )
+            u = _stream_uniforms(config.master_seed, start, stop)
             t = _invert_radial_cdf(u[:, 0], q)
             theta = 2.0 * math.pi * u[:, 1]
             betas[start:stop] = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
@@ -325,8 +429,9 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     elif config.shots:
         state = _as_unit(input_state)
         bound = _envelope_bound(state, q)
-        for i in range(config.shots):
-            rng = _shot_generator(config.master_seed, i)
+        keys = _stream_keys(config.master_seed, np.arange(config.shots))
+        for i, key in enumerate(keys):
+            rng = _shot_generator(key)
             betas[i], output = _rejection_sample(state, q, bound, rng)
             weights = np.abs(output.amplitudes[None, :]) ** 2
             counts[i] = _draw_counts(weights, weights.sum(axis=1), rng.uniform(size=1))[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fock import StateVector, coherent_state, displacement_matrix, number_state
 from .polarization import polarization_budget, polarization_budget_numerical
-from .sampler import SamplerConfig, run_shots
+from .sampler import SamplerConfig, _stream_keys, _stream_uniforms, run_shots
 from .statistics import (
     conditional_beta_density,
     integrate_over_plane,
@@ -254,6 +254,26 @@ def check_monte_carlo(seed: int = 20260815, shots: int = 100_000) -> CheckResult
     )
 
 
+def check_stream_derivation(shots: int = 256) -> CheckResult:
+    """Bulk per-shot keys and uniforms vs the installed numpy's own generators."""
+    mismatched = 0
+    for seed in (0, 2**64 + 1):
+        keys = _stream_keys(seed, np.arange(shots))
+        uniforms = _stream_uniforms(seed, 0, shots)
+        for i in range(shots):
+            seq = np.random.SeedSequence(seed, spawn_key=(i,))
+            own = np.random.Generator(np.random.Philox(seq)).uniform(size=3)
+            same_key = np.array_equal(keys[i], seq.generate_state(2, np.uint64))
+            mismatched += not (same_key and np.array_equal(uniforms[i], own))
+    return CheckResult(
+        "per-shot streams vs numpy Philox",
+        mismatched == 0,
+        0.0,
+        float(mismatched),
+        f"mismatched shots of {shots} at seeds 0 and 2**64+1",
+    )
+
+
 _FAST_CHECKS = [
     check_path_equivalence,
     check_closed_form_output,
@@ -263,6 +283,7 @@ _FAST_CHECKS = [
     check_loss_gain_identities,
     check_polarization_identities,
     check_ordering_invariants,
+    check_stream_derivation,
 ]
 
 _FULL_CHECKS = _FAST_CHECKS + [

@@ -21,6 +21,7 @@ from cvteleport.verification import (
     check_photon_stats_quadrature,
     check_polarization_identities,
     check_polarization_quadrature,
+    check_stream_derivation,
     check_vacuum_success,
 )
 
@@ -58,8 +59,8 @@ def test_criterion_6_vacuum_fidelity(criterion_report):
 
 def test_criterion_7_monte_carlo(criterion_report):
     start = time.perf_counter()
-    result = check_monte_carlo()
-    assert criterion_report(7, result, _wall_time(start, 30.0))
+    results = (check_stream_derivation(), check_monte_carlo())
+    assert criterion_report(7, *results, _wall_time(start, 30.0))
 
 
 def test_criterion_8_structural_invariants(criterion_report):

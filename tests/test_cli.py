@@ -139,7 +139,7 @@ def test_verify_fast_passes(capsys):
     code, out = run_cli(capsys, "verify")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
     assert all("tolerance" in line for line in lines)
 
@@ -158,9 +158,16 @@ def test_verify_fast_passes(capsys):
         ["sample", "--seed", "-1"],
         ["loss-gain", "--q-range", "nan:0.5:0.1"],
         ["beta-density", "--range", "0:inf:1"],
+        ["sample", "--shots", "4294967297"],
     ],
 )
-def test_usage_errors_exit_two(argv, capsys):
+def test_usage_errors_exit_two(argv, capsys, monkeypatch):
+    # a usage error must stop before any work; a run of 2**32 + 1 shots would
+    # need about 100 GB for its columns alone
+    def refuse(config):
+        raise AssertionError(f"run_shots started on a usage error: {config}")
+
+    monkeypatch.setattr("cvteleport.cli.run_shots", refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
@@ -19,6 +21,8 @@ from cvteleport.sampler import (
     _rejection_sample,
     _shot_generator,
     _single_photon_weight_matrix,
+    _stream_keys,
+    _stream_uniforms,
     category_for_count,
     run_shots,
 )
@@ -26,6 +30,13 @@ from cvteleport.statistics import loss_gain_split
 from cvteleport.teleport import beta_density, teleport_output
 
 SEED = 20260815
+# seeds at the 32-bit word edges of numpy's seed-sequence entropy
+_SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128)
+
+
+def _numpy_stream(seed: int, index: int) -> np.random.Generator:
+    """numpy's own generator for shot ``index``: the oracle of the bulk derivation."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +60,10 @@ def test_config_validation():
         SamplerConfig(master_seed=1, shots=-1, q=0.5)
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=-1, shots=0, q=0.5)
+    # a shot index must fit one 32-bit spawn-key word
+    assert SamplerConfig(master_seed=1, shots=2**32, q=0.5).shots == 2**32
+    with pytest.raises(ValueError):
+        SamplerConfig(master_seed=1, shots=2**32 + 1, q=0.5)
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=1, q=1.0)
     with pytest.raises(ValueError):
@@ -58,6 +73,26 @@ def test_config_validation():
 def test_shot_record_lineage():
     rec = ShotRecord(beta=0j, photon_count=1, category="success", master_seed=9, shot_index=4)
     assert rec.seed_lineage == (9, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**130 - 1),
+    start=st.integers(0, 2**32 - 16),
+    size=st.integers(1, 16),
+)
+def test_bulk_streams_match_numpy(seed, start, size):
+    for s in (seed, *_SEED_EDGES):
+        uniforms = _stream_uniforms(s, start, start + size)
+        keys = _stream_keys(s, np.arange(start, start + size))
+        assert uniforms.shape == (size, 3)
+        for i, row, key in zip(range(start, start + size), uniforms, keys):
+            oracle = _numpy_stream(s, i)
+            mine = _shot_generator(key).bit_generator.state["state"]
+            theirs = oracle.bit_generator.state["state"]
+            assert np.array_equal(mine["key"], theirs["key"])
+            assert np.array_equal(mine["counter"], theirs["counter"])
+            assert np.array_equal(row, oracle.uniform(size=3))
 
 
 def test_runs_are_reproducible(photon_run):
@@ -147,8 +182,8 @@ def test_weight_matrix_matches_operator_amplitudes():
 def test_shot_beta_follows_inverse_cdf():
     q = 0.5
     beta = run_shots(SamplerConfig(master_seed=SEED, shots=1, q=q)).records[0].beta
-    # the shot's stream replayed by hand
-    u = _shot_generator(SEED, 0).uniform(size=2)
+    # the shot's stream replayed through numpy's own generator
+    u = _numpy_stream(SEED, 0).uniform(size=2)
     a = 1.0 - q * q
     expect_cdf = 1.0 - np.exp(-a * abs(beta) ** 2) * (1.0 + a * a * abs(beta) ** 2)
     assert np.isclose(expect_cdf, u[0], atol=1e-10)
@@ -190,18 +225,18 @@ def test_envelope_bound_certifies_density_ratio():
 def test_rejection_raises_on_broken_envelope():
     state = coherent_state(0.5, 32).unit()
     with pytest.raises(EnvelopeError):
-        _rejection_sample(state, 0.5, 1e-12, _shot_generator(0, 0))
+        _rejection_sample(state, 0.5, 1e-12, _numpy_stream(0, 0))
 
 
 def test_draw_counts_paths():
     one = np.abs(number_state(1, 8).amplitudes) ** 2
-    u = np.append(_shot_generator(3, 0).uniform(size=63), 0.0)
+    u = np.append(_numpy_stream(3, 0).uniform(size=63), 0.0)
     weights = np.tile(one, (u.size, 1))
     assert np.all(_draw_counts(weights, weights.sum(axis=1), u) == 1)
     with pytest.raises(ZeroNormError):
         _draw_counts(np.vstack([one, np.zeros(9)]), np.ones(2), np.full(2, 0.5))
     # declaring extra unseen mass routes draws to the overflow sentinel
-    u = _shot_generator(3, 1).uniform(size=2000)
+    u = _numpy_stream(3, 1).uniform(size=2000)
     draws = _draw_counts(np.tile(one, (u.size, 1)), np.full(u.size, 2.0), u)
     frac = np.mean(draws == OVERFLOW_COUNT)
     assert np.all(np.isin(draws, [1, OVERFLOW_COUNT]))
