@@ -17,11 +17,15 @@ over t = |beta|^2
 obtained by integrating the outcome density; it is inverted by bisection.
 Other inputs go through rejection sampling against an isotropic Gaussian
 envelope whose bound is certified at sample time: a target density above
-the envelope raises, never clips. Each candidate builds T_q(beta) once; its
-output's squared norm is the target density, and the accepted candidate's
-output is the state the photon count is drawn from. This path needs numpy's
-normal sampler, so each shot seeds numpy's ``Philox`` directly with its
-derived key.
+the envelope raises, never clips. This path needs numpy's normal sampler,
+so each shot seeds numpy's ``Philox`` directly with its derived key. All
+pending shots advance in lockstep rounds: each draws one candidate from its
+own stream, and the round's candidates build T_q(beta) in stacks of
+``_STACK_BLOCK``. A candidate's output has the target density as its squared
+norm, and the accepted output is the state the photon count is drawn from.
+Each stream is consumed in the same order as one shot at a time (candidate
+normals, accept uniform, then the count uniform), so records do not depend
+on the batching.
 
 Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
 shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
@@ -36,8 +40,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import EnvelopeError, ZeroNormError
-from .fock import StateVector, as_cutoff, displacement_stack, number_state
-from .teleport import _is_single_photon, as_entanglement, teleport_output
+from .fock import StateVector, _warn_if_tail_heavy, as_cutoff, displacement_stack, number_state
+from .teleport import _is_single_photon, _transfer_stack, as_entanglement
 
 __all__ = [
     "MAX_SHOTS",
@@ -59,8 +63,8 @@ _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
-# radii per displacement stack in the envelope bound; bounds its peak memory
-_ENVELOPE_BLOCK = 16
+# matrices per displacement or T_q stack; bounds their peak memory
+_STACK_BLOCK = 16
 # shot indices must fit one 32-bit spawn-key word
 MAX_SHOTS = 2**32
 
@@ -323,8 +327,8 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     t_hi = (4.0 * cutoff.dim + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
     ratio_max = 0.0
-    for start in range(0, radii.size, _ENVELOPE_BLOCK):
-        block = radii[start : start + _ENVELOPE_BLOCK]
+    for start in range(0, radii.size, _STACK_BLOCK):
+        block = radii[start : start + _STACK_BLOCK]
         for r, disp in zip(block, displacement_stack(-block, cutoff)):
             col = np.abs(disp) @ moduli_in
             majorant = (a / math.pi) * float(weights @ (col * col))
@@ -338,27 +342,44 @@ def _as_unit(state: StateVector) -> StateVector:
 
 
 def _rejection_sample(
-    unit_state: StateVector, q: float, bound: float, rng: np.random.Generator
-) -> tuple[complex, StateVector]:
-    """Accepted beta and its conditional output T_q(beta)|psi>.
+    unit_state: StateVector, q: float, bound: float, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted beta of every shot and its output T_q(beta)|psi>, one row each.
 
+    Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
+    candidate, and the round's candidates build T_q in stacks of
+    ``_STACK_BLOCK``; a shot's stream sees the same draws as it would alone.
     The proposal makes (1-q^2)|beta|^2 a chi-square variable with two degrees
     of freedom, so a candidate reaches the far tail where the density
     underflows (exponent 690) with probability e^-345.
     """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
+    cutoff = unit_state.cutoff
+    psi = unit_state.amplitudes
+    betas = np.empty(len(rngs), dtype=complex)
+    outputs = np.empty((len(rngs), cutoff.dim), dtype=complex)
+    pending = list(range(len(rngs)))
     for _ in range(_MAX_REJECTION_DRAWS):
-        x, y = rng.normal(0.0, sigma, size=2)
-        beta = complex(x, y)
-        output = teleport_output(unit_state, q, beta)
-        target = output.norm_sq()
-        cap = bound * float(_envelope_density(q, abs(beta) ** 2))
-        if target > cap * (1.0 + 1e-12):
-            raise EnvelopeError(
-                f"density {target:.6e} exceeds envelope cap {cap:.6e} at beta={beta:.4f}"
-            )
-        if rng.uniform() * cap <= target:
-            return beta, output
+        candidates = [complex(*rngs[i].normal(0.0, sigma, size=2)) for i in pending]
+        still_pending = []
+        for start in range(0, len(pending), _STACK_BLOCK):
+            block = candidates[start : start + _STACK_BLOCK]
+            stack = _transfer_stack(q, block, cutoff) @ psi
+            for i, beta, amplitudes in zip(pending[start:], block, stack):
+                output = _warn_if_tail_heavy(StateVector(amplitudes, cutoff), "rejection sampler")
+                target = output.norm_sq()
+                cap = bound * float(_envelope_density(q, abs(beta) ** 2))
+                if target > cap * (1.0 + 1e-12):
+                    raise EnvelopeError(
+                        f"density {target:.6e} exceeds envelope cap {cap:.6e} at beta={beta:.4f}"
+                    )
+                if rngs[i].uniform() * cap <= target:
+                    betas[i], outputs[i] = beta, output.amplitudes
+                else:
+                    still_pending.append(i)
+        pending = still_pending
+        if not pending:
+            return betas, outputs
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
@@ -406,8 +427,8 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     """Run the full shot list; identical configs give identical results.
 
     Shot i draws from its own counter-derived stream, so a k-shot run is the
-    first k shots of any longer run with the same seed. The single-photon path
-    runs in chunks of at most ``_CHUNK`` shots to bound its memory.
+    first k shots of any longer run with the same seed. Both paths run in
+    chunks of at most ``_CHUNK`` shots to bound their memory.
     """
     q = config.q
     input_state = config.resolved_input()
@@ -429,10 +450,13 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     elif config.shots:
         state = _as_unit(input_state)
         bound = _envelope_bound(state, q)
-        keys = _stream_keys(config.master_seed, np.arange(config.shots))
-        for i, key in enumerate(keys):
-            rng = _shot_generator(key)
-            betas[i], output = _rejection_sample(state, q, bound, rng)
-            weights = np.abs(output.amplitudes[None, :]) ** 2
-            counts[i] = _draw_counts(weights, weights.sum(axis=1), rng.uniform(size=1))[0]
+        for start in range(0, config.shots, _CHUNK):
+            stop = min(start + _CHUNK, config.shots)
+            keys = _stream_keys(config.master_seed, np.arange(start, stop))
+            rngs = [_shot_generator(key) for key in keys]
+            betas[start:stop], outputs = _rejection_sample(state, q, bound, rngs)
+            # each stream's next uniform, after its accepted candidate, draws the count
+            weights = np.abs(outputs) ** 2
+            u = np.array([rng.uniform() for rng in rngs])
+            counts[start:stop] = _draw_counts(weights, weights.sum(axis=1), u)
     return ShotRunResult(master_seed=config.master_seed, betas=betas, photon_counts=counts)

@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
-from cvteleport.fock import coherent_state, number_state
+from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.sampler import (
     CATEGORIES,
     OVERFLOW_COUNT,
@@ -27,7 +27,7 @@ from cvteleport.sampler import (
     run_shots,
 )
 from cvteleport.statistics import loss_gain_split
-from cvteleport.teleport import beta_density, teleport_output
+from cvteleport.teleport import _is_single_photon, beta_density, teleport_output
 
 SEED = 20260815
 # seeds at the 32-bit word edges of numpy's seed-sequence entropy
@@ -225,7 +225,72 @@ def test_envelope_bound_certifies_density_ratio():
 def test_rejection_raises_on_broken_envelope():
     state = coherent_state(0.5, 32).unit()
     with pytest.raises(EnvelopeError):
-        _rejection_sample(state, 0.5, 1e-12, _numpy_stream(0, 0))
+        _rejection_sample(state, 0.5, 1e-12, [_numpy_stream(0, 0)])
+
+
+def test_rejection_gives_up_after_max_draws(monkeypatch):
+    # a bound this loose caps every candidate far above its density
+    monkeypatch.setattr("cvteleport.sampler._MAX_REJECTION_DRAWS", 3)
+    state = coherent_state(0.5, 32).unit()
+    with pytest.raises(EnvelopeError, match="no acceptance in 3 draws"):
+        _rejection_sample(state, 0.5, 1e300, [_numpy_stream(0, 0)])
+
+
+def test_generic_path_warns_on_tail_mass():
+    # some candidate outputs leave 1.454e-07 relative mass at the cutoff edge
+    state = coherent_state(0.5, 32).unit()
+    config = SamplerConfig(master_seed=2, shots=500, q=0.5, input_state=state)
+    with pytest.warns(TruncationWarning, match="relative tail mass"):
+        run_shots(config)
+
+
+def _one_shot_at_a_time(state, q, bound, seed, shots):
+    """The generic path as a plain loop: one stream, one T_q build per candidate."""
+    sigma = math.sqrt(1.0 / (1.0 - q * q))
+    betas, counts = [], []
+    for i in range(shots):
+        rng = _numpy_stream(seed, i)
+        while True:
+            beta = complex(*rng.normal(0.0, sigma, size=2))
+            output = teleport_output(state, q, beta)
+            cap = bound * float(_envelope_density(q, abs(beta) ** 2))
+            if rng.uniform() * cap <= output.norm_sq():
+                break
+        weights = np.abs(output.amplitudes[None, :]) ** 2
+        betas.append(beta)
+        counts.append(_draw_counts(weights, weights.sum(axis=1), rng.uniform(size=1))[0])
+    return ShotRunResult(seed, betas, counts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.floats(0.0, 0.9),
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=13),
+    seed=st.integers(0, 2**70),
+    shots=st.integers(0, 40),
+    prefix=st.integers(0, 40),
+)
+# 40 shots of a cheap input: the first rounds fill stacks of 16, 16 and 8
+@example(q=0.5, parts=[(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)], seed=2**64 + 1, shots=40, prefix=17)
+def test_lockstep_rejection_matches_one_shot_at_a_time(q, parts, seed, shots, prefix):
+    # cutoffs 2..12; shot counts up to 40 cross the stack boundaries at 16 and 32
+    amplitudes = np.array([complex(x, y) for x, y in parts])
+    assume(np.vdot(amplitudes, amplitudes).real > 1e-6)
+    state = StateVector(amplitudes, amplitudes.size - 1).unit()
+    assume(not _is_single_photon(state))
+    # a shot costs about `bound` candidates (near 1000 for a dense 13-level
+    # state at q = 0); cap an example's expected work at 2000 candidates
+    bound = _envelope_bound(state, q)
+    assume(shots * bound <= 2000.0)
+    prefix = min(prefix, shots)
+    config = SamplerConfig(seed, shots, q, state.n_max, state)
+    with warnings.catch_warnings():
+        # low cutoffs leave heavy tails; both sides see the same candidates
+        warnings.simplefilter("ignore", TruncationWarning)
+        result = run_shots(config)
+        assert result == _one_shot_at_a_time(state, q, bound, seed, shots)
+        shorter = run_shots(SamplerConfig(seed, prefix, q, state.n_max, state))
+    assert shorter == ShotRunResult(seed, result.betas[:prefix], result.photon_counts[:prefix])
 
 
 def test_draw_counts_paths():
