@@ -29,6 +29,7 @@ from .statistics import (
     sweep_q,
 )
 from .tables import OutputTable
+from .teleport import as_entanglement
 from .verification import CHECK_LEVELS, run_checks
 
 __all__ = ["main", "build_parser", "parse_range_spec"]
@@ -65,9 +66,10 @@ def _q_value(text: str) -> float:
         q = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"q must be a number, got {text!r}") from exc
-    if not 0.0 <= q < 1.0:
-        raise argparse.ArgumentTypeError(f"q must lie in [0, 1), got {q}")
-    return q
+    try:
+        return as_entanglement(q).q
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _non_negative_int(text: str) -> int:
@@ -200,18 +202,17 @@ def cmd_conditional(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     config = SamplerConfig(master_seed=args.seed, shots=args.shots, q=args.q, cutoff=args.cutoff)
     result = run_shots(config)
-    rows = np.column_stack(
-        (
-            np.arange(args.shots),
-            result.betas.real,
-            result.betas.imag,
-            result.photon_counts,
-            result.category_codes,
-        )
-    ).tolist()
     table = OutputTable(
         columns=["shot_index", "x_minus", "y_plus", "photon_count", "category_code"],
-        rows=rows,
+        rows=np.column_stack(
+            (
+                np.arange(args.shots),
+                result.betas.real,
+                result.betas.imag,
+                result.photon_counts,
+                result.category_codes,
+            )
+        ),
         metadata=_base_metadata(
             command="sample",
             q=args.q,

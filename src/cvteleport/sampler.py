@@ -34,6 +34,7 @@ shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,8 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         as_entanglement(self.q)
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        object.__setattr__(self, "shots", operator.index(self.shots))
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= self.shots <= MAX_SHOTS:

@@ -1,5 +1,6 @@
 """Tabular results with exact CSV/JSON round-trips.
 
+A table's rows are one read-only float64 array of shape (n, len(columns)).
 CSV: metadata travels as '#'-prefixed JSON header lines above an RFC-4180
 body whose floats carry 17 significant digits, enough to reproduce every
 float64 bit for bit. JSON: one top-level object with "metadata", "columns"
@@ -12,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["OutputTable"]
 
@@ -21,15 +23,14 @@ __all__ = ["OutputTable"]
 @dataclass
 class OutputTable:
     columns: list[str]
-    rows: list[list[float]]
+    rows: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
-        self.rows = [[float(v) for v in row] for row in self.rows]
+        # the reshape gives a zero-row table its width and refuses rows of any other width
+        rows = np.array(self.rows, dtype=float).reshape(len(self.rows), len(self.columns))
+        rows.flags.writeable = False
+        self.rows = rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutputTable):
@@ -37,21 +38,14 @@ class OutputTable:
         return (
             self.columns == other.columns
             and self.metadata == other.metadata
-            and len(self.rows) == len(other.rows)
-            and all(
-                x == y or (math.isnan(x) and math.isnan(y))
-                for a, b in zip(self.rows, other.rows)
-                for x, y in zip(a, b)
-            )
+            and np.array_equal(self.rows, other.rows, equal_nan=True)
         )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("# " + json.dumps(self.metadata, sort_keys=True) + "\r\n")
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([format(v, ".17g") for v in row])
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL).writerow(self.columns)
+        np.savetxt(buf, self.rows, fmt="%.17g", delimiter=",", newline="\r\n")
         return buf.getvalue()
 
     @classmethod
@@ -64,23 +58,23 @@ class OutputTable:
             elif line.strip():
                 body_lines.append(line)
         metadata = json.loads("\n".join(meta_lines)) if meta_lines else {}
-        reader = csv.reader(body_lines)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
+        if not body_lines:
+            raise ValueError("CSV table has no header line")
+        header, *rows = csv.reader(body_lines)
         return cls(columns=header, rows=rows, metadata=metadata)
 
     def to_json(self) -> str:
-        payload = {"metadata": self.metadata, "columns": self.columns, "rows": self.rows}
+        payload = {"metadata": self.metadata, "columns": self.columns, "rows": self.rows.tolist()}
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "OutputTable":
         payload = json.loads(text)
-        return cls(
-            columns=list(payload["columns"]),
-            rows=[list(row) for row in payload["rows"]],
-            metadata=dict(payload["metadata"]),
-        )
+        try:
+            columns, rows, metadata = payload["columns"], payload["rows"], payload["metadata"]
+        except KeyError as exc:
+            raise ValueError(f"JSON table has no {exc} key") from None
+        return cls(columns=list(columns), rows=rows, metadata=dict(metadata))
 
     def serialize(self, fmt: str) -> str:
         if fmt == "csv":

@@ -106,6 +106,16 @@ def test_sample_metadata_carries_seed(capsys):
     assert sum(counts.values()) == 200
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_zero_shots_round_trips(capsys, fmt):
+    code, out = run_cli(capsys, "sample", "--shots", "0", "--format", fmt)
+    assert code == 0
+    table = OutputTable.parse(out, fmt)
+    assert table.columns == ["shot_index", "x_minus", "y_plus", "photon_count", "category_code"]
+    assert table.rows.shape == (0, 5)
+    assert table.metadata["counts"] == {"loss": 0, "success": 0, "gain": 0}
+
+
 def test_sample_is_reproducible(capsys):
     _, out1 = run_cli(capsys, "sample", "--shots", "64", "--seed", "9")
     _, out2 = run_cli(capsys, "sample", "--shots", "64", "--seed", "9")
@@ -159,6 +169,8 @@ def test_verify_fast_passes(capsys):
         ["loss-gain", "--q-range", "nan:0.5:0.1"],
         ["beta-density", "--range", "0:inf:1"],
         ["sample", "--shots", "4294967297"],
+        ["conditional", "--q", "half"],
+        ["sample", "--q", "nan"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys, monkeypatch):

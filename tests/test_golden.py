@@ -1,22 +1,27 @@
-"""Golden fixture: operator matrices, sampler records and envelope bounds, bit for bit.
+"""Golden fixture: operator matrices, sampler records, envelope bounds and CLI tables, bit for bit.
 
 ``golden_records.json`` holds sha256 digests of ``displacement_matrix`` and
-``transfer_operator`` matrices and of ``run_shots`` records, and the exact
-``float.hex`` of ``_envelope_bound``, for fixed inputs. Any change to the
-displacement kernel, the transfer operator or the sampler that moves a
-single bit fails here. Matrix digests ignore the sign of zero entries. Re-record
+``transfer_operator`` matrices, of ``run_shots`` records and of the table
+bytes some CLI invocations write, and the exact ``float.hex`` of
+``_envelope_bound``, for fixed inputs. Any change to the displacement kernel,
+the transfer operator, the sampler or the table serialization that moves a
+single bit fails here. Matrix digests ignore the sign of zero entries. Table
+digests skip the metadata, which carries the package version. Re-record
 only on purpose, after checking the new values are right:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvteleport.cli import main
 from cvteleport.fock import StateVector, coherent_state, displacement_matrix
 from cvteleport.sampler import SamplerConfig, _as_unit, _envelope_bound, run_shots
 from cvteleport.teleport import transfer_operator
@@ -52,6 +57,16 @@ RUNS = {
 BOUNDS = {
     "coherent0.5-cutoff32": _coherent_05,
     "superposition02-cutoff16": _superposition_02,
+}
+
+# name -> arguments of a CLI table whose body is pinned; the cutoff is the
+# default, spelled out so CVTELEPORT_CUTOFF cannot move it
+CLI_TABLES = {
+    "sample-shots2000-seed0-csv": "sample --shots 2000 --seed 0 --cutoff 32",
+    "beta-density-range-1:1:0.5-csv": "beta-density --range=-1:1:0.5",
+    "loss-gain-quadrature-q0:0.7:0.1-json": (
+        "loss-gain --with-quadrature --q-range 0:0.7:0.1 --cutoff 32 --format json"
+    ),
 }
 
 
@@ -103,6 +118,20 @@ def envelope_bound_hex(name: str) -> str:
     return _envelope_bound(_as_unit(BOUNDS[name]()), Q_GENERIC).hex()
 
 
+def cli_table_digest(name: str) -> str:
+    argv = CLI_TABLES[name].split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    text = out.getvalue()
+    if "json" in argv:
+        # the top-level "rows" key, indented one level, follows metadata and columns
+        body = text[text.rindex('\n  "rows": ') :]
+    else:
+        body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
@@ -123,10 +152,16 @@ def test_envelope_bound_matches_golden(name):
     assert envelope_bound_hex(name) == _golden()["envelope_bound"][name]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_TABLES))
+def test_cli_table_bytes_match_golden(name):
+    assert cli_table_digest(name) == _golden()["cli_tables"][name]
+
+
 if __name__ == "__main__":
     golden = {
         **operator_digests(),
         "records": {name: records_digest(name) for name in sorted(RUNS)},
         "envelope_bound": {name: envelope_bound_hex(name) for name in sorted(BOUNDS)},
+        "cli_tables": {name: cli_table_digest(name) for name in sorted(CLI_TABLES)},
     }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")

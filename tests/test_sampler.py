@@ -70,6 +70,19 @@ def test_config_validation():
         SamplerConfig(master_seed=1, shots=1, q=0.5, cutoff=16, input_state=number_state(0, 8))
 
 
+@pytest.mark.filterwarnings("ignore::cvteleport.errors.TruncationWarning")
+def test_numpy_integer_seeds_match_int_seeds():
+    # numpy's own SeedSequence takes numpy integers, so a config must too
+    config = SamplerConfig(master_seed=np.int64(3), shots=5, q=0.5)
+    assert type(config.master_seed) is int
+    assert run_shots(config) == run_shots(SamplerConfig(master_seed=3, shots=5, q=0.5))
+    coherent = coherent_state(0.5, 32).unit()
+    big = SamplerConfig(np.uint64(2**63 + 5), np.int32(5), 0.5, 32, coherent)
+    assert run_shots(big) == run_shots(SamplerConfig(2**63 + 5, 5, 0.5, 32, coherent))
+    with pytest.raises(TypeError):
+        SamplerConfig(master_seed=1, shots=5.0, q=0.5)
+
+
 def test_shot_record_lineage():
     rec = ShotRecord(beta=0j, photon_count=1, category="success", master_seed=9, shot_index=4)
     assert rec.seed_lineage == (9, 4)

@@ -59,8 +59,44 @@ def test_metadata_key_order_is_irrelevant_to_equality():
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
-        OutputTable(columns=["a", "b"], rows=[[1.0]])
+    for rows in ([[1.0]], [[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            OutputTable(columns=["a", "b"], rows=rows)
+
+
+@pytest.mark.parametrize(
+    "parse, text, missing",
+    [
+        (OutputTable.from_csv, "", "header"),
+        (OutputTable.from_csv, "# {}\r\n", "header"),
+        (OutputTable.from_json, "{}", "columns"),
+        (OutputTable.from_json, '{"columns": ["a"], "metadata": {}}', "rows"),
+    ],
+)
+def test_parse_names_missing_part(parse, text, missing):
+    with pytest.raises(ValueError, match=missing):
+        parse(text)
+
+
+@pytest.mark.parametrize("columns", [["a", "b"], ["only"]])
+@pytest.mark.parametrize("n_rows", [0, 1, 3])
+def test_round_trip_keeps_shape(columns, n_rows):
+    rows = np.arange(n_rows * len(columns), dtype=float).reshape(n_rows, len(columns)) / 7.0
+    table = OutputTable(columns=columns, rows=rows.tolist(), metadata={"n": n_rows})
+    assert table.rows.shape == (n_rows, len(columns))
+    for fmt in ("csv", "json"):
+        back = OutputTable.parse(table.serialize(fmt), fmt)
+        assert back == table
+        assert back.rows.shape == (n_rows, len(columns))
+
+
+def test_rows_are_one_read_only_array():
+    source = np.array([[1.0, 2.0]])
+    table = OutputTable(columns=["a", "b"], rows=source)
+    assert table.rows.dtype == np.float64 and not table.rows.flags.writeable
+    source[0, 0] = 9.0
+    assert table.rows[0, 0] == 1.0
+    assert table != OutputTable(columns=["a", "b"], rows=[[1.0, 2.0], [1.0, 2.0]])
 
 
 def test_unknown_format_rejected():
