@@ -144,6 +144,10 @@ class StateVector:
         return f"StateVector(n_max={self.n_max}, norm_sq={self.norm_sq():.6g})"
 
 
+def _as_unit(state: StateVector) -> StateVector:
+    return state if abs(state.norm_sq() - 1.0) <= 1e-12 else state.unit()
+
+
 def _warn_if_tail_heavy(state: StateVector, where: str) -> StateVector:
     if state.tail_mass() > TAIL_MASS_THRESHOLD:
         warnings.warn(

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import (
     FockCutoff,
     MultiModeState,
@@ -151,25 +149,9 @@ def two_mode_total_probability(
     """Integral of ||polarized_output||^2 over both outcome planes.
 
     The norm of a product state factorizes exactly, so the four-dimensional
-    integral is the product of the two single-channel totals; three random
-    spot nodes verify the factorization against the literally constructed
-    two-mode output before the product is returned.
+    integral is the product of the two single-channel totals. ``cvteleport
+    verify`` checks that factorization against the literally constructed
+    two-mode output.
     """
-    q = as_entanglement(q).q
-    cutoff = as_cutoff(cutoff)
-    dist_photon, dist_vacuum = _channel_distributions(q, cutoff)
-    total_h = float(dist_photon.probabilities.sum())
-    total_v = float(dist_vacuum.probabilities.sum())
-
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        beta_h = complex(*rng.normal(0.0, 1.0, 2))
-        beta_v = complex(*rng.normal(0.0, 1.0, 2))
-        joint = polarized_output(q, DualModeMeasurement(beta_h, beta_v), cutoff)
-        t_h = transfer_operator(q, beta_h, cutoff)
-        t_v = transfer_operator(q, beta_v, cutoff)
-        ph = t_h.apply(number_state(1, cutoff)).norm_sq()
-        pv = t_v.apply(number_state(0, cutoff)).norm_sq()
-        if abs(joint.norm_sq() - ph * pv) > 1e-12 * max(ph * pv, 1e-30):
-            raise AssertionError("two-mode norm does not factorize; operator path broken")
-    return total_h * total_v
+    dist_photon, dist_vacuum = _channel_distributions(as_entanglement(q).q, as_cutoff(cutoff))
+    return float(dist_photon.probabilities.sum()) * float(dist_vacuum.probabilities.sum())

@@ -41,8 +41,15 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import EnvelopeError, ZeroNormError
-from .fock import StateVector, _warn_if_tail_heavy, as_cutoff, displacement_stack, number_state
-from .teleport import _is_single_photon, _transfer_stack, as_entanglement
+from .fock import (
+    StateVector,
+    _as_unit,
+    _warn_if_tail_heavy,
+    as_cutoff,
+    displacement_stack,
+    number_state,
+)
+from .teleport import _STACK_BLOCK, _is_single_photon, _transfer_stack, as_entanglement
 
 __all__ = [
     "MAX_SHOTS",
@@ -64,8 +71,6 @@ _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
-# matrices per displacement or T_q stack; bounds their peak memory
-_STACK_BLOCK = 16
 # shot indices must fit one 32-bit spawn-key word
 MAX_SHOTS = 2**32
 
@@ -109,9 +114,9 @@ class ShotRecord:
 class SamplerConfig:
     """Reproducible description of a Monte Carlo run.
 
-    ``input_state`` = None selects the single-photon input at ``cutoff``
-    and enables the exact inverse-CDF radial path; any explicit state runs
-    through the generic rejection path.
+    ``input_state`` = None selects the single-photon input at ``cutoff``.
+    Exactly |1>, implicit or explicit, takes the exact inverse-CDF radial
+    path; any other state, e^{i phi}|1> included, the generic rejection path.
     """
 
     master_seed: int
@@ -338,10 +343,6 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
             ratio = majorant / float(_envelope_density(q, r * r))
             ratio_max = max(ratio_max, ratio)
     return _ENVELOPE_SAFETY * ratio_max
-
-
-def _as_unit(state: StateVector) -> StateVector:
-    return state if abs(state.norm_sq() - 1.0) <= 1e-12 else state.unit()
 
 
 def _rejection_sample(

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError
-from .fock import FockCutoff, StateVector, as_cutoff, number_state
+from .fock import FockCutoff, StateVector, _as_unit, as_cutoff, number_state
 from .tables import OutputTable
 from .teleport import (
     EntanglementParam,
     MeasurementOutcome,
+    _STACK_BLOCK,
     _transfer_stack,
     as_entanglement,
     as_outcome,
@@ -60,8 +61,6 @@ _RADIAL_EXPONENT_SPAN = 40.0
 # ``integrate_over_plane`` adds 64 uniform angles, so the plane integral of
 # f(beta) is sum_i sum_j w_i * _ANGULAR_WEIGHT * f(r_i e^{i theta_j}).
 _RADIAL_NODES = 128
-# radial operators built per stack; bounds the peak memory of the quadrature
-_RADIAL_BLOCK = 16
 _ANGULAR_NODES = 64
 _ANGLES = 2.0 * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES
 _ANGULAR_WEIGHT = 2.0 * math.pi / _ANGULAR_NODES
@@ -151,12 +150,12 @@ def _photon_transfer_matrix(q: float, cutoff: FockCutoff) -> np.ndarray:
     By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
     e^{-i theta n} and Parseval's identity the angular integral is exact,
     int dtheta |<n|T(r e^{i theta})|psi>|^2 = 2 pi sum_m |T_nm(r)|^2 |psi_m|^2,
-    so only the radial nodes are summed, ``_RADIAL_BLOCK`` operators at a time.
+    so only the radial nodes are summed, ``_STACK_BLOCK`` operators at a time.
     """
     radii, weights = _polar_grid(q)
     out = np.zeros((cutoff.dim, cutoff.dim))
-    for start in range(0, radii.size, _RADIAL_BLOCK):
-        block = slice(start, start + _RADIAL_BLOCK)
+    for start in range(0, radii.size, _STACK_BLOCK):
+        block = slice(start, start + _STACK_BLOCK)
         t_r = _transfer_stack(q, radii[block], cutoff)
         out += np.einsum("b,bnm->nm", (2.0 * math.pi) * weights[block], np.abs(t_r) ** 2)
     return out
@@ -177,13 +176,14 @@ def photon_statistics_quadrature(
 ) -> PhotonDistribution:
     """Integrate |<n| T_q(beta) |input>|^2 over the outcome plane.
 
-    The angle is integrated exactly (see ``_photon_transfer_matrix``), so the
-    input enters only through its photon-number populations |input_m|^2.
-    Node traversal order is fixed, making the reduction deterministic.
+    The input is normalized by ``fock._as_unit``, and the angle is integrated
+    exactly (see ``_photon_transfer_matrix``), so the input enters only
+    through its photon-number populations |input_m|^2. Node traversal order
+    is fixed, making the reduction deterministic.
     """
     q = as_entanglement(q).q
     transfer = _photon_transfer_matrix(q, input_state.cutoff)
-    return _photon_distribution(transfer @ (np.abs(input_state.amplitudes) ** 2))
+    return _photon_distribution(transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2))
 
 
 def conditional_beta_density(
@@ -224,6 +224,12 @@ def crossing_radius(q: EntanglementParam | float) -> float:
     Near the origin losing the photon dominates gaining one; far out the
     ordering flips. Bisection on the sign change of P_q(0, r) - P_q(ge2, r),
     bracketed by a radial scan; converges to 1e-12 in the radius.
+
+    A crossing exists only for q < 1/sqrt(2); above, ``NoCrossingError`` is
+    physics. With t = |beta|^2, a = 1-q^2, b = (1-q)^2, P_q(ge2) - P_q(0) =
+    (a/pi) e^{-2(1-q)t} g(t), g(t) = e^{bt}(a^2 t + q^2) - (q+bt)^2 - 2bt, and
+    e^{bt} >= 1 + bt + (bt)^2/2 gives g(t) >= b(2q^2-1)t + b^2(2q + 1.5q^2)t^2
+    + (a^2 b^2/2)t^3, positive for t > 0 once 2q^2 >= 1; below, g'(0) < 0.
     """
     q = as_entanglement(q).q
 
@@ -239,7 +245,7 @@ def crossing_radius(q: EntanglementParam | float) -> float:
             lo, hi = float(scan[i]), float(scan[i + 1])
             break
     if lo is None:
-        raise NoCrossingError(f"no loss/gain crossing found for q = {q:g}")
+        raise NoCrossingError(f"no loss/gain crossing for q = {q:g}; none exists at q >= 1/sqrt(2)")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:

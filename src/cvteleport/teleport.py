@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationWarning, ZeroNormError
+from .errors import TruncationWarning
 from .fock import (
     FockCutoff,
     ModeOperator,
@@ -60,6 +60,9 @@ DENSITY_UNDERFLOW_EXPONENT = 300.0 * math.log(10.0)
 # EPR norm defect q^{2(n_max+1)} above which projection paths emit a
 # truncation diagnostic.
 _EPR_DEFECT_THRESHOLD = 1e-8
+
+# matrices per displacement or T_q stack (see _transfer_stack); bounds their peak memory
+_STACK_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -272,26 +275,18 @@ def end_to_end_projection(
     input_state: StateVector,
     q: EntanglementParam | float,
     beta: MeasurementOutcome | complex,
-    cutoff: FockCutoff | int | None = None,
 ) -> StateVector:
     """Route the teleportation literally instead of via the transfer operator.
 
     Builds the three-mode product state (input on A) x (resource on R, B),
     contracts the conjugated measurement eigenstate over modes A and R, and
-    applies the receiver displacement D_B(beta). Exists as the independent
-    cross-check of the transfer-operator route; the two agree to rounding at
-    any shared cutoff.
+    applies the receiver displacement D_B(beta), all at the input's cutoff.
+    Exists as the independent cross-check of the transfer-operator route;
+    the two agree to rounding at any shared cutoff.
     """
     qv = as_entanglement(q).q
     betac = as_outcome(beta).beta
-    cutoff = input_state.cutoff if cutoff is None else as_cutoff(cutoff)
-    if cutoff != input_state.cutoff:
-        if cutoff.n_max < input_state.n_max:
-            raise ZeroNormError("cannot shrink the input onto a smaller cutoff")
-        amps = np.zeros(cutoff.dim, dtype=complex)
-        amps[: input_state.dim] = input_state.amplitudes
-        input_state = StateVector(amps, cutoff)
-
+    cutoff = input_state.cutoff
     defect = qv ** (2 * (cutoff.n_max + 1))
     if defect > _EPR_DEFECT_THRESHOLD:
         warnings.warn(

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import StateVector, coherent_state, displacement_matrix, number_state
-from .polarization import polarization_budget, polarization_budget_numerical
+from .fock import coherent_state, displacement_matrix, number_state
+from .polarization import (
+    DualModeMeasurement,
+    polarization_budget,
+    polarization_budget_numerical,
+    polarized_output,
+)
 from .sampler import SamplerConfig, _stream_keys, _stream_uniforms, run_shots
 from .statistics import (
     conditional_beta_density,
@@ -53,76 +58,68 @@ class CheckResult:
         return text
 
 
-def _inputs(cutoff: int) -> list[StateVector]:
-    return [
-        number_state(0, cutoff),
-        number_state(1, cutoff),
-        number_state(2, cutoff),
-        coherent_state(0.5, cutoff),
-    ]
-
-
-def check_path_equivalence(cutoff: int = 48) -> CheckResult:
+def check_path_equivalence() -> CheckResult:
     """Transfer-operator route vs literal projection route, elementwise."""
     betas = [0.0, 1.0, -1.0, 1.0j, 0.7 + 0.3j]
     qs = [0.0, 0.33, 0.5, 0.82]
+    states = [number_state(n, 48) for n in range(3)] + [coherent_state(0.5, 48)]
     worst = 0.0
     for q in qs:
         for beta in betas:
-            for state in _inputs(cutoff):
+            for state in states:
                 via_op = teleport_output(state, q, beta).amplitudes
                 via_proj = end_to_end_projection(state, q, beta).amplitudes
                 worst = max(worst, float(np.max(np.abs(via_op - via_proj))))
     return CheckResult("operator vs projection route", worst < 1e-9, 1e-9, worst)
 
 
-def check_closed_form_output(cutoff: int = 48) -> CheckResult:
+def check_closed_form_output() -> CheckResult:
     """Displaced two-term closed form vs the operator route for |1>."""
     worst = 0.0
     for q in (0.0, 0.33, 0.5, 0.82):
         for beta in (0.0, 0.5, 1.0, -1.0, 1.0j, 0.7 + 0.3j, 2.0 - 1.0j):
-            direct = teleport_output(number_state(1, cutoff), q, beta).amplitudes
-            closed = single_photon_output_closed_form(q, beta, cutoff).amplitudes
+            direct = teleport_output(number_state(1, 48), q, beta).amplitudes
+            closed = single_photon_output_closed_form(q, beta, 48).amplitudes
             worst = max(worst, float(np.max(np.abs(direct - closed))))
     return CheckResult("single-photon closed form", worst < 1e-10, 1e-10, worst)
 
 
-def check_density_closed_form(cutoff: int = 64) -> CheckResult:
+def check_density_closed_form() -> CheckResult:
     """norm^2 of T_q(beta)|1> vs the closed-form outcome density, relative."""
     worst = 0.0
     radii = np.arange(0.0, 4.0 + 1e-12, 0.25)
     for q in (0.2, 0.5, 0.8):
         for r in radii:
-            numeric = teleport_output(number_state(1, cutoff), q, complex(r)).norm_sq()
+            numeric = teleport_output(number_state(1, 64), q, complex(r)).norm_sq()
             closed = single_photon_beta_density(q, complex(r))
             worst = max(worst, abs(numeric - closed) / closed)
     return CheckResult("outcome density closed form", worst < 1e-9, 1e-9, worst)
 
 
-def check_hermiticity(cutoff: int = 48) -> CheckResult:
+def check_hermiticity() -> CheckResult:
     worst = 0.0
     for q in (0.0, 0.33, 0.5, 0.82):
         for beta in (0.0, 1.0, -1.0, 1.0j, 0.7 + 0.3j, -2.0 + 0.5j):
-            worst = max(worst, transfer_operator(q, beta, cutoff).hermiticity_defect())
+            worst = max(worst, transfer_operator(q, beta, 48).hermiticity_defect())
     return CheckResult("transfer operator hermitian", worst < 1e-12, 1e-12, worst)
 
 
-def check_diagonal_at_zero(cutoff: int = 48) -> CheckResult:
+def check_diagonal_at_zero() -> CheckResult:
     worst = 0.0
     for q in (0.0, 0.33, 0.5, 0.82):
-        mat = transfer_operator(q, 0.0, cutoff).matrix
+        mat = transfer_operator(q, 0.0, 48).matrix
         off = mat - np.diag(np.diag(mat))
         worst = max(worst, float(np.max(np.abs(off))))
     return CheckResult("transfer operator diagonal at beta=0", worst == 0.0, 0.0, worst)
 
 
-def check_displacement_unitary(cutoff: int = 64) -> CheckResult:
+def check_displacement_unitary() -> CheckResult:
     worst = 0.0
     # Rows far below the cutoff: displaced basis states must fit under it.
     block = 20
     eye = np.eye(block)
     for alpha in (0.5, 1.0, 2.0, 1.0 + 1.0j, -0.3 + 1.2j):
-        mat = displacement_matrix(alpha, cutoff).matrix
+        mat = displacement_matrix(alpha, 64).matrix
         prod = (mat @ mat.conj().T)[:block, :block]
         worst = max(worst, float(np.max(np.abs(prod - eye))))
     return CheckResult("displacement unitary on leading block", worst < 1e-8, 1e-8, worst)
@@ -168,6 +165,19 @@ def check_polarization_identities() -> CheckResult:
     )
 
 
+def check_two_mode_factorization() -> CheckResult:
+    """Norm of the literal two-mode |1>_H |0>_V output vs its channel norms' product, relative."""
+    worst = 0.0
+    pairs = ((0j, 0j), (1.0, -1.0j), (0.7 + 0.3j, -0.4 + 1.1j), (-2.0 + 0.5j, 0.3))
+    for q in (0.0, 0.33, 0.5, 0.82):
+        for beta_h, beta_v in pairs:
+            joint = polarized_output(q, DualModeMeasurement(beta_h, beta_v), 32).norm_sq()
+            ph = teleport_output(number_state(1, 32), q, beta_h).norm_sq()
+            pv = teleport_output(number_state(0, 32), q, beta_v).norm_sq()
+            worst = max(worst, abs(joint - ph * pv) / max(ph * pv, 1e-30))
+    return CheckResult("two-mode output factorizes", worst < 1e-12, 1e-12, worst)
+
+
 def check_ordering_invariants() -> CheckResult:
     ok = True
     detail = ""
@@ -184,10 +194,10 @@ def check_ordering_invariants() -> CheckResult:
     return CheckResult("gain/loss and flip ordering", ok, 0.0, 0.0 if ok else 1.0, detail)
 
 
-def check_photon_stats_quadrature(cutoff: int = 64) -> CheckResult:
+def check_photon_stats_quadrature() -> CheckResult:
     worst = 0.0
     for q in (0.2, 0.5, 0.8):
-        dist = photon_statistics_quadrature(number_state(1, cutoff), q)
+        dist = photon_statistics_quadrature(number_state(1, 64), q)
         for n in range(7):
             closed = photon_statistics_closed_form(q, n)
             worst = max(worst, abs(float(dist.probabilities[n]) - closed))
@@ -217,26 +227,26 @@ def check_conditional_integrals() -> CheckResult:
     )
 
 
-def check_polarization_quadrature(cutoff: int = 48) -> CheckResult:
+def check_polarization_quadrature() -> CheckResult:
     worst = 0.0
     for q in (0.33, 0.5, 0.82):
         closed = polarization_budget(q).as_tuple()
-        numeric = polarization_budget_numerical(q, cutoff).as_tuple()
+        numeric = polarization_budget_numerical(q, 48).as_tuple()
         worst = max(worst, max(abs(c - n) for c, n in zip(closed, numeric)))
     return CheckResult("polarization budget quadrature", worst < 1e-6, 1e-6, worst)
 
 
-def check_vacuum_success(cutoff: int = 48) -> CheckResult:
+def check_vacuum_success() -> CheckResult:
     worst = 0.0
     for q in (0.2, 0.33, 0.5, 0.8, 0.82):
-        dist = photon_statistics_quadrature(number_state(0, cutoff), q)
+        dist = photon_statistics_quadrature(number_state(0, 48), q)
         worst = max(worst, abs(float(dist.probabilities[0]) - 0.5 * (1.0 + q)))
     return CheckResult("vacuum success probability (1+q)/2", worst < 1e-6, 1e-6, worst)
 
 
-def check_monte_carlo(seed: int = 20260815, shots: int = 100_000) -> CheckResult:
-    q = 0.5
-    config = SamplerConfig(master_seed=seed, shots=shots, q=q, cutoff=32)
+def check_monte_carlo() -> CheckResult:
+    shots, q = 100_000, 0.5
+    config = SamplerConfig(master_seed=20260815, shots=shots, q=q, cutoff=32)
     result = run_shots(config)
     split = loss_gain_split(q)
     worst_sigmas = 0.0
@@ -254,13 +264,13 @@ def check_monte_carlo(seed: int = 20260815, shots: int = 100_000) -> CheckResult
     )
 
 
-def check_stream_derivation(shots: int = 256) -> CheckResult:
+def check_stream_derivation() -> CheckResult:
     """Bulk per-shot keys and uniforms vs the installed numpy's own generators."""
     mismatched = 0
     for seed in (0, 2**64 + 1):
-        keys = _stream_keys(seed, np.arange(shots))
-        uniforms = _stream_uniforms(seed, 0, shots)
-        for i in range(shots):
+        keys = _stream_keys(seed, np.arange(256))
+        uniforms = _stream_uniforms(seed, 0, 256)
+        for i in range(256):
             seq = np.random.SeedSequence(seed, spawn_key=(i,))
             own = np.random.Generator(np.random.Philox(seq)).uniform(size=3)
             same_key = np.array_equal(keys[i], seq.generate_state(2, np.uint64))
@@ -270,7 +280,7 @@ def check_stream_derivation(shots: int = 256) -> CheckResult:
         mismatched == 0,
         0.0,
         float(mismatched),
-        f"mismatched shots of {shots} at seeds 0 and 2**64+1",
+        "mismatched shots of 256 at seeds 0 and 2**64+1",
     )
 
 
@@ -282,6 +292,7 @@ _FAST_CHECKS = [
     check_displacement_unitary,
     check_loss_gain_identities,
     check_polarization_identities,
+    check_two_mode_factorization,
     check_ordering_invariants,
     check_stream_derivation,
 ]

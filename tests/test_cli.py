@@ -149,7 +149,7 @@ def test_verify_fast_passes(capsys):
     code, out = run_cli(capsys, "verify")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines)
     assert all("tolerance" in line for line in lines)
 

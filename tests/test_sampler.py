@@ -133,6 +133,12 @@ def test_different_seeds_differ():
     assert any(x.beta != y.beta for x, y in zip(a.records, b.records))
 
 
+def test_explicit_single_photon_takes_the_closed_form_path():
+    explicit = SamplerConfig(1, 50, 0.5, 32, number_state(1, 32))
+    assert run_shots(explicit) == run_shots(SamplerConfig(1, 50, 0.5))
+    assert not _is_single_photon(StateVector(1j * number_state(1, 32).amplitudes, 32))
+
+
 def test_zero_shots():
     result = run_shots(SamplerConfig(master_seed=1, shots=0, q=0.5))
     assert result.records == []

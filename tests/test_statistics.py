@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cvteleport.errors import GridMismatchError, NoCrossingError
-from cvteleport.fock import coherent_state, number_state
+from cvteleport.errors import GridMismatchError, NoCrossingError, ZeroNormError
+from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
     PhotonDistribution,
     _polar_grid,
@@ -102,6 +102,17 @@ def test_quadrature_statistics_match_closed_form(q):
         assert np.isclose(float(dist.probabilities[n]), closed, atol=1e-6)
 
 
+def test_quadrature_normalizes_its_input():
+    one = number_state(1, 32)
+    reference = photon_statistics_quadrature(one, 0.5)
+    for scale in (2.0, 0.5):
+        dist = photon_statistics_quadrature(StateVector(scale * one.amplitudes, 32), 0.5)
+        assert np.array_equal(dist.probabilities, reference.probabilities)
+        assert dist.residual == reference.residual
+    with pytest.raises(ZeroNormError):
+        photon_statistics_quadrature(StateVector(np.zeros(33), 32), 0.5)
+
+
 def test_quadrature_masses_integrate_to_one():
     for n in (0, 1):
         dist = photon_statistics_quadrature(number_state(n, 48), 0.5)
@@ -186,6 +197,23 @@ def test_crossing_ordering_around_the_root():
     assert conditional_beta_density(0, 0.5, complex(outer)) < conditional_beta_density(
         "ge2", 0.5, complex(outer)
     )
+
+
+def test_crossing_exists_only_below_inverse_sqrt_two():
+    # the loss - gain gap has slope (1-q)^2 (1 - 2q^2) at |beta|^2 = 0
+    assert 0.0 < crossing_radius(0.707) < 0.05
+    for q in (0.7072, 0.99):
+        with pytest.raises(NoCrossingError, match="1/sqrt"):
+            crossing_radius(q)
+
+
+def test_gain_beats_loss_everywhere_above_inverse_sqrt_two():
+    gaps = [
+        conditional_beta_density("ge2", q, complex(r)) - conditional_beta_density(0, q, complex(r))
+        for q in np.linspace(0.7072, 0.99, 60)
+        for r in np.linspace(0.05, 8.0, 160)
+    ]
+    assert min(gaps) > 0.0
 
 
 def test_density_ring_maximum():

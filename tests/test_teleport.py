@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvteleport.errors import TruncationWarning, ZeroNormError
+from cvteleport.errors import TruncationWarning
 from cvteleport.fock import annihilation_matrix, coherent_state, number_state
 from cvteleport.teleport import (
     EntanglementParam,
@@ -185,15 +185,6 @@ def test_projection_route_matches_transfer_route(q, beta, make_input):
     a = end_to_end_projection(state, q, beta)
     b = teleport_output(state, q, beta)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
-
-
-def test_projection_can_embed_into_larger_cutoff():
-    small = number_state(1, 16)
-    big = end_to_end_projection(small, 0.5, 0.4 + 0.2j, cutoff=32)
-    ref = teleport_output(number_state(1, 32), 0.5, 0.4 + 0.2j)
-    assert np.max(np.abs(big.amplitudes - ref.amplitudes)) < 1e-9
-    with pytest.raises(ZeroNormError):
-        end_to_end_projection(number_state(1, 16), 0.5, 0j, cutoff=8)
 
 
 def test_projection_warns_when_resource_is_under_resolved():
