@@ -29,7 +29,6 @@ from .fock import (
     tensor_product,
 )
 from .polarization import (
-    DualModeMeasurement,
     PolarizationOutcomeBudget,
     polarization_budget,
     polarization_budget_numerical,
@@ -41,7 +40,6 @@ from .sampler import (
     SamplerConfig,
     ShotRecord,
     ShotRunResult,
-    category_for_count,
     run_shots,
 )
 from .statistics import (
@@ -49,7 +47,6 @@ from .statistics import (
     PhotonDistribution,
     conditional_beta_density,
     crossing_radius,
-    integrate_over_plane,
     loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
@@ -58,8 +55,6 @@ from .statistics import (
 )
 from .tables import OutputTable
 from .teleport import (
-    EntanglementParam,
-    MeasurementOutcome,
     beta_density,
     end_to_end_projection,
     epr_state,

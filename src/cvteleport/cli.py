@@ -2,9 +2,8 @@
 
 Subcommands: beta-density, photon-stats, loss-gain, conditional,
 polarization, sample, verify. Tables go to --out as CSV (RFC-4180 body,
-17-significant-digit floats) or JSON; '-' writes to stdout. The default
-cutoff of the subcommands that take --cutoff honors the CVTELEPORT_CUTOFF
-environment variable. Exit codes: 0 success, 1 verification failure, 2
+17-significant-digit floats) or JSON; '-' writes to stdout. --cutoff
+defaults to 32. Exit codes: 0 success, 1 verification failure, 2
 usage error, including a q the quadrature grid cannot hold.
 """
 
@@ -29,12 +28,11 @@ from .statistics import (
     sweep_q,
 )
 from .tables import OutputTable
-from .teleport import as_entanglement
+from .teleport import _as_q
 from .verification import CHECK_LEVELS, run_checks
 
 __all__ = ["main", "build_parser", "parse_range_spec"]
 
-CUTOFF_ENV_VAR = "CVTELEPORT_CUTOFF"
 _DEFAULT_CUTOFF = 32
 
 
@@ -67,7 +65,7 @@ def _q_value(text: str) -> float:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"q must be a number, got {text!r}") from exc
     try:
-        return as_entanglement(q).q
+        return _as_q(q)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -94,20 +92,6 @@ def _q_range(text: str) -> np.ndarray:
     if values[-1] >= 1.0 or values[0] < 0.0:
         raise argparse.ArgumentTypeError(f"q range must stay within [0, 1), got {text!r}")
     return values
-
-
-def _default_cutoff() -> int:
-    raw = os.environ.get(CUTOFF_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_CUTOFF
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        print(f"error: {CUTOFF_ENV_VAR} must be an integer >= 1, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
-    return value
 
 
 def _write_output(text: str, out: str) -> int:
@@ -244,7 +228,7 @@ def _add_sweep(commands, name: str, quantity: str, help_text: str) -> None:
     sub = commands.add_parser(name, help=help_text)
     sub.add_argument("--q-range", dest="q_range_text", default="0:0.99:0.01")
     sub.add_argument("--with-quadrature", action="store_true")
-    sub.add_argument("--cutoff", type=int)
+    sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sweep, quantity=quantity)
 
@@ -266,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("photon-stats", help="output photon-number distribution")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--max-n", type=_non_negative_int, default=10)
-    sub.add_argument("--cutoff", type=int)
+    sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_photon_stats)
 
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--shots", type=_shot_count, default=10_000)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
-    sub.add_argument("--cutoff", type=int)
+    sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sample)
 
@@ -309,8 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             args.radial_range = parse_range_spec(args.radial_range_text)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    if hasattr(args, "cutoff") and args.cutoff is None:
-        args.cutoff = _default_cutoff()
     if getattr(args, "cutoff", 1) < 1:
         parser.error("cutoff must be >= 1")
     try:

@@ -27,28 +27,15 @@ from .fock import (
     tensor_product,
 )
 from .statistics import PhotonDistribution, _photon_distribution, _photon_transfer_matrix
-from .teleport import EntanglementParam, MeasurementOutcome, as_entanglement, transfer_operator
+from .teleport import _as_q, transfer_operator
 
 __all__ = [
-    "DualModeMeasurement",
     "PolarizationOutcomeBudget",
     "polarized_output",
     "polarization_budget",
     "polarization_budget_numerical",
     "two_mode_total_probability",
 ]
-
-
-@dataclass(frozen=True)
-class DualModeMeasurement:
-    """Independent measurement outcomes for the H and V channels."""
-
-    beta_h: complex
-    beta_v: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta_h", complex(self.beta_h))
-        object.__setattr__(self, "beta_v", complex(self.beta_v))
 
 
 @dataclass(frozen=True)
@@ -68,18 +55,19 @@ class PolarizationOutcomeBudget:
 
 
 def polarized_output(
-    q: EntanglementParam | float,
-    measurement: DualModeMeasurement,
+    q: float,
+    beta_h: complex,
+    beta_v: complex,
     cutoff: FockCutoff | int,
     state: MultiModeState | None = None,
 ) -> MultiModeState:
-    """Unnormalized two-channel conditional output.
+    """Unnormalized two-channel conditional output for outcomes beta_h, beta_v.
 
     Default input is the polarization basis state |1>_H |0>_V; any two-mode
     state over labels (H, V) may be passed instead, in which case the same
     generic per-mode operator path runs (no closed form is assumed).
     """
-    q = as_entanglement(q).q
+    q = _as_q(q)
     cutoff = as_cutoff(cutoff)
     if state is None:
         state = tensor_product(
@@ -87,14 +75,14 @@ def polarized_output(
         )
     if state.labels != ("H", "V"):
         raise ValueError(f"polarized input must carry labels ('H', 'V'), got {state.labels}")
-    t_h = transfer_operator(q, MeasurementOutcome.from_complex(measurement.beta_h), cutoff)
-    t_v = transfer_operator(q, MeasurementOutcome.from_complex(measurement.beta_v), cutoff)
+    t_h = transfer_operator(q, beta_h, cutoff)
+    t_v = transfer_operator(q, beta_v, cutoff)
     return apply_to_mode(t_v, "V", apply_to_mode(t_h, "H", state))
 
 
-def polarization_budget(q: EntanglementParam | float) -> PolarizationOutcomeBudget:
+def polarization_budget(q: float) -> PolarizationOutcomeBudget:
     """Closed-form outcome budget for the |1>_H |0>_V input."""
-    q = as_entanglement(q).q
+    q = _as_q(q)
     s = 0.5 * (1.0 + q)
     return PolarizationOutcomeBudget(
         p_trans=s * s * 0.5 * (1.0 + q * q),
@@ -117,7 +105,7 @@ def _channel_distributions(
 
 
 def polarization_budget_numerical(
-    q: EntanglementParam | float,
+    q: float,
     cutoff: FockCutoff | int = 32,
 ) -> PolarizationOutcomeBudget:
     """Outcome budget assembled from per-channel quadrature integrals.
@@ -127,7 +115,7 @@ def polarization_budget_numerical(
     channel the vacuum, and the two channels are independent, so each class
     probability is a product of one H integral and one V integral.
     """
-    q = as_entanglement(q).q
+    q = _as_q(q)
     dist_photon, dist_vacuum = _channel_distributions(q, as_cutoff(cutoff))
     h0, h1 = float(dist_photon.probabilities[0]), float(dist_photon.probabilities[1])
     v0, v1 = float(dist_vacuum.probabilities[0]), float(dist_vacuum.probabilities[1])
@@ -143,7 +131,7 @@ def polarization_budget_numerical(
 
 
 def two_mode_total_probability(
-    q: EntanglementParam | float,
+    q: float,
     cutoff: FockCutoff | int = 32,
 ) -> float:
     """Integral of ||polarized_output||^2 over both outcome planes.
@@ -153,5 +141,5 @@ def two_mode_total_probability(
     verify`` checks that factorization against the literally constructed
     two-mode output.
     """
-    dist_photon, dist_vacuum = _channel_distributions(as_entanglement(q).q, as_cutoff(cutoff))
+    dist_photon, dist_vacuum = _channel_distributions(_as_q(q), as_cutoff(cutoff))
     return float(dist_photon.probabilities.sum()) * float(dist_vacuum.probabilities.sum())

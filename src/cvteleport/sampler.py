@@ -49,7 +49,7 @@ from .fock import (
     displacement_stack,
     number_state,
 )
-from .teleport import _STACK_BLOCK, _is_single_photon, _transfer_stack, as_entanglement
+from .teleport import _STACK_BLOCK, _as_q, _is_single_photon, _transfer_stack
 
 __all__ = [
     "MAX_SHOTS",
@@ -58,7 +58,6 @@ __all__ = [
     "ShotRecord",
     "SamplerConfig",
     "ShotRunResult",
-    "category_for_count",
     "run_shots",
 ]
 
@@ -84,15 +83,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-
-
-def category_for_count(n: int) -> str:
-    """Map a sampled photon count (or the overflow sentinel) to its class."""
-    if n == OVERFLOW_COUNT:
-        return "gain"
-    if n < 0:
-        raise ValueError(f"photon count must be >= 0 or the overflow sentinel, got {n}")
-    return CATEGORIES[min(n, 2)]
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ class SamplerConfig:
     input_state: StateVector | None = None
 
     def __post_init__(self) -> None:
-        as_entanglement(self.q)
+        object.__setattr__(self, "q", _as_q(self.q))
         object.__setattr__(self, "master_seed", operator.index(self.master_seed))
         object.__setattr__(self, "shots", operator.index(self.shots))
         if self.master_seed < 0:
@@ -159,6 +149,8 @@ class ShotRunResult:
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if np.any(self.photon_counts < OVERFLOW_COUNT):
+            raise ValueError(f"photon counts must be >= 0 or {OVERFLOW_COUNT} (overflow)")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShotRunResult):
@@ -191,10 +183,10 @@ class ShotRunResult:
     @property
     def records(self) -> list[ShotRecord]:
         """One ``ShotRecord`` per shot, built on each access."""
-        rows = zip(self.betas.tolist(), self.photon_counts.tolist())
+        rows = zip(self.betas.tolist(), self.photon_counts.tolist(), self.category_codes.tolist())
         return [
-            ShotRecord(beta, n, category_for_count(n), self.master_seed, i)
-            for i, (beta, n) in enumerate(rows)
+            ShotRecord(beta, n, CATEGORIES[code], self.master_seed, i)
+            for i, (beta, n, code) in enumerate(rows)
         ]
 
 

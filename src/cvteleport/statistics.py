@@ -25,12 +25,9 @@ from .errors import GridMismatchError, NoCrossingError
 from .fock import FockCutoff, StateVector, _as_unit, as_cutoff, number_state
 from .tables import OutputTable
 from .teleport import (
-    EntanglementParam,
-    MeasurementOutcome,
     _STACK_BLOCK,
+    _as_q,
     _transfer_stack,
-    as_entanglement,
-    as_outcome,
     single_photon_beta_density,
 )
 
@@ -43,7 +40,6 @@ __all__ = [
     "conditional_beta_density",
     "crossing_radius",
     "squeezing_db_to_q",
-    "integrate_over_plane",
     "sweep_q",
     "SWEEP_QUANTITIES",
 ]
@@ -57,13 +53,10 @@ _RADIAL_EXPONENT_SPAN = 40.0
 
 
 # The fixed polar grid: 128 Gauss-Legendre radii against r dr on
-# [0, sqrt(40/(1-q^2))]. The photon statistics integrate the angle exactly;
-# ``integrate_over_plane`` adds 64 uniform angles, so the plane integral of
-# f(beta) is sum_i sum_j w_i * _ANGULAR_WEIGHT * f(r_i e^{i theta_j}).
+# [0, sqrt(40/(1-q^2))]. Every integrand here has its angle integrated
+# exactly, so the plane integral of a function of |beta| alone is
+# 2 pi sum_i w_i f(r_i).
 _RADIAL_NODES = 128
-_ANGULAR_NODES = 64
-_ANGLES = 2.0 * math.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES
-_ANGULAR_WEIGHT = 2.0 * math.pi / _ANGULAR_NODES
 
 
 def _polar_grid(q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +113,13 @@ class LossGainSplit:
         return (self.p_loss, self.p_success, self.p_gain)
 
 
-def photon_statistics_closed_form(q: EntanglementParam | float, n: int) -> float:
+def photon_statistics_closed_form(q: float, n: int) -> float:
     """P_q(n) for the single-photon input.
 
     ((1+q)/2) ((1-q)/2)^{n+1} (1 + ((1+q)/(1-q))^2 n); the n >= 1 terms are
     strictly decreasing in n and the series sums to 1.
     """
-    q = as_entanglement(q).q
+    q = _as_q(q)
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     s = 0.5 * (1.0 + q)
@@ -134,9 +127,9 @@ def photon_statistics_closed_form(q: EntanglementParam | float, n: int) -> float
     return s * p ** (n + 1) * (1.0 + (s / p) ** 2 * n)
 
 
-def loss_gain_split(q: EntanglementParam | float) -> LossGainSplit:
+def loss_gain_split(q: float) -> LossGainSplit:
     """Closed-form split: ¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3); sums to 1."""
-    q = as_entanglement(q).q
+    q = _as_q(q)
     return LossGainSplit(
         p_loss=0.25 * (1.0 - q * q),
         p_success=0.25 * (1.0 + q + q * q + q * q * q),
@@ -172,7 +165,7 @@ def _photon_distribution(probabilities: np.ndarray) -> PhotonDistribution:
 
 def photon_statistics_quadrature(
     input_state: StateVector,
-    q: EntanglementParam | float,
+    q: float,
 ) -> PhotonDistribution:
     """Integrate |<n| T_q(beta) |input>|^2 over the outcome plane.
 
@@ -181,15 +174,15 @@ def photon_statistics_quadrature(
     through its photon-number populations |input_m|^2. Node traversal order
     is fixed, making the reduction deterministic.
     """
-    q = as_entanglement(q).q
+    q = _as_q(q)
     transfer = _photon_transfer_matrix(q, input_state.cutoff)
     return _photon_distribution(transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2))
 
 
 def conditional_beta_density(
     category: int | str,
-    q: EntanglementParam | float,
-    beta: MeasurementOutcome | complex,
+    q: float,
+    beta: complex,
 ) -> float:
     """Joint density P_q(category, beta) for the single-photon input.
 
@@ -198,8 +191,8 @@ def conditional_beta_density(
     the gain term is the remainder against the total density, clamped only
     for negative values smaller than 1e-12 in magnitude.
     """
-    q = as_entanglement(q).q
-    beta = as_outcome(beta).beta
+    q = _as_q(q)
+    beta = complex(beta)
     a = 1.0 - q * q
     t = abs(beta) ** 2
     envelope = (a / math.pi) * math.exp(-2.0 * (1.0 - q) * t)
@@ -218,7 +211,7 @@ def conditional_beta_density(
     raise ValueError(f"category must be 0, 1 or 'ge2', got {category!r}")
 
 
-def crossing_radius(q: EntanglementParam | float) -> float:
+def crossing_radius(q: float) -> float:
     """|beta| where the loss and gain conditional densities cross.
 
     Near the origin losing the photon dominates gaining one; far out the
@@ -231,7 +224,7 @@ def crossing_radius(q: EntanglementParam | float) -> float:
     e^{bt} >= 1 + bt + (bt)^2/2 gives g(t) >= b(2q^2-1)t + b^2(2q + 1.5q^2)t^2
     + (a^2 b^2/2)t^3, positive for t > 0 once 2q^2 >= 1; below, g'(0) < 0.
     """
-    q = as_entanglement(q).q
+    q = _as_q(q)
 
     def gap(r: float) -> float:
         return conditional_beta_density(0, q, r) - conditional_beta_density("ge2", q, r)
@@ -255,24 +248,12 @@ def crossing_radius(q: EntanglementParam | float) -> float:
     return 0.5 * (lo + hi)
 
 
-def squeezing_db_to_q(db: float) -> EntanglementParam:
+def squeezing_db_to_q(db: float) -> float:
     """Convert a squeezing level in dB to q = tanh(r), r = dB ln(10)/20."""
     db = float(db)
     if db < 0.0:
         raise ValueError(f"squeezing level must be >= 0 dB, got {db}")
-    return EntanglementParam(math.tanh(db * math.log(10.0) / 20.0))
-
-
-def integrate_over_plane(fn, q: EntanglementParam | float) -> float:
-    """Integrate a scalar function of beta over the plane on the polar grid for q."""
-    radii, weights = _polar_grid(as_entanglement(q).q)
-    total = 0.0
-    for r, w in zip(radii, weights):
-        ring = 0.0
-        for theta in _ANGLES:
-            ring += fn(complex(r * math.cos(theta), r * math.sin(theta)))
-        total += w * ring * _ANGULAR_WEIGHT
-    return total
+    return _as_q(math.tanh(db * math.log(10.0) / 20.0))
 
 
 SWEEP_QUANTITIES = ("loss_gain", "polarization")
@@ -298,9 +279,7 @@ def sweep_q(
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"quantity must be one of {SWEEP_QUANTITIES}, got {quantity!r}")
     cutoff = as_cutoff(cutoff)
-    q_values = np.asarray(q_values, dtype=float)
-    for q in q_values:
-        as_entanglement(float(q))
+    q_values = [_as_q(q) for q in q_values]
 
     # quantity -> (column names, closed form, quadrature route), each route
     # returning an object with as_tuple()
@@ -321,10 +300,10 @@ def sweep_q(
         columns += [f"{name}_quad" for name in names] + ["flag"]
     rows = []
     for q in q_values:
-        closed = closed_form(float(q)).as_tuple()
-        row = [float(q), *closed]
+        closed = closed_form(q).as_tuple()
+        row = [q, *closed]
         if with_quadrature:
-            quad = quadrature(float(q)).as_tuple()
+            quad = quadrature(q).as_tuple()
             flag = float(max(abs(c - n) for c, n in zip(closed, quad)) > _SWEEP_FLAG_TOLERANCE)
             row += [*quad, flag]
         rows.append(row)

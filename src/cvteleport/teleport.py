@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +36,6 @@ from .fock import (
 )
 
 __all__ = [
-    "EntanglementParam",
-    "MeasurementOutcome",
-    "as_entanglement",
-    "as_outcome",
     "epr_state",
     "measurement_eigenstate",
     "measurement_eigenstate_defect",
@@ -65,53 +60,21 @@ _EPR_DEFECT_THRESHOLD = 1e-8
 _STACK_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class EntanglementParam:
-    """Two-mode squeezing parameter q; q = 0 is classical, q -> 1 ideal."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        if not 0.0 <= q < 1.0:
-            raise ValueError(f"q must lie in [0, 1), got {q!r}")
-        object.__setattr__(self, "q", q)
+def _as_q(q: float) -> float:
+    """q as a float, checked to lie in [0, 1); q = 0 is classical, q -> 1 ideal."""
+    q = float(q)
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"q must lie in [0, 1), got {q!r}")
+    return q
 
 
-def as_entanglement(q: EntanglementParam | float) -> EntanglementParam:
-    return q if isinstance(q, EntanglementParam) else EntanglementParam(float(q))
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Joint quadrature measurement record: beta = x_minus + i*y_plus."""
-
-    x_minus: float
-    y_plus: float
-
-    @property
-    def beta(self) -> complex:
-        return complex(self.x_minus, self.y_plus)
-
-    @classmethod
-    def from_complex(cls, beta: complex) -> "MeasurementOutcome":
-        beta = complex(beta)
-        return cls(beta.real, beta.imag)
-
-
-def as_outcome(beta: MeasurementOutcome | complex) -> MeasurementOutcome:
-    if isinstance(beta, MeasurementOutcome):
-        return beta
-    return MeasurementOutcome.from_complex(complex(beta))
-
-
-def epr_state(q: EntanglementParam | float, cutoff: FockCutoff | int) -> MultiModeState:
+def epr_state(q: float, cutoff: FockCutoff | int) -> MultiModeState:
     """Two-mode squeezed resource sqrt(1-q^2) sum q^n |n,n> over modes R, B.
 
     The truncated norm^2 is (1-q^2) sum_{n<=n_max} q^{2n} = 1 - q^{2(n_max+1)},
     approaching 1 from below as the cutoff grows; no renormalization.
     """
-    q = as_entanglement(q).q
+    q = _as_q(q)
     cutoff = as_cutoff(cutoff)
     coeff = math.sqrt(1.0 - q * q) * q ** np.arange(cutoff.dim)
     tensor = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
@@ -120,21 +83,21 @@ def epr_state(q: EntanglementParam | float, cutoff: FockCutoff | int) -> MultiMo
 
 
 def measurement_eigenstate(
-    beta: MeasurementOutcome | complex, cutoff: FockCutoff | int
+    beta: complex, cutoff: FockCutoff | int
 ) -> MultiModeState:
     """Joint eigenstate (1/sqrt(pi)) sum_n D_A(beta)|n,n> over modes A, R.
 
     Unnormalizable by design (delta-normalized over outcomes); the tensor is
     (1/sqrt(pi)) times the displacement matrix laid out on axes (A, R).
     """
-    beta = as_outcome(beta).beta
+    beta = complex(beta)
     cutoff = as_cutoff(cutoff)
     disp = displacement_matrix(beta, cutoff).matrix
     return MultiModeState(("A", "R"), disp / math.sqrt(math.pi), cutoff)
 
 
 def measurement_eigenstate_defect(
-    beta: MeasurementOutcome | complex, cutoff: FockCutoff | int
+    beta: complex, cutoff: FockCutoff | int
 ) -> tuple[float, float]:
     """Residuals of the defining eigenvalue equations for the eigenstate.
 
@@ -145,15 +108,15 @@ def measurement_eigenstate_defect(
     leading half block, where truncation effects from the raising operators
     cannot reach.
     """
-    out = as_outcome(beta)
+    beta = complex(beta)
     cutoff = as_cutoff(cutoff)
     a = annihilation_matrix(cutoff).matrix
     ad = a.conj().T
     x = (a + ad) / 2.0
     y = (a - ad) / 2.0j
-    psi = measurement_eigenstate(out, cutoff).amplitudes
-    x_res = x @ psi - psi @ x.T - out.x_minus * psi  # (x_A - x_R) psi
-    y_res = y @ psi + psi @ y.T - out.y_plus * psi  # (y_A + y_R) psi
+    psi = measurement_eigenstate(beta, cutoff).amplitudes
+    x_res = x @ psi - psi @ x.T - beta.real * psi  # (x_A - x_R) psi
+    y_res = y @ psi + psi @ y.T - beta.imag * psi  # (y_A + y_R) psi
     half = cutoff.dim // 2
     return (
         float(np.max(np.abs(x_res[:half, :half]))),
@@ -162,8 +125,8 @@ def measurement_eigenstate_defect(
 
 
 def transfer_operator(
-    q: EntanglementParam | float,
-    beta: MeasurementOutcome | complex,
+    q: float,
+    beta: complex,
     cutoff: FockCutoff | int,
 ) -> ModeOperator:
     """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta).
@@ -172,8 +135,8 @@ def transfer_operator(
     D(beta) in this implementation); at beta = 0 the matrix is exactly
     diagonal with entries sqrt((1-q^2)/pi) q^n.
     """
-    q = as_entanglement(q).q
-    beta = as_outcome(beta).beta
+    q = _as_q(q)
+    beta = complex(beta)
     return ModeOperator(_transfer_stack(q, [beta], cutoff)[0], cutoff)
 
 
@@ -188,8 +151,8 @@ def _transfer_stack(q: float, betas, cutoff: FockCutoff | int) -> np.ndarray:
 
 def teleport_output(
     input_state: StateVector,
-    q: EntanglementParam | float,
-    beta: MeasurementOutcome | complex,
+    q: float,
+    beta: complex,
 ) -> StateVector:
     """Unnormalized conditional output T_q(beta) |input>.
 
@@ -200,8 +163,8 @@ def teleport_output(
 
 
 def single_photon_output_closed_form(
-    q: EntanglementParam | float,
-    beta: MeasurementOutcome | complex,
+    q: float,
+    beta: complex,
     cutoff: FockCutoff | int,
 ) -> StateVector:
     """Closed form of T_q(beta)|1>: a displaced two-term superposition.
@@ -209,8 +172,8 @@ def single_photon_output_closed_form(
     sqrt((1-q^2)/pi) e^{-(1-q^2)|beta|^2/2} D((1-q) beta)
         ((1-q^2) conj(beta) |0> + q |1>).
     """
-    q = as_entanglement(q).q
-    beta = as_outcome(beta).beta
+    q = _as_q(q)
+    beta = complex(beta)
     cutoff = as_cutoff(cutoff)
     a = 1.0 - q * q
     pref = math.sqrt(a / math.pi) * math.exp(-0.5 * a * abs(beta) ** 2)
@@ -222,11 +185,11 @@ def single_photon_output_closed_form(
 
 
 def single_photon_beta_density(
-    q: EntanglementParam | float, beta: MeasurementOutcome | complex
+    q: float, beta: complex
 ) -> float:
     """Outcome density for the single-photon input, evaluated in closed form."""
-    q = as_entanglement(q).q
-    beta = as_outcome(beta).beta
+    q = _as_q(q)
+    beta = complex(beta)
     a = 1.0 - q * q
     t = abs(beta) ** 2
     if a * t > DENSITY_UNDERFLOW_EXPONENT:
@@ -246,8 +209,8 @@ def _is_single_photon(state: StateVector) -> bool:
 
 def beta_density(
     input_state: StateVector,
-    q: EntanglementParam | float,
-    beta: MeasurementOutcome | complex,
+    q: float,
+    beta: complex,
 ) -> float:
     """Probability density of measuring beta for a normalized input.
 
@@ -256,8 +219,8 @@ def beta_density(
     the far Gaussian tail (e^{-(1-q^2)|beta|^2} < 1e-300) are reported as
     exactly 0 with a diagnostic rather than relying on subnormal arithmetic.
     """
-    qv = as_entanglement(q).q
-    betac = as_outcome(beta).beta
+    qv = _as_q(q)
+    betac = complex(beta)
     if _is_single_photon(input_state):
         return single_photon_beta_density(qv, betac)
     a = 1.0 - qv * qv
@@ -273,8 +236,8 @@ def beta_density(
 
 def end_to_end_projection(
     input_state: StateVector,
-    q: EntanglementParam | float,
-    beta: MeasurementOutcome | complex,
+    q: float,
+    beta: complex,
 ) -> StateVector:
     """Route the teleportation literally instead of via the transfer operator.
 
@@ -284,8 +247,8 @@ def end_to_end_projection(
     Exists as the independent cross-check of the transfer-operator route;
     the two agree to rounding at any shared cutoff.
     """
-    qv = as_entanglement(q).q
-    betac = as_outcome(beta).beta
+    qv = _as_q(q)
+    betac = complex(beta)
     cutoff = input_state.cutoff
     defect = qv ** (2 * (cutoff.n_max + 1))
     if defect > _EPR_DEFECT_THRESHOLD:

@@ -16,15 +16,14 @@ import numpy as np
 
 from .fock import coherent_state, displacement_matrix, number_state
 from .polarization import (
-    DualModeMeasurement,
     polarization_budget,
     polarization_budget_numerical,
     polarized_output,
 )
 from .sampler import SamplerConfig, _stream_keys, _stream_uniforms, run_shots
 from .statistics import (
+    _polar_grid,
     conditional_beta_density,
-    integrate_over_plane,
     loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
@@ -171,7 +170,7 @@ def check_two_mode_factorization() -> CheckResult:
     pairs = ((0j, 0j), (1.0, -1.0j), (0.7 + 0.3j, -0.4 + 1.1j), (-2.0 + 0.5j, 0.3))
     for q in (0.0, 0.33, 0.5, 0.82):
         for beta_h, beta_v in pairs:
-            joint = polarized_output(q, DualModeMeasurement(beta_h, beta_v), 32).norm_sq()
+            joint = polarized_output(q, beta_h, beta_v, 32).norm_sq()
             ph = teleport_output(number_state(1, 32), q, beta_h).norm_sq()
             pv = teleport_output(number_state(0, 32), q, beta_v).norm_sq()
             worst = max(worst, abs(joint - ph * pv) / max(ph * pv, 1e-30))
@@ -205,10 +204,18 @@ def check_photon_stats_quadrature() -> CheckResult:
 
 
 def check_conditional_integrals() -> CheckResult:
+    """Plane integrals of the loss and transfer densities vs the closed-form split.
+
+    Both densities depend on |beta| alone, so the angle contributes 2 pi.
+    """
     worst = 0.0
     for q in (0.2, 0.5, 0.8):
-        i0 = integrate_over_plane(lambda b: conditional_beta_density(0, q, b), q)
-        i1 = integrate_over_plane(lambda b: conditional_beta_density(1, q, b), q)
+        radii, weights = _polar_grid(q)
+        i0, i1 = (
+            2.0 * math.pi
+            * sum(w * conditional_beta_density(c, q, r) for r, w in zip(radii, weights))
+            for c in (0, 1)
+        )
         split = loss_gain_split(q)
         worst = max(worst, abs(i0 - split.p_loss), abs(i1 - split.p_success))
     # at beta = 0 only the single-photon term survives

@@ -171,6 +171,8 @@ def test_verify_fast_passes(capsys):
         ["sample", "--shots", "4294967297"],
         ["conditional", "--q", "half"],
         ["sample", "--q", "nan"],
+        ["photon-stats", "--cutoff", "0"],
+        ["sample", "--cutoff", "0"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys, monkeypatch):
@@ -190,28 +192,6 @@ def test_usage_errors_exit_two(argv, capsys, monkeypatch):
 def test_unwritable_output_exits_two(capsys):
     code = main(["loss-gain", "--q-range", "0:0.1:0.1", "--out", "/nonexistent/x.csv"])
     assert code == 2
-
-
-def test_cutoff_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CVTELEPORT_CUTOFF", "16")
-    code, out = run_cli(capsys, "photon-stats", "--max-n", "4")
-    assert code == 0
-    assert OutputTable.from_csv(out).metadata["cutoff"] == 16
-
-
-def test_invalid_cutoff_env_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("CVTELEPORT_CUTOFF", "zero")
-    with pytest.raises(SystemExit) as exc:
-        main(["photon-stats"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "CVTELEPORT_CUTOFF" in err and "'zero'" in err
-    # commands that take no cutoff, or are given one, never read the variable
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    assert main(["beta-density", "--range", "0:1:0.5"]) == 0
-    assert main(["photon-stats", "--cutoff", "16"]) == 0
 
 
 @pytest.mark.parametrize("module", ["cvteleport", "cvteleport.cli"])

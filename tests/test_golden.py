@@ -60,7 +60,7 @@ BOUNDS = {
 }
 
 # name -> arguments of a CLI table whose body is pinned; the cutoff is the
-# default, spelled out so CVTELEPORT_CUTOFF cannot move it
+# default, spelled out so a change of the default cannot move it
 CLI_TABLES = {
     "sample-shots2000-seed0-csv": "sample --shots 2000 --seed 0 --cutoff 32",
     "beta-density-range-1:1:0.5-csv": "beta-density --range=-1:1:0.5",

@@ -23,10 +23,9 @@ from cvteleport.sampler import (
     _single_photon_weight_matrix,
     _stream_keys,
     _stream_uniforms,
-    category_for_count,
     run_shots,
 )
-from cvteleport.statistics import loss_gain_split
+from cvteleport.statistics import loss_gain_split, squeezing_db_to_q
 from cvteleport.teleport import _is_single_photon, beta_density, teleport_output
 
 SEED = 20260815
@@ -45,16 +44,6 @@ def photon_run():
     return run_shots(SamplerConfig(master_seed=SEED, shots=100_000, q=0.5))
 
 
-def test_category_mapping():
-    assert category_for_count(0) == "loss"
-    assert category_for_count(1) == "success"
-    assert category_for_count(2) == "gain"
-    assert category_for_count(7) == "gain"
-    assert category_for_count(OVERFLOW_COUNT) == "gain"
-    with pytest.raises(ValueError):
-        category_for_count(-3)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=-1, q=0.5)
@@ -68,6 +57,13 @@ def test_config_validation():
         SamplerConfig(master_seed=1, shots=1, q=1.0)
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=1, q=0.5, cutoff=16, input_state=number_state(0, 8))
+
+
+def test_config_stores_q_as_a_float():
+    config = SamplerConfig(master_seed=0, shots=3, q=squeezing_db_to_q(6.0))
+    assert type(config.q) is float
+    assert type(SamplerConfig(master_seed=0, shots=3, q=np.float64(0.5)).q) is float
+    assert run_shots(config).photon_counts.size == 3
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.errors.TruncationWarning")
@@ -115,16 +111,20 @@ def test_runs_are_reproducible(photon_run):
 
 
 def test_result_columns():
-    result = ShotRunResult(7, [1j, 2.0, 0j, -1.5], [1, 0, OVERFLOW_COUNT, 5])
+    result = ShotRunResult(7, [1j, 2.0, 0j, -1.5, 0.5, 3j], [1, 0, OVERFLOW_COUNT, 5, 2, 7])
     assert not result.betas.flags.writeable and not result.photon_counts.flags.writeable
-    assert result.category_codes.tolist() == [1, 0, 2, 2]
-    assert result.counts == {"loss": 1, "success": 1, "gain": 2}
+    assert result.category_codes.tolist() == [1, 0, 2, 2, 2, 2]
+    categories = [rec.category for rec in result.records]
+    assert categories == ["success", "loss", "gain", "gain", "gain", "gain"]
+    assert result.counts == {"loss": 1, "success": 1, "gain": 4}
     assert result.overflow == 1
-    assert result.frequencies() == {"loss": 0.25, "success": 0.25, "gain": 0.5}
+    assert result.frequencies() == {"loss": 1 / 6, "success": 1 / 6, "gain": 4 / 6}
     assert result.records[2] == ShotRecord(0j, OVERFLOW_COUNT, "gain", 7, 2)
     assert result == ShotRunResult(7, result.betas, result.photon_counts)
     assert result != ShotRunResult(8, result.betas, result.photon_counts)
-    assert result != ShotRunResult(7, result.betas, [1, 0, OVERFLOW_COUNT, 4])
+    assert result != ShotRunResult(7, result.betas, [1, 0, OVERFLOW_COUNT, 4, 2, 7])
+    with pytest.raises(ValueError):
+        ShotRunResult(7, [0j], [-3])
 
 
 def test_different_seeds_differ():

@@ -228,10 +228,11 @@ def test_density_ring_maximum():
 
 
 def test_squeezing_conversion_anchors():
-    assert squeezing_db_to_q(0.0).q == 0.0
+    assert squeezing_db_to_q(0.0) == 0.0
     # 20 log10(2) dB ~ tanh(ln 2) = 3/5
-    assert np.isclose(squeezing_db_to_q(20 * math.log10(2)).q, 0.6, atol=1e-12)
-    assert squeezing_db_to_q(40.0).q < 1.0
+    assert np.isclose(squeezing_db_to_q(20 * math.log10(2)), 0.6, atol=1e-12)
+    assert type(squeezing_db_to_q(6.0)) is float
+    assert squeezing_db_to_q(40.0) < 1.0
     with pytest.raises(ValueError):
         squeezing_db_to_q(-1.0)
 
@@ -250,6 +251,15 @@ def test_sweep_with_quadrature_flags_clean_rows():
     arr = np.array(table.rows)
     assert not np.any(arr[:, -1])
     assert np.allclose(arr[:, 1], arr[:, 4], atol=1e-6)
+
+
+def test_sweep_takes_plain_float_q():
+    q = squeezing_db_to_q(3.0)
+    table = sweep_q("loss_gain", [q])
+    assert table.rows.shape == (1, 4)
+    assert table.rows[0].tolist() == [q, *loss_gain_split(q).as_tuple()]
+    with pytest.raises(ValueError):
+        sweep_q("loss_gain", [0.5, 1.0])
 
 
 def test_sweep_rejects_unknown_quantity():

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from cvteleport.errors import TruncationWarning
 from cvteleport.fock import annihilation_matrix, coherent_state, number_state
 from cvteleport.teleport import (
-    EntanglementParam,
+    _as_q,
     _transfer_stack,
-    MeasurementOutcome,
     beta_density,
     end_to_end_projection,
     epr_state,
@@ -21,19 +20,13 @@ from cvteleport.teleport import (
 )
 
 
-def test_entanglement_param_bounds():
-    assert EntanglementParam(0.0).q == 0.0
-    with pytest.raises(ValueError):
-        EntanglementParam(1.0)
-    with pytest.raises(ValueError):
-        EntanglementParam(-0.1)
-
-
-def test_measurement_outcome_round_trip():
-    out = MeasurementOutcome.from_complex(0.3 - 1.2j)
-    assert out.x_minus == 0.3
-    assert out.y_plus == -1.2
-    assert out.beta == 0.3 - 1.2j
+def test_as_q_bounds():
+    assert _as_q(0.0) == 0.0
+    q = _as_q(np.float64(0.5))
+    assert type(q) is float and q == 0.5
+    for bad in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\), got"):
+            _as_q(bad)
 
 
 def test_epr_state_amplitudes():
