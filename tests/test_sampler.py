@@ -33,6 +33,14 @@ SEED = 20260815
 _SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128)
 
 
+def test_category_mapping():
+    counts = [0, 1, 2, 7, OVERFLOW_COUNT]
+    result = ShotRunResult(0, [0j] * len(counts), counts)
+    assert [rec.category for rec in result.records] == ["loss", "success", "gain", "gain", "gain"]
+    with pytest.raises(ValueError):
+        ShotRunResult(0, [0j], [-3])
+
+
 def _numpy_stream(seed: int, index: int) -> np.random.Generator:
     """numpy's own generator for shot ``index``: the oracle of the bulk derivation."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
