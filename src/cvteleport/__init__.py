@@ -17,14 +17,10 @@ from .fock import (
     ModeOperator,
     MultiModeState,
     StateVector,
-    annihilation_matrix,
     apply_to_mode,
     coherent_state,
     displacement_matrix,
     displacement_stack,
-    fidelity,
-    identity_operator,
-    inner_product,
     number_state,
     tensor_product,
 )
@@ -33,7 +29,6 @@ from .polarization import (
     polarization_budget,
     polarization_budget_numerical,
     polarized_output,
-    two_mode_total_probability,
 )
 from .sampler import (
     OVERFLOW_COUNT,
@@ -59,7 +54,6 @@ from .teleport import (
     end_to_end_projection,
     epr_state,
     measurement_eigenstate,
-    measurement_eigenstate_defect,
     single_photon_beta_density,
     single_photon_output_closed_form,
     teleport_output,

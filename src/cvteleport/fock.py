@@ -44,12 +44,8 @@ __all__ = [
     "coherent_state",
     "displacement_matrix",
     "displacement_stack",
-    "annihilation_matrix",
-    "identity_operator",
     "tensor_product",
     "apply_to_mode",
-    "inner_product",
-    "fidelity",
     "TAIL_MASS_THRESHOLD",
 ]
 
@@ -168,16 +164,12 @@ def number_state(n: int, cutoff: FockCutoff | int) -> StateVector:
     return StateVector(amps, cutoff, normalized=True)
 
 
-def coherent_state(
-    alpha: complex,
-    cutoff: FockCutoff | int,
-    tail_tol: float = TAIL_MASS_THRESHOLD,
-) -> StateVector:
+def coherent_state(alpha: complex, cutoff: FockCutoff | int) -> StateVector:
     """Truncated coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    The exact Poisson mass above the cutoff is checked against ``tail_tol``;
-    exceeding it raises TruncationError because the requested state simply
-    does not fit in the space.
+    The exact Poisson mass above the cutoff is checked against
+    ``TAIL_MASS_THRESHOLD``; exceeding it raises TruncationError because the
+    requested state simply does not fit in the space.
     """
     cutoff = as_cutoff(cutoff)
     alpha = complex(alpha)
@@ -193,10 +185,10 @@ def coherent_state(
     amps = np.exp(logmag) * phase
     # regularized lower incomplete gamma = Poisson mass strictly above n_max
     tail = float(gammainc(cutoff.n_max + 1, x))
-    if tail > tail_tol:
+    if tail > TAIL_MASS_THRESHOLD:
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} leaves mass {tail:.3e} above "
-            f"n_max={cutoff.n_max} (tolerance {tail_tol:g})"
+            f"n_max={cutoff.n_max} (tolerance {TAIL_MASS_THRESHOLD:g})"
         )
     return StateVector(amps, cutoff, normalized=False)
 
@@ -220,32 +212,13 @@ class ModeOperator:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ModeOperator is immutable")
 
-    def dagger(self) -> "ModeOperator":
-        return ModeOperator(self.matrix.conj().T, self.cutoff)
-
     def apply(self, state: StateVector) -> StateVector:
         _require_same_cutoff(self.cutoff, state.cutoff)
         out = StateVector(self.matrix @ state.amplitudes, self.cutoff)
         return _warn_if_tail_heavy(out, "ModeOperator.apply")
 
-    def compose(self, other: "ModeOperator") -> "ModeOperator":
-        _require_same_cutoff(self.cutoff, other.cutoff)
-        return ModeOperator(self.matrix @ other.matrix, self.cutoff)
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-
-def identity_operator(cutoff: FockCutoff | int) -> ModeOperator:
-    cutoff = as_cutoff(cutoff)
-    return ModeOperator(np.eye(cutoff.dim, dtype=complex), cutoff)
-
-
-def annihilation_matrix(cutoff: FockCutoff | int) -> ModeOperator:
-    """Lowering operator a with a|n> = sqrt(n)|n-1>."""
-    cutoff = as_cutoff(cutoff)
-    mat = np.diag(np.sqrt(np.arange(1, cutoff.dim, dtype=float)), k=1)
-    return ModeOperator(mat, cutoff)
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,17 +345,3 @@ def apply_to_mode(op: ModeOperator, label: str, state: MultiModeState) -> MultiM
     out = np.tensordot(op.matrix, moved, axes=([1], [0]))
     out = np.moveaxis(out, 0, ax)
     return MultiModeState(state.labels, out, state.cutoff)
-
-
-def inner_product(bra: StateVector, ket: StateVector) -> complex:
-    """<bra|ket> with the conjugation on the first argument."""
-    _require_same_cutoff(bra.cutoff, ket.cutoff)
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 normalized by both norms."""
-    na, nb = a.norm_sq(), b.norm_sq()
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("fidelity of a zero state is undefined")
-    return float(abs(inner_product(a, b)) ** 2 / (na * nb))

@@ -26,7 +26,7 @@ from .fock import (
     number_state,
     tensor_product,
 )
-from .statistics import PhotonDistribution, _photon_distribution, _photon_transfer_matrix
+from .statistics import _photon_distribution, _photon_transfer_matrix
 from .teleport import _as_q, transfer_operator
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "polarized_output",
     "polarization_budget",
     "polarization_budget_numerical",
-    "two_mode_total_probability",
 ]
 
 
@@ -92,18 +91,6 @@ def polarization_budget(q: float) -> PolarizationOutcomeBudget:
     )
 
 
-def _channel_distributions(
-    q: float, cutoff: FockCutoff
-) -> tuple[PhotonDistribution, PhotonDistribution]:
-    """Quadrature photon statistics of the H channel (|1> in) and V channel (|0> in).
-
-    Both are columns of one photon-transfer matrix: column m is the
-    quadrature of the number state |m>.
-    """
-    transfer = _photon_transfer_matrix(q, cutoff)
-    return _photon_distribution(transfer[:, 1]), _photon_distribution(transfer[:, 0])
-
-
 def polarization_budget_numerical(
     q: float,
     cutoff: FockCutoff | int = 32,
@@ -116,9 +103,10 @@ def polarization_budget_numerical(
     probability is a product of one H integral and one V integral.
     """
     q = _as_q(q)
-    dist_photon, dist_vacuum = _channel_distributions(q, as_cutoff(cutoff))
-    h0, h1 = float(dist_photon.probabilities[0]), float(dist_photon.probabilities[1])
-    v0, v1 = float(dist_vacuum.probabilities[0]), float(dist_vacuum.probabilities[1])
+    # column m of the photon-transfer matrix is the quadrature of |m>
+    transfer = _photon_transfer_matrix(q, as_cutoff(cutoff))
+    h0, h1 = map(float, _photon_distribution(transfer[:, 1]).probabilities[:2])
+    v0, v1 = map(float, _photon_distribution(transfer[:, 0]).probabilities[:2])
     p_trans = h1 * v0
     p_flip = h0 * v1
     p_zero = h0 * v0
@@ -128,18 +116,3 @@ def polarization_budget_numerical(
         p_zero=p_zero,
         p_multi=1.0 - p_trans - p_flip - p_zero,
     )
-
-
-def two_mode_total_probability(
-    q: float,
-    cutoff: FockCutoff | int = 32,
-) -> float:
-    """Integral of ||polarized_output||^2 over both outcome planes.
-
-    The norm of a product state factorizes exactly, so the four-dimensional
-    integral is the product of the two single-channel totals. ``cvteleport
-    verify`` checks that factorization against the literally constructed
-    two-mode output.
-    """
-    dist_photon, dist_vacuum = _channel_distributions(_as_q(q), as_cutoff(cutoff))
-    return float(dist_photon.probabilities.sum()) * float(dist_vacuum.probabilities.sum())

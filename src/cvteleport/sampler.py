@@ -35,16 +35,17 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import EnvelopeError, ZeroNormError
+from .errors import EnvelopeError, TruncationWarning, ZeroNormError
 from .fock import (
+    TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
-    _warn_if_tail_heavy,
     as_cutoff,
     displacement_stack,
     number_state,
@@ -125,11 +126,6 @@ class SamplerConfig:
             raise ValueError(f"shots must lie in [0, {MAX_SHOTS}], got {self.shots}")
         if self.input_state is not None and self.input_state.n_max != as_cutoff(self.cutoff).n_max:
             raise ValueError("input_state cutoff disagrees with config cutoff")
-
-    def resolved_input(self) -> StateVector:
-        if self.input_state is not None:
-            return self.input_state
-        return number_state(1, as_cutoff(self.cutoff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +335,7 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
 
 def _rejection_sample(
     unit_state: StateVector, q: float, bound: float, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Accepted beta of every shot and its output T_q(beta)|psi>, one row each.
 
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
@@ -347,13 +343,16 @@ def _rejection_sample(
     ``_STACK_BLOCK``; a shot's stream sees the same draws as it would alone.
     The proposal makes (1-q^2)|beta|^2 a chi-square variable with two degrees
     of freedom, so a candidate reaches the far tail where the density
-    underflows (exponent 690) with probability e^-345.
+    underflows (exponent 690) with probability e^-345. Also returns how many
+    candidate outputs leave a relative tail mass above ``TAIL_MASS_THRESHOLD``
+    at the cutoff, and the worst such mass.
     """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
     cutoff = unit_state.cutoff
     psi = unit_state.amplitudes
     betas = np.empty(len(rngs), dtype=complex)
     outputs = np.empty((len(rngs), cutoff.dim), dtype=complex)
+    heavy, worst_tail = 0, 0.0
     pending = list(range(len(rngs)))
     for _ in range(_MAX_REJECTION_DRAWS):
         candidates = [complex(*rngs[i].normal(0.0, sigma, size=2)) for i in pending]
@@ -361,21 +360,23 @@ def _rejection_sample(
         for start in range(0, len(pending), _STACK_BLOCK):
             block = candidates[start : start + _STACK_BLOCK]
             stack = _transfer_stack(q, block, cutoff) @ psi
-            for i, beta, amplitudes in zip(pending[start:], block, stack):
-                output = _warn_if_tail_heavy(StateVector(amplitudes, cutoff), "rejection sampler")
-                target = output.norm_sq()
+            for i, beta, output in zip(pending[start:], block, stack):
+                target = float(np.vdot(output, output).real)
+                tail = float(abs(output[-1]) ** 2 / target) if target else 0.0
+                if tail > TAIL_MASS_THRESHOLD:
+                    heavy, worst_tail = heavy + 1, max(worst_tail, tail)
                 cap = bound * float(_envelope_density(q, abs(beta) ** 2))
                 if target > cap * (1.0 + 1e-12):
                     raise EnvelopeError(
                         f"density {target:.6e} exceeds envelope cap {cap:.6e} at beta={beta:.4f}"
                     )
                 if rngs[i].uniform() * cap <= target:
-                    betas[i], outputs[i] = beta, output.amplitudes
+                    betas[i], outputs[i] = beta, output
                 else:
                     still_pending.append(i)
         pending = still_pending
         if not pending:
-            return betas, outputs
+            return betas, outputs, heavy, worst_tail
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
@@ -427,7 +428,9 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     chunks of at most ``_CHUNK`` shots to bound their memory.
     """
     q = config.q
-    input_state = config.resolved_input()
+    input_state = config.input_state
+    if input_state is None:
+        input_state = number_state(1, as_cutoff(config.cutoff))
     betas = np.empty(config.shots, dtype=complex)
     counts = np.empty(config.shots, dtype=np.int64)
     if _is_single_photon(input_state):
@@ -446,13 +449,24 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     elif config.shots:
         state = _as_unit(input_state)
         bound = _envelope_bound(state, q)
+        heavy, worst_tail = 0, 0.0
         for start in range(0, config.shots, _CHUNK):
             stop = min(start + _CHUNK, config.shots)
             keys = _stream_keys(config.master_seed, np.arange(start, stop))
             rngs = [_shot_generator(key) for key in keys]
-            betas[start:stop], outputs = _rejection_sample(state, q, bound, rngs)
+            betas[start:stop], outputs, chunk_heavy, chunk_worst = _rejection_sample(
+                state, q, bound, rngs
+            )
+            heavy, worst_tail = heavy + chunk_heavy, max(worst_tail, chunk_worst)
             # each stream's next uniform, after its accepted candidate, draws the count
             weights = np.abs(outputs) ** 2
             u = np.array([rng.uniform() for rng in rngs])
             counts[start:stop] = _draw_counts(weights, weights.sum(axis=1), u)
+        if heavy:
+            warnings.warn(
+                f"rejection sampler: {heavy} candidate outputs exceed relative tail mass "
+                f"{TAIL_MASS_THRESHOLD:g} (worst {worst_tail:.3e}); increase n_max",
+                TruncationWarning,
+                stacklevel=2,
+            )
     return ShotRunResult(master_seed=config.master_seed, betas=betas, photon_counts=counts)

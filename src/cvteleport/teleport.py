@@ -29,7 +29,6 @@ from .fock import (
     ModeOperator,
     MultiModeState,
     StateVector,
-    annihilation_matrix,
     as_cutoff,
     displacement_matrix,
     displacement_stack,
@@ -38,7 +37,6 @@ from .fock import (
 __all__ = [
     "epr_state",
     "measurement_eigenstate",
-    "measurement_eigenstate_defect",
     "transfer_operator",
     "teleport_output",
     "single_photon_output_closed_form",
@@ -96,34 +94,6 @@ def measurement_eigenstate(
     return MultiModeState(("A", "R"), disp / math.sqrt(math.pi), cutoff)
 
 
-def measurement_eigenstate_defect(
-    beta: complex, cutoff: FockCutoff | int
-) -> tuple[float, float]:
-    """Residuals of the defining eigenvalue equations for the eigenstate.
-
-    With x = (a + a^dag)/2 and y = (a - a^dag)/(2i), the state |beta> on
-    modes (A, R) satisfies (x_A - x_R)|beta> = Re(beta)|beta> and
-    (y_A + y_R)|beta> = Im(beta)|beta> exactly in the untruncated space.
-    Returns the max-norm residuals of both equations restricted to the
-    leading half block, where truncation effects from the raising operators
-    cannot reach.
-    """
-    beta = complex(beta)
-    cutoff = as_cutoff(cutoff)
-    a = annihilation_matrix(cutoff).matrix
-    ad = a.conj().T
-    x = (a + ad) / 2.0
-    y = (a - ad) / 2.0j
-    psi = measurement_eigenstate(beta, cutoff).amplitudes
-    x_res = x @ psi - psi @ x.T - beta.real * psi  # (x_A - x_R) psi
-    y_res = y @ psi + psi @ y.T - beta.imag * psi  # (y_A + y_R) psi
-    half = cutoff.dim // 2
-    return (
-        float(np.max(np.abs(x_res[:half, :half]))),
-        float(np.max(np.abs(y_res[:half, :half]))),
-    )
-
-
 def transfer_operator(
     q: float,
     beta: complex,
@@ -131,9 +101,11 @@ def transfer_operator(
 ) -> ModeOperator:
     """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta).
 
-    Hermitian by construction (D(-beta) is the exact conjugate transpose of
-    D(beta) in this implementation); at beta = 0 the matrix is exactly
-    diagonal with entries sqrt((1-q^2)/pi) q^n.
+    Hermitian to rounding only: D(-beta) is never built, the product is
+    formed as D W D^dagger from D(beta) alone, and its two off-diagonal halves
+    come from separate sums that may differ in the last bits (``verify``
+    bounds the defect at 1e-12). At beta = 0 the matrix is exactly diagonal
+    with entries sqrt((1-q^2)/pi) q^n.
     """
     q = _as_q(q)
     beta = complex(beta)

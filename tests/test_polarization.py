@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from cvteleport.fock import number_state, tensor_product
-from cvteleport.polarization import (
-    polarization_budget,
-    polarized_output,
-    two_mode_total_probability,
-)
+from cvteleport.polarization import polarization_budget, polarized_output
 from cvteleport.statistics import loss_gain_split
 
 
@@ -80,8 +76,3 @@ def test_polarized_output_rejects_wrong_labels():
     bad = tensor_product([("A", number_state(1, 8)), ("V", number_state(0, 8))])
     with pytest.raises(ValueError):
         polarized_output(0.5, 0j, 0j, 8, state=bad)
-
-
-@pytest.mark.parametrize("q", [0.33, 0.5])
-def test_joint_outcome_probability_is_normalized(q):
-    assert np.isclose(two_mode_total_probability(q, 32), 1.0, atol=1e-6)

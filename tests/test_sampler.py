@@ -264,11 +264,19 @@ def test_rejection_gives_up_after_max_draws(monkeypatch):
 
 
 def test_generic_path_warns_on_tail_mass():
-    # some candidate outputs leave 1.454e-07 relative mass at the cutoff edge
-    state = coherent_state(0.5, 32).unit()
-    config = SamplerConfig(master_seed=2, shots=500, q=0.5, input_state=state)
-    with pytest.warns(TruncationWarning, match="relative tail mass"):
-        run_shots(config)
+    # some candidate outputs leave 1.454e-07 relative mass at the cutoff edge;
+    # |4> at cutoff 4 leaves mass there on nearly every candidate
+    configs = (
+        SamplerConfig(master_seed=2, shots=500, q=0.5, input_state=coherent_state(0.5, 32).unit()),
+        SamplerConfig(master_seed=0, shots=50, q=0.0, cutoff=4, input_state=number_state(4, 4)),
+    )
+    for config in configs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_shots(config)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, TruncationWarning)
+        assert "relative tail mass" in str(caught[0].message)
 
 
 def _one_shot_at_a_time(state, q, bound, seed, shots):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvteleport.errors import TruncationWarning
-from cvteleport.fock import annihilation_matrix, coherent_state, number_state
+from cvteleport.fock import coherent_state, number_state
 from cvteleport.teleport import (
     _as_q,
     _transfer_stack,
@@ -12,7 +12,6 @@ from cvteleport.teleport import (
     end_to_end_projection,
     epr_state,
     measurement_eigenstate,
-    measurement_eigenstate_defect,
     single_photon_beta_density,
     single_photon_output_closed_form,
     teleport_output,
@@ -52,9 +51,18 @@ def test_measurement_eigenstate_overlap():
 
 @pytest.mark.parametrize("beta", [0j, 1 + 0j, 0.7 + 0.3j, -0.5 + 1.1j])
 def test_measurement_eigenstate_satisfies_quadrature_equations(beta):
-    x_res, y_res = measurement_eigenstate_defect(beta, 64)
-    assert x_res < 1e-10
-    assert y_res < 1e-10
+    # with x = (a + a^dag)/2 and y = (a - a^dag)/2i the eigenstate on modes
+    # (A, R) obeys (x_A - x_R)|beta> = Re(beta)|beta> and (y_A + y_R)|beta> =
+    # Im(beta)|beta>; the leading half block is out of the raising operators' reach
+    n_max, half = 64, 32
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+    x = (a + a.T) / 2.0
+    y = (a - a.T) / 2.0j
+    psi = measurement_eigenstate(beta, n_max).amplitudes
+    x_res = x @ psi - psi @ x.T - beta.real * psi
+    y_res = y @ psi + psi @ y.T - beta.imag * psi
+    assert np.max(np.abs(x_res[:half, :half])) < 1e-10
+    assert np.max(np.abs(y_res[:half, :half])) < 1e-10
 
 
 def test_transfer_operator_diagonal_at_zero():
@@ -99,7 +107,7 @@ def test_displacement_commutation_with_raising_operator():
     n_max, block = 48, 20
     from cvteleport.fock import displacement_matrix
 
-    ad = annihilation_matrix(n_max).matrix.conj().T
+    ad = np.diag(np.sqrt(np.arange(1, n_max + 1)), -1)
     d = displacement_matrix(-beta, n_max).matrix
     lhs = d @ ad
     rhs = (ad + np.conj(beta) * np.eye(n_max + 1)) @ d
