@@ -139,10 +139,15 @@ def test_displacement_stack_rows_match_single_builds(alphas, n_max):
 
 
 def test_displacement_unitary_on_leading_block():
-    for alpha in (1.0 + 0.5j, 0.8 + 0.3j):
-        mat = displacement_matrix(alpha, 48).matrix
-        prod = (mat @ mat.conj().T)[:16, :16]
-        assert np.max(np.abs(prod - np.eye(16))) < 1e-12
+    mat = displacement_matrix(1.0 + 0.5j, 48).matrix
+    prod = (mat @ mat.conj().T)[:16, :16]
+    assert np.max(np.abs(prod - np.eye(16))) < 1e-12
+
+
+def test_displacement_composition_inverts():
+    beta = 0.8 + 0.3j
+    prod = displacement_matrix(beta, 48).matrix @ displacement_matrix(-beta, 48).matrix
+    assert np.max(np.abs(prod[:16, :16] - np.eye(16))) < 1e-12
 
 
 def test_operator_guards():

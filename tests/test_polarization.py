@@ -3,7 +3,7 @@ import pytest
 
 from cvteleport.fock import number_state, tensor_product
 from cvteleport.polarization import polarization_budget, polarized_output
-from cvteleport.statistics import loss_gain_split
+from cvteleport.statistics import loss_gain_split, photon_statistics_quadrature
 
 
 def test_budget_values_at_half():
@@ -76,3 +76,12 @@ def test_polarized_output_rejects_wrong_labels():
     bad = tensor_product([("A", number_state(1, 8)), ("V", number_state(0, 8))])
     with pytest.raises(ValueError):
         polarized_output(0.5, 0j, 0j, 8, state=bad)
+
+
+@pytest.mark.parametrize("q", [0.33, 0.5])
+def test_joint_outcome_probability_is_normalized(q):
+    # the norm of the product output factorizes: H channel carries |1>, V carries |0>
+    total = 1.0
+    for n in (1, 0):
+        total *= float(photon_statistics_quadrature(number_state(n, 32), q).probabilities.sum())
+    assert np.isclose(total, 1.0, atol=1e-6)

