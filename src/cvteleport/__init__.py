@@ -6,23 +6,18 @@ from .errors import (
     CutoffViolationError,
     EnvelopeError,
     GridMismatchError,
-    ModeLabelError,
     NoCrossingError,
     TruncationError,
     TruncationWarning,
     ZeroNormError,
 )
 from .fock import (
-    FockCutoff,
     ModeOperator,
-    MultiModeState,
     StateVector,
-    apply_to_mode,
     coherent_state,
     displacement_matrix,
     displacement_stack,
     number_state,
-    tensor_product,
 )
 from .polarization import (
     PolarizationOutcomeBudget,

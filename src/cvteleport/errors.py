@@ -7,7 +7,6 @@ __all__ = [
     "CutoffMismatchError",
     "TruncationError",
     "TruncationWarning",
-    "ModeLabelError",
     "GridMismatchError",
     "EnvelopeError",
     "ZeroNormError",
@@ -29,10 +28,6 @@ class TruncationError(ValueError):
 
 class TruncationWarning(UserWarning):
     """Non-fatal diagnostic: significant amplitude sits at the cutoff level."""
-
-
-class ModeLabelError(ValueError):
-    """A mode label is unknown or duplicated."""
 
 
 class GridMismatchError(ValueError):

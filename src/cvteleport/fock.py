@@ -1,9 +1,8 @@
 """Truncated Fock-space primitives: states, operators, and displacement.
 
 Everything in the package works in a photon-number basis truncated at a
-cutoff ``n_max`` (dimension ``n_max + 1``). Single-mode states are plain
-complex amplitude vectors, multimode states are labelled tensors, and
-operators are dense matrices.
+cutoff ``n_max``, a plain int >= 1 (dimension ``n_max + 1``). States are
+complex amplitude vectors and operators are dense matrices.
 
 Displacement matrices come from one batched kernel, ``displacement_stack``:
 the two-term associated-Laguerre recurrence runs once for a whole batch of
@@ -19,8 +18,8 @@ complex ``abs`` and division do not).
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -28,24 +27,18 @@ from scipy.special import gammainc, gammaln
 from .errors import (
     CutoffMismatchError,
     CutoffViolationError,
-    ModeLabelError,
     TruncationError,
     TruncationWarning,
     ZeroNormError,
 )
 
 __all__ = [
-    "FockCutoff",
     "StateVector",
     "ModeOperator",
-    "MultiModeState",
-    "as_cutoff",
     "number_state",
     "coherent_state",
     "displacement_matrix",
     "displacement_stack",
-    "tensor_product",
-    "apply_to_mode",
     "TAIL_MASS_THRESHOLD",
 ]
 
@@ -55,32 +48,20 @@ __all__ = [
 TAIL_MASS_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class FockCutoff:
-    """Photon-number truncation level; the space spans |0> .. |n_max>."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise CutoffViolationError(f"n_max must be an integer >= 1, got {self.n_max!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    def check_level(self, n: int) -> None:
-        if not 0 <= n <= self.n_max:
-            raise CutoffViolationError(f"level {n} outside [0, {self.n_max}]")
+def _as_n_max(n_max: int) -> int:
+    """The cutoff as an int >= 1; the space spans |0> .. |n_max>."""
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise CutoffViolationError(f"n_max must be an integer >= 1, got {n_max!r}") from None
+    if n_max < 1:
+        raise CutoffViolationError(f"n_max must be an integer >= 1, got {n_max!r}")
+    return n_max
 
 
-def as_cutoff(cutoff: FockCutoff | int) -> FockCutoff:
-    return cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
-
-
-def _require_same_cutoff(a: FockCutoff, b: FockCutoff) -> None:
+def _require_same_cutoff(a: int, b: int) -> None:
     if a != b:
-        raise CutoffMismatchError(f"cutoff mismatch: n_max {a.n_max} vs {b.n_max}")
+        raise CutoffMismatchError(f"cutoff mismatch: n_max {a} vs {b}")
 
 
 class StateVector:
@@ -91,14 +72,14 @@ class StateVector:
     value-like.
     """
 
-    __slots__ = ("amplitudes", "cutoff", "normalized")
+    __slots__ = ("amplitudes", "n_max", "normalized")
 
-    def __init__(self, amplitudes: np.ndarray, cutoff: FockCutoff | int, normalized: bool = False):
-        cutoff = as_cutoff(cutoff)
+    def __init__(self, amplitudes: np.ndarray, cutoff: int, normalized: bool = False):
+        n_max = _as_n_max(cutoff)
         amps = np.asarray(amplitudes, dtype=complex).copy()
-        if amps.shape != (cutoff.dim,):
+        if amps.shape != (n_max + 1,):
             raise CutoffViolationError(
-                f"amplitude vector of shape {amps.shape} does not match dim {cutoff.dim}"
+                f"amplitude vector of shape {amps.shape} does not match dim {n_max + 1}"
             )
         if normalized and abs(np.vdot(amps, amps).real - 1.0) > 1e-12:
             raise ZeroNormError(
@@ -106,19 +87,15 @@ class StateVector:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "normalized", bool(normalized))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("StateVector is immutable")
 
     @property
-    def n_max(self) -> int:
-        return self.cutoff.n_max
-
-    @property
     def dim(self) -> int:
-        return self.cutoff.dim
+        return self.n_max + 1
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -134,7 +111,7 @@ class StateVector:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroNormError("cannot normalize a zero state")
-        return StateVector(self.amplitudes / np.sqrt(n2), self.cutoff, normalized=True)
+        return StateVector(self.amplitudes / np.sqrt(n2), self.n_max, normalized=True)
 
     def __repr__(self) -> str:
         return f"StateVector(n_max={self.n_max}, norm_sq={self.norm_sq():.6g})"
@@ -155,66 +132,65 @@ def _warn_if_tail_heavy(state: StateVector, where: str) -> StateVector:
     return state
 
 
-def number_state(n: int, cutoff: FockCutoff | int) -> StateVector:
+def number_state(n: int, cutoff: int) -> StateVector:
     """Basis state |n>."""
-    cutoff = as_cutoff(cutoff)
-    cutoff.check_level(n)
-    amps = np.zeros(cutoff.dim, dtype=complex)
+    n_max = _as_n_max(cutoff)
+    if not 0 <= n <= n_max:
+        raise CutoffViolationError(f"level {n} outside [0, {n_max}]")
+    amps = np.zeros(n_max + 1, dtype=complex)
     amps[n] = 1.0
-    return StateVector(amps, cutoff, normalized=True)
+    return StateVector(amps, n_max, normalized=True)
 
 
-def coherent_state(alpha: complex, cutoff: FockCutoff | int) -> StateVector:
+def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Truncated coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
     The exact Poisson mass above the cutoff is checked against
     ``TAIL_MASS_THRESHOLD``; exceeding it raises TruncationError because the
     requested state simply does not fit in the space.
     """
-    cutoff = as_cutoff(cutoff)
+    n_max = _as_n_max(cutoff)
     alpha = complex(alpha)
-    n = np.arange(cutoff.dim)
+    n = np.arange(n_max + 1)
     x = abs(alpha) ** 2
     if alpha == 0:
-        amps = np.zeros(cutoff.dim, dtype=complex)
-        amps[0] = 1.0
-        return StateVector(amps, cutoff, normalized=True)
+        return number_state(0, n_max)
     # log-domain magnitudes; phase applied as a unit complex power
     logmag = -0.5 * x + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
-    phase = np.concatenate(([1.0 + 0j], np.cumprod(np.full(cutoff.n_max, alpha / abs(alpha)))))
+    phase = np.concatenate(([1.0 + 0j], np.cumprod(np.full(n_max, alpha / abs(alpha)))))
     amps = np.exp(logmag) * phase
     # regularized lower incomplete gamma = Poisson mass strictly above n_max
-    tail = float(gammainc(cutoff.n_max + 1, x))
+    tail = float(gammainc(n_max + 1, x))
     if tail > TAIL_MASS_THRESHOLD:
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} leaves mass {tail:.3e} above "
-            f"n_max={cutoff.n_max} (tolerance {TAIL_MASS_THRESHOLD:g})"
+            f"n_max={n_max} (tolerance {TAIL_MASS_THRESHOLD:g})"
         )
-    return StateVector(amps, cutoff, normalized=False)
+    return StateVector(amps, n_max, normalized=False)
 
 
 class ModeOperator:
     """Dense single-mode operator over the truncated space."""
 
-    __slots__ = ("matrix", "cutoff")
+    __slots__ = ("matrix", "n_max")
 
-    def __init__(self, matrix: np.ndarray, cutoff: FockCutoff | int):
-        cutoff = as_cutoff(cutoff)
+    def __init__(self, matrix: np.ndarray, cutoff: int):
+        n_max = _as_n_max(cutoff)
         mat = np.asarray(matrix, dtype=complex).copy()
-        if mat.shape != (cutoff.dim, cutoff.dim):
+        if mat.shape != (n_max + 1, n_max + 1):
             raise CutoffViolationError(
-                f"matrix of shape {mat.shape} does not match dim {cutoff.dim}"
+                f"matrix of shape {mat.shape} does not match dim {n_max + 1}"
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "n_max", n_max)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ModeOperator is immutable")
 
     def apply(self, state: StateVector) -> StateVector:
-        _require_same_cutoff(self.cutoff, state.cutoff)
-        out = StateVector(self.matrix @ state.amplitudes, self.cutoff)
+        _require_same_cutoff(self.n_max, state.n_max)
+        out = StateVector(self.matrix @ state.amplitudes, self.n_max)
         return _warn_if_tail_heavy(out, "ModeOperator.apply")
 
     def hermiticity_defect(self) -> float:
@@ -232,7 +208,7 @@ def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j, k, half_log_ratio
 
 
-def displacement_stack(alphas, cutoff: FockCutoff | int) -> np.ndarray:
+def displacement_stack(alphas, cutoff: int) -> np.ndarray:
     """Matrices <m|D(alpha)|n> for a 1-D batch of alphas, shape (B, dim, dim).
 
     For m >= n the element is sqrt(n!/m!) alpha^{m-n} e^{-|a|^2/2}
@@ -244,8 +220,7 @@ def displacement_stack(alphas, cutoff: FockCutoff | int) -> np.ndarray:
     cutoffs never overflow. D(-alpha) equals D(alpha)^dagger bit for bit by
     this construction, and alpha = 0 gives exactly the identity.
     """
-    cutoff = as_cutoff(cutoff)
-    dim = cutoff.dim
+    dim = _as_n_max(cutoff) + 1
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     re, im = alphas.real, alphas.imag
     # hypot and the componentwise unit phase round exactly like abs(alpha)
@@ -283,65 +258,7 @@ def displacement_stack(alphas, cutoff: FockCutoff | int) -> np.ndarray:
     return out
 
 
-def displacement_matrix(alpha: complex, cutoff: FockCutoff | int) -> ModeOperator:
+def displacement_matrix(alpha: complex, cutoff: int) -> ModeOperator:
     """The displacement operator D(alpha); one row of ``displacement_stack``."""
     return ModeOperator(displacement_stack([alpha], cutoff)[0], cutoff)
 
-
-class MultiModeState:
-    """Tensor state over named modes; axis order follows ``labels``."""
-
-    __slots__ = ("labels", "amplitudes", "cutoff")
-
-    def __init__(self, labels: tuple[str, ...], amplitudes: np.ndarray, cutoff: FockCutoff | int):
-        cutoff = as_cutoff(cutoff)
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ModeLabelError(f"duplicate mode labels in {labels}")
-        amps = np.asarray(amplitudes, dtype=complex).copy()
-        if amps.shape != (cutoff.dim,) * len(labels):
-            raise CutoffViolationError(
-                f"tensor of shape {amps.shape} does not match labels {labels} at dim {cutoff.dim}"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "cutoff", cutoff)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("MultiModeState is immutable")
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ModeLabelError(f"unknown mode {label!r}; have {self.labels}") from None
-
-    def norm_sq(self) -> float:
-        flat = self.amplitudes.ravel()
-        return float(np.vdot(flat, flat).real)
-
-
-def tensor_product(factors: list[tuple[str, StateVector]]) -> MultiModeState:
-    """Combine labelled single-mode states into one multimode tensor."""
-    if not factors:
-        raise ModeLabelError("tensor_product needs at least one factor")
-    labels = tuple(label for label, _ in factors)
-    if len(set(labels)) != len(labels):
-        raise ModeLabelError(f"duplicate mode labels in {labels}")
-    cutoff = factors[0][1].cutoff
-    tensor = factors[0][1].amplitudes
-    for _, state in factors[1:]:
-        _require_same_cutoff(cutoff, state.cutoff)
-        tensor = np.tensordot(tensor, state.amplitudes, axes=0)
-    return MultiModeState(labels, tensor, cutoff)
-
-
-def apply_to_mode(op: ModeOperator, label: str, state: MultiModeState) -> MultiModeState:
-    """Apply a single-mode operator to one labelled mode of a tensor state."""
-    _require_same_cutoff(op.cutoff, state.cutoff)
-    ax = state.axis(label)
-    moved = np.moveaxis(state.amplitudes, ax, 0)
-    out = np.tensordot(op.matrix, moved, axes=([1], [0]))
-    out = np.moveaxis(out, 0, ax)
-    return MultiModeState(state.labels, out, state.cutoff)

@@ -18,14 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import (
-    FockCutoff,
-    MultiModeState,
-    apply_to_mode,
-    as_cutoff,
-    number_state,
-    tensor_product,
-)
+import numpy as np
+
 from .statistics import _photon_distribution, _photon_transfer_matrix
 from .teleport import _as_q, transfer_operator
 
@@ -53,30 +47,19 @@ class PolarizationOutcomeBudget:
         return self.p_trans + self.p_flip + self.p_zero + self.p_multi
 
 
-def polarized_output(
-    q: float,
-    beta_h: complex,
-    beta_v: complex,
-    cutoff: FockCutoff | int,
-    state: MultiModeState | None = None,
-) -> MultiModeState:
-    """Unnormalized two-channel conditional output for outcomes beta_h, beta_v.
+def polarized_output(q: float, beta_h: complex, beta_v: complex, cutoff: int) -> np.ndarray:
+    """Unnormalized two-channel output of |1>_H |0>_V for outcomes beta_h, beta_v.
 
-    Default input is the polarization basis state |1>_H |0>_V; any two-mode
-    state over labels (H, V) may be passed instead, in which case the same
-    generic per-mode operator path runs (no closed form is assumed).
+    A (dim, dim) complex array on axes (H, V): T_q(beta_h) acts on the H axis
+    and T_q(beta_v) on the V axis of the input X = |1>_H |0>_V, giving
+    T_h @ X @ T_v.T; no closed form is assumed.
     """
     q = _as_q(q)
-    cutoff = as_cutoff(cutoff)
-    if state is None:
-        state = tensor_product(
-            [("H", number_state(1, cutoff)), ("V", number_state(0, cutoff))]
-        )
-    if state.labels != ("H", "V"):
-        raise ValueError(f"polarized input must carry labels ('H', 'V'), got {state.labels}")
-    t_h = transfer_operator(q, beta_h, cutoff)
-    t_v = transfer_operator(q, beta_v, cutoff)
-    return apply_to_mode(t_v, "V", apply_to_mode(t_h, "H", state))
+    t_h = transfer_operator(q, beta_h, cutoff).matrix
+    t_v = transfer_operator(q, beta_v, cutoff).matrix
+    state = np.zeros_like(t_h)
+    state[1, 0] = 1.0
+    return t_h @ state @ t_v.T
 
 
 def polarization_budget(q: float) -> PolarizationOutcomeBudget:
@@ -93,7 +76,7 @@ def polarization_budget(q: float) -> PolarizationOutcomeBudget:
 
 def polarization_budget_numerical(
     q: float,
-    cutoff: FockCutoff | int = 32,
+    cutoff: int = 32,
 ) -> PolarizationOutcomeBudget:
     """Outcome budget assembled from per-channel quadrature integrals.
 
@@ -104,7 +87,7 @@ def polarization_budget_numerical(
     """
     q = _as_q(q)
     # column m of the photon-transfer matrix is the quadrature of |m>
-    transfer = _photon_transfer_matrix(q, as_cutoff(cutoff))
+    transfer = _photon_transfer_matrix(q, cutoff)
     h0, h1 = map(float, _photon_distribution(transfer[:, 1]).probabilities[:2])
     v0, v1 = map(float, _photon_distribution(transfer[:, 0]).probabilities[:2])
     p_trans = h1 * v0

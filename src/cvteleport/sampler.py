@@ -45,8 +45,8 @@ from .errors import EnvelopeError, TruncationWarning, ZeroNormError
 from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
+    _as_n_max,
     _as_unit,
-    as_cutoff,
     displacement_stack,
     number_state,
 )
@@ -124,7 +124,8 @@ class SamplerConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must lie in [0, {MAX_SHOTS}], got {self.shots}")
-        if self.input_state is not None and self.input_state.n_max != as_cutoff(self.cutoff).n_max:
+        object.__setattr__(self, "cutoff", _as_n_max(self.cutoff))
+        if self.input_state is not None and self.input_state.n_max != self.cutoff:
             raise ValueError("input_state cutoff disagrees with config cutoff")
 
 
@@ -280,18 +281,21 @@ def _shot_generator(key: np.ndarray) -> np.random.Generator:
 def _invert_radial_cdf(u: np.ndarray, q: float) -> np.ndarray:
     """Solve F(t) = u elementwise by bisection on t = |beta|^2, F the radial CDF.
 
-    The interval halves identically for every element, so the iteration
-    count (and therefore the result, bit for bit) is independent of how
-    elements are batched.
+    The loop counts halvings of the initial width, not the float interval,
+    which cannot shrink below the float spacing at large t. The iteration
+    count depends on q alone, so the result is, bit for bit, independent of
+    how elements are batched.
     """
     a = 1.0 - q * q
+    width = 800.0 / a  # F(width) rounds to 1.0 in float64
     lo = np.zeros_like(u)
-    hi = np.full_like(u, 800.0 / a)  # F(hi) rounds to 1.0 in float64
-    while np.max(hi - lo) > _BISECTION_TOL:
+    hi = np.full_like(u, width)
+    while width > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         below = 1.0 - np.exp(-a * mid) * (1.0 + a * a * mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
+        width *= 0.5
     return 0.5 * (lo + hi)
 
 
@@ -317,15 +321,15 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     """
     a = 1.0 - q * q
     c = _envelope_rate(q)
-    cutoff = input_state.cutoff
-    weights = q ** (2.0 * np.arange(cutoff.dim))
+    n_max = input_state.n_max
+    weights = q ** (2.0 * np.arange(n_max + 1))
     moduli_in = np.abs(input_state.amplitudes)
-    t_hi = (4.0 * cutoff.dim + 120.0) / a
+    t_hi = (4.0 * (n_max + 1) + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
     ratio_max = 0.0
     for start in range(0, radii.size, _STACK_BLOCK):
         block = radii[start : start + _STACK_BLOCK]
-        for r, disp in zip(block, displacement_stack(-block, cutoff)):
+        for r, disp in zip(block, displacement_stack(-block, n_max)):
             col = np.abs(disp) @ moduli_in
             majorant = (a / math.pi) * float(weights @ (col * col))
             ratio = majorant / float(_envelope_density(q, r * r))
@@ -348,10 +352,10 @@ def _rejection_sample(
     at the cutoff, and the worst such mass.
     """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
-    cutoff = unit_state.cutoff
+    n_max = unit_state.n_max
     psi = unit_state.amplitudes
     betas = np.empty(len(rngs), dtype=complex)
-    outputs = np.empty((len(rngs), cutoff.dim), dtype=complex)
+    outputs = np.empty((len(rngs), n_max + 1), dtype=complex)
     heavy, worst_tail = 0, 0.0
     pending = list(range(len(rngs)))
     for _ in range(_MAX_REJECTION_DRAWS):
@@ -359,7 +363,7 @@ def _rejection_sample(
         still_pending = []
         for start in range(0, len(pending), _STACK_BLOCK):
             block = candidates[start : start + _STACK_BLOCK]
-            stack = _transfer_stack(q, block, cutoff) @ psi
+            stack = _transfer_stack(q, block, n_max) @ psi
             for i, beta, output in zip(pending[start:], block, stack):
                 target = float(np.vdot(output, output).real)
                 tail = float(abs(output[-1]) ** 2 / target) if target else 0.0
@@ -430,7 +434,7 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     q = config.q
     input_state = config.input_state
     if input_state is None:
-        input_state = number_state(1, as_cutoff(config.cutoff))
+        input_state = number_state(1, config.cutoff)
     betas = np.empty(config.shots, dtype=complex)
     counts = np.empty(config.shots, dtype=np.int64)
     if _is_single_photon(input_state):

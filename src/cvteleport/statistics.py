@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError
-from .fock import FockCutoff, StateVector, _as_unit, as_cutoff, number_state
+from .fock import StateVector, _as_n_max, _as_unit, number_state
 from .tables import OutputTable
 from .teleport import (
     _STACK_BLOCK,
@@ -137,7 +137,7 @@ def loss_gain_split(q: float) -> LossGainSplit:
     )
 
 
-def _photon_transfer_matrix(q: float, cutoff: FockCutoff) -> np.ndarray:
+def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
     """M[n, m]: the outcome-plane integral of |<n| T_q(beta) |m>|^2.
 
     By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
@@ -146,7 +146,8 @@ def _photon_transfer_matrix(q: float, cutoff: FockCutoff) -> np.ndarray:
     so only the radial nodes are summed, ``_STACK_BLOCK`` operators at a time.
     """
     radii, weights = _polar_grid(q)
-    out = np.zeros((cutoff.dim, cutoff.dim))
+    dim = _as_n_max(cutoff) + 1
+    out = np.zeros((dim, dim))
     for start in range(0, radii.size, _STACK_BLOCK):
         block = slice(start, start + _STACK_BLOCK)
         t_r = _transfer_stack(q, radii[block], cutoff)
@@ -175,7 +176,7 @@ def photon_statistics_quadrature(
     is fixed, making the reduction deterministic.
     """
     q = _as_q(q)
-    transfer = _photon_transfer_matrix(q, input_state.cutoff)
+    transfer = _photon_transfer_matrix(q, input_state.n_max)
     return _photon_distribution(transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2))
 
 
@@ -215,33 +216,39 @@ def crossing_radius(q: float) -> float:
     """|beta| where the loss and gain conditional densities cross.
 
     Near the origin losing the photon dominates gaining one; far out the
-    ordering flips. Bisection on the sign change of P_q(0, r) - P_q(ge2, r),
-    bracketed by a radial scan; converges to 1e-12 in the radius.
+    ordering flips. With t = |beta|^2, a = 1-q^2, b = (1-q)^2, P_q(ge2) - P_q(0)
+    = (a/pi) e^{-2(1-q)t} g(t), g(t) = e^{bt}(a^2 t + q^2) - (q+bt)^2 - 2bt.
+    Bisection on the sign change of g, bracketed by a radial scan, converges
+    to 1e-12 in the radius. g is evaluated as b(2q^2-1)t + b(a^2-b)t^2 +
+    (expm1(bt) - bt)(a^2 t + q^2), which keeps its sign exact near the origin
+    where the densities themselves differ by less than their rounding.
 
     A crossing exists only for q < 1/sqrt(2); above, ``NoCrossingError`` is
-    physics. With t = |beta|^2, a = 1-q^2, b = (1-q)^2, P_q(ge2) - P_q(0) =
-    (a/pi) e^{-2(1-q)t} g(t), g(t) = e^{bt}(a^2 t + q^2) - (q+bt)^2 - 2bt, and
-    e^{bt} >= 1 + bt + (bt)^2/2 gives g(t) >= b(2q^2-1)t + b^2(2q + 1.5q^2)t^2
-    + (a^2 b^2/2)t^3, positive for t > 0 once 2q^2 >= 1; below, g'(0) < 0.
+    physics: e^{bt} >= 1 + bt + (bt)^2/2 gives g(t) >= b(2q^2-1)t +
+    b^2(2q + 1.5q^2)t^2 + (a^2 b^2/2)t^3, positive for t > 0 once 2q^2 >= 1;
+    below, g'(0) < 0.
     """
     q = _as_q(q)
+    a, b = 1.0 - q * q, (1.0 - q) ** 2
 
-    def gap(r: float) -> float:
-        return conditional_beta_density(0, q, r) - conditional_beta_density("ge2", q, r)
+    def g(r: float) -> float:
+        t = r * r
+        tail = (math.expm1(b * t) - b * t) * (a * a * t + q * q)
+        return b * (2.0 * q * q - 1.0) * t + b * (a * a - b) * t * t + tail
 
-    r_hi = math.sqrt(_RADIAL_EXPONENT_SPAN / (1.0 - q * q))
+    r_hi = math.sqrt(_RADIAL_EXPONENT_SPAN / a)
     scan = np.linspace(1e-6, r_hi, 512)
-    values = [gap(float(r)) for r in scan]
+    values = [g(float(r)) for r in scan]
     lo = hi = None
     for i in range(len(scan) - 1):
-        if values[i] > 0.0 >= values[i + 1]:
+        if values[i] < 0.0 <= values[i + 1]:
             lo, hi = float(scan[i]), float(scan[i + 1])
             break
     if lo is None:
         raise NoCrossingError(f"no loss/gain crossing for q = {q:g}; none exists at q >= 1/sqrt(2)")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
+        if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -266,7 +273,7 @@ def sweep_q(
     quantity: str,
     q_values: np.ndarray,
     with_quadrature: bool = False,
-    cutoff: FockCutoff | int = 32,
+    cutoff: int = 32,
 ) -> OutputTable:
     """Tabulate a closed-form quantity across q, optionally cross-checked.
 
@@ -278,7 +285,7 @@ def sweep_q(
 
     if quantity not in SWEEP_QUANTITIES:
         raise ValueError(f"quantity must be one of {SWEEP_QUANTITIES}, got {quantity!r}")
-    cutoff = as_cutoff(cutoff)
+    cutoff = _as_n_max(cutoff)
     q_values = [_as_q(q) for q in q_values]
 
     # quantity -> (column names, closed form, quadrature route), each route
@@ -310,5 +317,5 @@ def sweep_q(
 
     metadata = {"quantity": quantity, "with_quadrature": with_quadrature}
     if with_quadrature:
-        metadata["cutoff"] = cutoff.n_max
+        metadata["cutoff"] = cutoff
     return OutputTable(columns=columns, rows=rows, metadata=metadata)

@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import TruncationWarning
 from .fock import (
-    FockCutoff,
     ModeOperator,
-    MultiModeState,
     StateVector,
-    as_cutoff,
+    _as_n_max,
     displacement_matrix,
     displacement_stack,
 )
@@ -66,38 +64,37 @@ def _as_q(q: float) -> float:
     return q
 
 
-def epr_state(q: float, cutoff: FockCutoff | int) -> MultiModeState:
-    """Two-mode squeezed resource sqrt(1-q^2) sum q^n |n,n> over modes R, B.
+def epr_state(q: float, cutoff: int) -> np.ndarray:
+    """Two-mode squeezed resource sqrt(1-q^2) sum q^n |n,n>, a read-only
+    (dim, dim) complex array on axes (R, B).
 
     The truncated norm^2 is (1-q^2) sum_{n<=n_max} q^{2n} = 1 - q^{2(n_max+1)},
     approaching 1 from below as the cutoff grows; no renormalization.
     """
     q = _as_q(q)
-    cutoff = as_cutoff(cutoff)
-    coeff = math.sqrt(1.0 - q * q) * q ** np.arange(cutoff.dim)
-    tensor = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    np.fill_diagonal(tensor, coeff)
-    return MultiModeState(("R", "B"), tensor, cutoff)
+    dim = _as_n_max(cutoff) + 1
+    tensor = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(tensor, math.sqrt(1.0 - q * q) * q ** np.arange(dim))
+    tensor.setflags(write=False)
+    return tensor
 
 
-def measurement_eigenstate(
-    beta: complex, cutoff: FockCutoff | int
-) -> MultiModeState:
-    """Joint eigenstate (1/sqrt(pi)) sum_n D_A(beta)|n,n> over modes A, R.
+def measurement_eigenstate(beta: complex, cutoff: int) -> np.ndarray:
+    """Joint eigenstate (1/sqrt(pi)) sum_n D_A(beta)|n,n>, a read-only
+    (dim, dim) complex array on axes (A, R).
 
-    Unnormalizable by design (delta-normalized over outcomes); the tensor is
-    (1/sqrt(pi)) times the displacement matrix laid out on axes (A, R).
+    Unnormalizable by design (delta-normalized over outcomes); the array is
+    (1/sqrt(pi)) times the displacement matrix.
     """
-    beta = complex(beta)
-    cutoff = as_cutoff(cutoff)
-    disp = displacement_matrix(beta, cutoff).matrix
-    return MultiModeState(("A", "R"), disp / math.sqrt(math.pi), cutoff)
+    eig = displacement_matrix(complex(beta), cutoff).matrix / math.sqrt(math.pi)
+    eig.setflags(write=False)
+    return eig
 
 
 def transfer_operator(
     q: float,
     beta: complex,
-    cutoff: FockCutoff | int,
+    cutoff: int,
 ) -> ModeOperator:
     """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta).
 
@@ -112,12 +109,11 @@ def transfer_operator(
     return ModeOperator(_transfer_stack(q, [beta], cutoff)[0], cutoff)
 
 
-def _transfer_stack(q: float, betas, cutoff: FockCutoff | int) -> np.ndarray:
+def _transfer_stack(q: float, betas, cutoff: int) -> np.ndarray:
     """Matrices of T_q(beta) for a 1-D batch of betas, shape (B, dim, dim)."""
-    cutoff = as_cutoff(cutoff)
     pref = math.sqrt((1.0 - q * q) / math.pi)
-    weights = q ** np.arange(cutoff.dim)
     disp = displacement_stack(betas, cutoff)
+    weights = q ** np.arange(disp.shape[-1])
     return pref * ((disp * weights) @ disp.conj().transpose(0, 2, 1))
 
 
@@ -130,14 +126,14 @@ def teleport_output(
 
     The squared norm of the result is the outcome density at beta.
     """
-    op = transfer_operator(q, beta, input_state.cutoff)
+    op = transfer_operator(q, beta, input_state.n_max)
     return op.apply(input_state)
 
 
 def single_photon_output_closed_form(
     q: float,
     beta: complex,
-    cutoff: FockCutoff | int,
+    cutoff: int,
 ) -> StateVector:
     """Closed form of T_q(beta)|1>: a displaced two-term superposition.
 
@@ -146,14 +142,14 @@ def single_photon_output_closed_form(
     """
     q = _as_q(q)
     beta = complex(beta)
-    cutoff = as_cutoff(cutoff)
+    n_max = _as_n_max(cutoff)
     a = 1.0 - q * q
     pref = math.sqrt(a / math.pi) * math.exp(-0.5 * a * abs(beta) ** 2)
-    core = np.zeros(cutoff.dim, dtype=complex)
+    core = np.zeros(n_max + 1, dtype=complex)
     core[0] = a * np.conj(beta)
     core[1] = q
-    disp = displacement_matrix((1.0 - q) * beta, cutoff)
-    return StateVector(pref * (disp.matrix @ core), cutoff)
+    disp = displacement_matrix((1.0 - q) * beta, n_max)
+    return StateVector(pref * (disp.matrix @ core), n_max)
 
 
 def single_photon_beta_density(
@@ -221,20 +217,20 @@ def end_to_end_projection(
     """
     qv = _as_q(q)
     betac = complex(beta)
-    cutoff = input_state.cutoff
-    defect = qv ** (2 * (cutoff.n_max + 1))
+    n_max = input_state.n_max
+    defect = qv ** (2 * (n_max + 1))
     if defect > _EPR_DEFECT_THRESHOLD:
         warnings.warn(
-            f"EPR norm defect q^(2(n_max+1)) = {defect:.3e} at n_max={cutoff.n_max}; "
+            f"EPR norm defect q^(2(n_max+1)) = {defect:.3e} at n_max={n_max}; "
             "projection is under-resolved",
             TruncationWarning,
             stacklevel=2,
         )
 
-    resource = epr_state(qv, cutoff)
+    resource = epr_state(qv, n_max)
     # full tensor: Psi[a, r, b] = input[a] * resource[r, b]
-    psi = np.tensordot(input_state.amplitudes, resource.amplitudes, axes=0)
-    eig = measurement_eigenstate(betac, cutoff).amplitudes
+    psi = np.tensordot(input_state.amplitudes, resource, axes=0)
+    eig = measurement_eigenstate(betac, n_max)
     projected = np.einsum("ar,arb->b", eig.conj(), psi)
-    disp_b = displacement_matrix(betac, cutoff).matrix
-    return StateVector(disp_b @ projected, cutoff)
+    disp_b = displacement_matrix(betac, n_max).matrix
+    return StateVector(disp_b @ projected, n_max)

@@ -170,7 +170,8 @@ def check_two_mode_factorization() -> CheckResult:
     pairs = ((0j, 0j), (1.0, -1.0j), (0.7 + 0.3j, -0.4 + 1.1j), (-2.0 + 0.5j, 0.3))
     for q in (0.0, 0.33, 0.5, 0.82):
         for beta_h, beta_v in pairs:
-            joint = polarized_output(q, beta_h, beta_v, 32).norm_sq()
+            out = polarized_output(q, beta_h, beta_v, 32)
+            joint = float(np.vdot(out, out).real)
             ph = teleport_output(number_state(1, 32), q, beta_h).norm_sq()
             pv = teleport_output(number_state(0, 32), q, beta_v).norm_sq()
             worst = max(worst, abs(joint - ph * pv) / max(ph * pv, 1e-30))

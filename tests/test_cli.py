@@ -209,6 +209,22 @@ def test_module_runs_as_script(module):
     assert len(OutputTable.from_csv(proc.stdout).rows) == 9
 
 
+def test_sample_finishes_near_ideal_entanglement():
+    # outcomes reach past |beta|^2 = 8192, where the float spacing exceeds the
+    # bisection tolerance; the radial-CDF inversion must still terminate
+    src = Path(cvteleport.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvteleport", "sample", "--shots", "3", "--q", "0.999999"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(OutputTable.from_csv(proc.stdout).rows) == 3
+
+
 class _ClosedPipeStdout:
     """Mimics stdout whose reader has gone away."""
 

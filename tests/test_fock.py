@@ -14,28 +14,28 @@ from cvteleport.errors import (
     ZeroNormError,
 )
 from cvteleport.fock import (
-    FockCutoff,
     ModeOperator,
     StateVector,
-    apply_to_mode,
-    as_cutoff,
     coherent_state,
     displacement_matrix,
     displacement_stack,
     number_state,
-    tensor_product,
 )
+from cvteleport.sampler import SamplerConfig
 
 
 def test_cutoff_basics():
-    cutoff = FockCutoff(8)
-    assert cutoff.dim == 9
-    assert as_cutoff(8) == cutoff
-    assert as_cutoff(cutoff) is cutoff
-    with pytest.raises(ValueError):
-        FockCutoff(0)
+    # a cutoff is a plain int >= 1; nothing is truncated or parsed into one
+    state = number_state(1, np.int64(8))
+    assert type(state.n_max) is int and state.n_max == 8 and state.dim == 9
+    assert displacement_matrix(0.1, 8).n_max == 8
+    for bad in (0, -1, 32.7, "8", None):
+        with pytest.raises(CutoffViolationError):
+            number_state(0, bad)
     with pytest.raises(CutoffViolationError):
-        cutoff.check_level(9)
+        number_state(9, 8)
+    with pytest.raises(CutoffViolationError):
+        SamplerConfig(0, 1, 0.5, cutoff=32.7)
 
 
 def test_number_state_and_norm():
@@ -163,27 +163,3 @@ def test_apply_warns_on_heavy_tail():
     state = number_state(8, 12)
     with pytest.warns(TruncationWarning):
         displacement_matrix(3.0, 12).apply(state)
-
-
-def test_tensor_product_and_mode_application():
-    left = coherent_state(0.5, 10)
-    right = number_state(1, 10)
-    joint = tensor_product([("A", left), ("B", right)])
-    assert joint.labels == ("A", "B")
-    assert np.isclose(joint.norm_sq(), left.norm_sq() * right.norm_sq())
-
-    op = displacement_matrix(0.3 - 0.2j, 10)
-    moved = apply_to_mode(op, "B", joint)
-    direct = tensor_product([("A", left), ("B", op.apply(right))])
-    assert np.allclose(moved.amplitudes, direct.amplitudes, atol=1e-14)
-    assert joint.axis("B") == 1
-
-
-def test_mode_label_errors():
-    from cvteleport.errors import ModeLabelError
-
-    joint = tensor_product([("A", number_state(0, 4)), ("B", number_state(1, 4))])
-    with pytest.raises(ModeLabelError):
-        joint.axis("C")
-    with pytest.raises(ModeLabelError):
-        tensor_product([("A", number_state(0, 4)), ("A", number_state(1, 4))])

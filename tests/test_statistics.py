@@ -202,6 +202,9 @@ def test_crossing_ordering_around_the_root():
 def test_crossing_exists_only_below_inverse_sqrt_two():
     # the loss - gain gap has slope (1-q)^2 (1 - 2q^2) at |beta|^2 = 0
     assert 0.0 < crossing_radius(0.707) < 0.05
+    # just below 1/sqrt(2); roots from an 80-digit bisection of the unsimplified densities
+    assert np.isclose(crossing_radius(0.7071), 0.0101638045960237, rtol=0.0, atol=1e-9)
+    assert np.isclose(crossing_radius(0.70710678), 1.3444841337e-4, rtol=0.0, atol=1e-9)
     for q in (0.7072, 0.99):
         with pytest.raises(NoCrossingError, match="1/sqrt"):
             crossing_radius(q)

@@ -30,23 +30,23 @@ def test_as_q_bounds():
 
 def test_epr_state_amplitudes():
     state = epr_state(0.5, 16)
-    assert state.labels == ("R", "B")
+    assert state.shape == (17, 17) and not state.flags.writeable
     # diagonal sqrt(1-q^2) q^n; off-diagonal exactly zero
-    assert np.isclose(state.amplitudes[1, 1], 0.4330127018922193)
-    assert np.isclose(state.amplitudes[0, 0], np.sqrt(0.75))
-    off = state.amplitudes - np.diag(np.diag(state.amplitudes))
+    assert np.isclose(state[1, 1], 0.4330127018922193)
+    assert np.isclose(state[0, 0], np.sqrt(0.75))
+    off = state - np.diag(np.diag(state))
     assert not np.any(off)
     # truncated norm^2 is exactly 1 - q^(2(n_max+1))
-    assert np.isclose(state.norm_sq(), 1.0 - 0.5 ** 34, atol=1e-15)
+    assert np.isclose(np.vdot(state, state).real, 1.0 - 0.5 ** 34, atol=1e-15)
 
 
 def test_measurement_eigenstate_overlap():
     state = measurement_eigenstate(1.0 + 0j, 32)
-    assert state.labels == ("A", "R")
-    assert np.isclose(state.amplitudes[0, 0], 0.34219828031221655)
+    assert state.shape == (33, 33) and not state.flags.writeable
+    assert np.isclose(state[0, 0], 0.34219828031221655)
     # delta normalization: every (A-mode) row far from the cutoff carries 1/pi
     for k in range(5):
-        assert np.isclose(np.sum(np.abs(state.amplitudes[k, :]) ** 2), 1 / np.pi, atol=1e-9)
+        assert np.isclose(np.sum(np.abs(state[k, :]) ** 2), 1 / np.pi, atol=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0j, 1 + 0j, 0.7 + 0.3j, -0.5 + 1.1j])
@@ -58,7 +58,7 @@ def test_measurement_eigenstate_satisfies_quadrature_equations(beta):
     a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
     x = (a + a.T) / 2.0
     y = (a - a.T) / 2.0j
-    psi = measurement_eigenstate(beta, n_max).amplitudes
+    psi = measurement_eigenstate(beta, n_max)
     x_res = x @ psi - psi @ x.T - beta.real * psi
     y_res = y @ psi + psi @ y.T - beta.imag * psi
     assert np.max(np.abs(x_res[:half, :half])) < 1e-10
