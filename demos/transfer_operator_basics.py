@@ -28,15 +28,16 @@ def main() -> None:
     print(f"transfer operator at q = {Q}, n_max = {N_MAX}")
 
     op0 = transfer_operator(Q, 0j, N_MAX)
-    diag = np.diag(op0.matrix).real
+    diag = np.diag(op0).real
     print("\nbeta = 0: exactly diagonal, entries sqrt((1-q^2)/pi) q^n")
     print("  first entries:", np.round(diag[:5], 6))
-    off_diagonal = np.count_nonzero(op0.matrix - np.diag(np.diag(op0.matrix)))
+    off_diagonal = np.count_nonzero(op0 - np.diag(np.diag(op0)))
     print("  nonzero off-diagonal entries:", off_diagonal)
 
     print("\nhermiticity across outcomes:")
     for beta in (0.5 + 0j, 1j, 1.2 - 0.7j):
-        defect = transfer_operator(Q, beta, N_MAX).hermiticity_defect()
+        op = transfer_operator(Q, beta, N_MAX)
+        defect = np.max(np.abs(op - op.conj().T))
         print(f"  beta = {beta}: max |T - T^dag| = {defect:.3e}")
 
     print("\nsingle photon through the operator vs the closed form:")

@@ -2,7 +2,6 @@
 of single-photon and polarization-encoded states."""
 
 from .errors import (
-    CutoffMismatchError,
     CutoffViolationError,
     EnvelopeError,
     GridMismatchError,
@@ -12,7 +11,6 @@ from .errors import (
     ZeroNormError,
 )
 from .fock import (
-    ModeOperator,
     StateVector,
     coherent_state,
     displacement_matrix,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "CutoffViolationError",
-    "CutoffMismatchError",
     "TruncationError",
     "TruncationWarning",
     "GridMismatchError",
@@ -16,10 +15,6 @@ __all__ = [
 
 class CutoffViolationError(ValueError):
     """A photon-number index lies outside the truncated space."""
-
-
-class CutoffMismatchError(ValueError):
-    """Two objects built over different cutoffs were combined."""
 
 
 class TruncationError(ValueError):

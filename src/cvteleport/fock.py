@@ -2,7 +2,8 @@
 
 Everything in the package works in a photon-number basis truncated at a
 cutoff ``n_max``, a plain int >= 1 (dimension ``n_max + 1``). States are
-complex amplitude vectors and operators are dense matrices.
+complex amplitude vectors; operators are plain read-only (dim, dim)
+complex arrays.
 
 Displacement matrices come from one batched kernel, ``displacement_stack``:
 the two-term associated-Laguerre recurrence runs once for a whole batch of
@@ -19,22 +20,14 @@ from __future__ import annotations
 
 import functools
 import operator
-import warnings
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import (
-    CutoffMismatchError,
-    CutoffViolationError,
-    TruncationError,
-    TruncationWarning,
-    ZeroNormError,
-)
+from .errors import CutoffViolationError, TruncationError, ZeroNormError
 
 __all__ = [
     "StateVector",
-    "ModeOperator",
     "number_state",
     "coherent_state",
     "displacement_matrix",
@@ -59,43 +52,29 @@ def _as_n_max(n_max: int) -> int:
     return n_max
 
 
-def _require_same_cutoff(a: int, b: int) -> None:
-    if a != b:
-        raise CutoffMismatchError(f"cutoff mismatch: n_max {a} vs {b}")
-
-
 class StateVector:
-    """Single-mode state: complex amplitudes over levels 0..n_max.
+    """Single-mode state: finite complex amplitudes over levels 0..n_max.
 
-    ``normalized`` records intent; when True the constructor checks the norm
-    to 1e-12. Amplitude arrays are copied and frozen so states are
-    value-like.
+    Amplitude arrays are copied and frozen so states are value-like.
     """
 
-    __slots__ = ("amplitudes", "n_max", "normalized")
+    __slots__ = ("amplitudes", "n_max")
 
-    def __init__(self, amplitudes: np.ndarray, cutoff: int, normalized: bool = False):
+    def __init__(self, amplitudes: np.ndarray, cutoff: int):
         n_max = _as_n_max(cutoff)
         amps = np.asarray(amplitudes, dtype=complex).copy()
         if amps.shape != (n_max + 1,):
             raise CutoffViolationError(
                 f"amplitude vector of shape {amps.shape} does not match dim {n_max + 1}"
             )
-        if normalized and abs(np.vdot(amps, amps).real - 1.0) > 1e-12:
-            raise ZeroNormError(
-                f"norm^2 = {np.vdot(amps, amps).real!r} but state was declared normalized"
-            )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "normalized", bool(normalized))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("StateVector is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -111,7 +90,7 @@ class StateVector:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroNormError("cannot normalize a zero state")
-        return StateVector(self.amplitudes / np.sqrt(n2), self.n_max, normalized=True)
+        return StateVector(self.amplitudes / np.sqrt(n2), self.n_max)
 
     def __repr__(self) -> str:
         return f"StateVector(n_max={self.n_max}, norm_sq={self.norm_sq():.6g})"
@@ -121,17 +100,6 @@ def _as_unit(state: StateVector) -> StateVector:
     return state if abs(state.norm_sq() - 1.0) <= 1e-12 else state.unit()
 
 
-def _warn_if_tail_heavy(state: StateVector, where: str) -> StateVector:
-    if state.tail_mass() > TAIL_MASS_THRESHOLD:
-        warnings.warn(
-            f"{where}: relative tail mass {state.tail_mass():.3e} exceeds "
-            f"{TAIL_MASS_THRESHOLD:g}; increase n_max",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return state
-
-
 def number_state(n: int, cutoff: int) -> StateVector:
     """Basis state |n>."""
     n_max = _as_n_max(cutoff)
@@ -139,7 +107,7 @@ def number_state(n: int, cutoff: int) -> StateVector:
         raise CutoffViolationError(f"level {n} outside [0, {n_max}]")
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[n] = 1.0
-    return StateVector(amps, n_max, normalized=True)
+    return StateVector(amps, n_max)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:
@@ -166,35 +134,7 @@ def coherent_state(alpha: complex, cutoff: int) -> StateVector:
             f"coherent state |alpha|={abs(alpha):.4g} leaves mass {tail:.3e} above "
             f"n_max={n_max} (tolerance {TAIL_MASS_THRESHOLD:g})"
         )
-    return StateVector(amps, n_max, normalized=False)
-
-
-class ModeOperator:
-    """Dense single-mode operator over the truncated space."""
-
-    __slots__ = ("matrix", "n_max")
-
-    def __init__(self, matrix: np.ndarray, cutoff: int):
-        n_max = _as_n_max(cutoff)
-        mat = np.asarray(matrix, dtype=complex).copy()
-        if mat.shape != (n_max + 1, n_max + 1):
-            raise CutoffViolationError(
-                f"matrix of shape {mat.shape} does not match dim {n_max + 1}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "n_max", n_max)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ModeOperator is immutable")
-
-    def apply(self, state: StateVector) -> StateVector:
-        _require_same_cutoff(self.n_max, state.n_max)
-        out = StateVector(self.matrix @ state.amplitudes, self.n_max)
-        return _warn_if_tail_heavy(out, "ModeOperator.apply")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+    return StateVector(amps, n_max)
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,7 +198,10 @@ def displacement_stack(alphas, cutoff: int) -> np.ndarray:
     return out
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> ModeOperator:
-    """The displacement operator D(alpha); one row of ``displacement_stack``."""
-    return ModeOperator(displacement_stack([alpha], cutoff)[0], cutoff)
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """The displacement operator D(alpha), a read-only (dim, dim) complex
+    array; row 0 of ``displacement_stack``."""
+    mat = displacement_stack([alpha], cutoff)[0]
+    mat.setflags(write=False)
+    return mat
 

@@ -55,8 +55,8 @@ def polarized_output(q: float, beta_h: complex, beta_v: complex, cutoff: int) ->
     T_h @ X @ T_v.T; no closed form is assumed.
     """
     q = _as_q(q)
-    t_h = transfer_operator(q, beta_h, cutoff).matrix
-    t_v = transfer_operator(q, beta_v, cutoff).matrix
+    t_h = transfer_operator(q, beta_h, cutoff)
+    t_v = transfer_operator(q, beta_v, cutoff)
     state = np.zeros_like(t_h)
     state[1, 0] = 1.0
     return t_h @ state @ t_v.T

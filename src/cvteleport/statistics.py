@@ -229,6 +229,8 @@ def crossing_radius(q: float) -> float:
     below, g'(0) < 0.
     """
     q = _as_q(q)
+    if 2.0 * q * q >= 1.0:
+        raise NoCrossingError(f"no loss/gain crossing for q = {q:g}; none exists at q >= 1/sqrt(2)")
     a, b = 1.0 - q * q, (1.0 - q) ** 2
 
     def g(r: float) -> float:
@@ -236,16 +238,11 @@ def crossing_radius(q: float) -> float:
         tail = (math.expm1(b * t) - b * t) * (a * a * t + q * q)
         return b * (2.0 * q * q - 1.0) * t + b * (a * a - b) * t * t + tail
 
-    r_hi = math.sqrt(_RADIAL_EXPONENT_SPAN / a)
-    scan = np.linspace(1e-6, r_hi, 512)
-    values = [g(float(r)) for r in scan]
-    lo = hi = None
-    for i in range(len(scan) - 1):
-        if values[i] < 0.0 <= values[i + 1]:
-            lo, hi = float(scan[i]), float(scan[i + 1])
-            break
-    if lo is None:
-        raise NoCrossingError(f"no loss/gain crossing for q = {q:g}; none exists at q >= 1/sqrt(2)")
+    # g(0) = 0 and g'(0) < 0, so g is negative just right of the origin and
+    # the crossing is bracketed from the first scan point where g >= 0
+    scan = np.linspace(0.0, math.sqrt(_RADIAL_EXPONENT_SPAN / a), 512)
+    i = next(i for i in range(1, len(scan)) if g(float(scan[i])) >= 0.0)
+    lo, hi = float(scan[i - 1]), float(scan[i])
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:

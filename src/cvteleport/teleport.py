@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import TruncationWarning
 from .fock import (
-    ModeOperator,
+    TAIL_MASS_THRESHOLD,
     StateVector,
     _as_n_max,
     displacement_matrix,
@@ -86,7 +86,7 @@ def measurement_eigenstate(beta: complex, cutoff: int) -> np.ndarray:
     Unnormalizable by design (delta-normalized over outcomes); the array is
     (1/sqrt(pi)) times the displacement matrix.
     """
-    eig = displacement_matrix(complex(beta), cutoff).matrix / math.sqrt(math.pi)
+    eig = displacement_matrix(complex(beta), cutoff) / math.sqrt(math.pi)
     eig.setflags(write=False)
     return eig
 
@@ -95,8 +95,9 @@ def transfer_operator(
     q: float,
     beta: complex,
     cutoff: int,
-) -> ModeOperator:
-    """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta).
+) -> np.ndarray:
+    """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta), a read-only
+    (dim, dim) complex array; row 0 of ``_transfer_stack``.
 
     Hermitian to rounding only: D(-beta) is never built, the product is
     formed as D W D^dagger from D(beta) alone, and its two off-diagonal halves
@@ -106,7 +107,9 @@ def transfer_operator(
     """
     q = _as_q(q)
     beta = complex(beta)
-    return ModeOperator(_transfer_stack(q, [beta], cutoff)[0], cutoff)
+    mat = _transfer_stack(q, [beta], cutoff)[0]
+    mat.setflags(write=False)
+    return mat
 
 
 def _transfer_stack(q: float, betas, cutoff: int) -> np.ndarray:
@@ -124,10 +127,19 @@ def teleport_output(
 ) -> StateVector:
     """Unnormalized conditional output T_q(beta) |input>.
 
-    The squared norm of the result is the outcome density at beta.
+    The squared norm of the result is the outcome density at beta. A
+    relative tail mass above ``TAIL_MASS_THRESHOLD`` emits a TruncationWarning.
     """
-    op = transfer_operator(q, beta, input_state.n_max)
-    return op.apply(input_state)
+    n_max = input_state.n_max
+    out = StateVector(transfer_operator(q, beta, n_max) @ input_state.amplitudes, n_max)
+    if out.tail_mass() > TAIL_MASS_THRESHOLD:
+        warnings.warn(
+            f"teleport_output: relative tail mass {out.tail_mass():.3e} exceeds "
+            f"{TAIL_MASS_THRESHOLD:g}; increase n_max",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return out
 
 
 def single_photon_output_closed_form(
@@ -149,7 +161,7 @@ def single_photon_output_closed_form(
     core[0] = a * np.conj(beta)
     core[1] = q
     disp = displacement_matrix((1.0 - q) * beta, n_max)
-    return StateVector(pref * (disp.matrix @ core), n_max)
+    return StateVector(pref * (disp @ core), n_max)
 
 
 def single_photon_beta_density(
@@ -189,8 +201,6 @@ def beta_density(
     """
     qv = _as_q(q)
     betac = complex(beta)
-    if _is_single_photon(input_state):
-        return single_photon_beta_density(qv, betac)
     a = 1.0 - qv * qv
     if a * abs(betac) ** 2 > DENSITY_UNDERFLOW_EXPONENT:
         warnings.warn(
@@ -199,6 +209,8 @@ def beta_density(
             stacklevel=2,
         )
         return 0.0
+    if _is_single_photon(input_state):
+        return single_photon_beta_density(qv, betac)
     return teleport_output(input_state, qv, betac).norm_sq()
 
 
@@ -232,5 +244,5 @@ def end_to_end_projection(
     psi = np.tensordot(input_state.amplitudes, resource, axes=0)
     eig = measurement_eigenstate(betac, n_max)
     projected = np.einsum("ar,arb->b", eig.conj(), psi)
-    disp_b = displacement_matrix(betac, n_max).matrix
+    disp_b = displacement_matrix(betac, n_max)
     return StateVector(disp_b @ projected, n_max)

@@ -84,12 +84,12 @@ def _matrices_digest(matrices) -> str:
 def operator_digests() -> dict:
     return {
         "displacement_matrix": {
-            str(n_max): _matrices_digest(displacement_matrix(a, n_max).matrix for a in ALPHAS)
+            str(n_max): _matrices_digest(displacement_matrix(a, n_max) for a in ALPHAS)
             for n_max in OPERATOR_CUTOFFS
         },
         "transfer_operator": {
             str(n_max): _matrices_digest(
-                transfer_operator(q, b, n_max).matrix for q in (0.0, 0.3, 0.9) for b in ALPHAS
+                transfer_operator(q, b, n_max) for q in (0.0, 0.3, 0.9) for b in ALPHAS
             )
             for n_max in OPERATOR_CUTOFFS
         },

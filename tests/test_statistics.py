@@ -141,7 +141,7 @@ def test_quadrature_matches_64_angle_rule(alpha, q):
     radii, weights = _polar_grid(q)
     reference = np.zeros(33)
     for r, w in zip(radii, weights):
-        out = transfer_operator(q, float(r), 32).matrix @ rotated
+        out = transfer_operator(q, float(r), 32) @ rotated
         reference += (w * 2.0 * math.pi / 64) * (np.abs(out) ** 2).sum(axis=1)
     dist = photon_statistics_quadrature(state, q)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-14
@@ -205,6 +205,9 @@ def test_crossing_exists_only_below_inverse_sqrt_two():
     # just below 1/sqrt(2); roots from an 80-digit bisection of the unsimplified densities
     assert np.isclose(crossing_radius(0.7071), 0.0101638045960237, rtol=0.0, atol=1e-9)
     assert np.isclose(crossing_radius(0.70710678), 1.3444841337e-4, rtol=0.0, atol=1e-9)
+    # crossings below the first nonzero scan radius; g's slope there is ~1e-13
+    assert np.isclose(crossing_radius(0.7071067811865), 8.5039191041347298e-7, rtol=1e-3)
+    assert np.isclose(crossing_radius(0.70710678118654), 3.3804764844275391e-7, rtol=1e-3)
     for q in (0.7072, 0.99):
         with pytest.raises(NoCrossingError, match="1/sqrt"):
             crossing_radius(q)

@@ -66,16 +66,17 @@ def test_measurement_eigenstate_satisfies_quadrature_equations(beta):
 
 
 def test_transfer_operator_diagonal_at_zero():
-    op = transfer_operator(0.5, 0j, 24)
-    mat = op.matrix
+    mat = transfer_operator(0.5, 0j, 24)
     assert np.isclose(mat[0, 0], 0.4886025119029199)
     expected = np.sqrt(0.75 / np.pi) * 0.5 ** np.arange(25)
     assert np.allclose(np.diag(mat), expected, atol=1e-15)
     assert not np.any(mat - np.diag(np.diag(mat)))
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
 
 
 def test_transfer_operator_prefactor_without_entanglement():
-    mat = transfer_operator(0.0, 0j, 8).matrix
+    mat = transfer_operator(0.0, 0j, 8)
     assert np.isclose(mat[0, 0], 0.5641895835477563)
     # q=0 keeps only the vacuum row: output is always the vacuum
     assert np.count_nonzero(np.diag(mat)) == 1
@@ -84,7 +85,8 @@ def test_transfer_operator_prefactor_without_entanglement():
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("beta", [0.4 + 0.1j, -1.0 + 0.8j])
 def test_transfer_operator_hermitian(q, beta):
-    assert transfer_operator(q, beta, 32).hermiticity_defect() < 1e-12
+    mat = transfer_operator(q, beta, 32)
+    assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
 
 _BETA_PART = st.floats(-4.0, 4.0, allow_subnormal=False)
@@ -108,7 +110,7 @@ def test_displacement_commutation_with_raising_operator():
     from cvteleport.fock import displacement_matrix
 
     ad = np.diag(np.sqrt(np.arange(1, n_max + 1)), -1)
-    d = displacement_matrix(-beta, n_max).matrix
+    d = displacement_matrix(-beta, n_max)
     lhs = d @ ad
     rhs = (ad + np.conj(beta) * np.eye(n_max + 1)) @ d
     assert np.max(np.abs((lhs - rhs)[:block, :block])) < 1e-10
@@ -158,6 +160,13 @@ def test_density_is_phase_invariant():
 def test_density_underflow_reports_zero_with_warning():
     with pytest.warns(TruncationWarning):
         assert single_photon_beta_density(0.5, 40.0 + 0j) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_density_underflow_warning_names_the_caller(n):
+    with pytest.warns(TruncationWarning) as record:
+        assert beta_density(number_state(n, 8), 0.5, 40.0) == 0.0
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_generic_density_path_matches_closed_form():
