@@ -26,12 +26,8 @@ def main() -> None:
     print(f"{'|beta|':>7} {'total':>10} {'P(1)':>10} {'P(0)':>10} {'P(>=2)':>10}")
     for r in radii:
         beta = complex(r)
-        row = (
-            single_photon_beta_density(Q, beta),
-            conditional_beta_density(1, Q, beta),
-            conditional_beta_density(0, Q, beta),
-            conditional_beta_density("ge2", Q, beta),
-        )
+        p0, p1, p_ge2 = conditional_beta_density(Q, beta)
+        row = (single_photon_beta_density(Q, beta), p1, p0, p_ge2)
         print(f"{r:>7.2f} " + " ".join(f"{v:>10.6f}" for v in row))
 
     r_star = crossing_radius(Q)
@@ -49,12 +45,9 @@ def main() -> None:
             print("matplotlib is not installed; skipping the plot")
             return
         dense = np.linspace(0.0, 3.0, 400)
+        p0, p1, p_ge2 = zip(*(conditional_beta_density(Q, complex(r)) for r in dense))
         fig, ax = plt.subplots(figsize=(5.5, 4))
-        for label, series in (
-            ("P(1, beta)", [conditional_beta_density(1, Q, complex(r)) for r in dense]),
-            ("P(0, beta)", [conditional_beta_density(0, Q, complex(r)) for r in dense]),
-            ("P(>=2, beta)", [conditional_beta_density("ge2", Q, complex(r)) for r in dense]),
-        ):
+        for label, series in (("P(1, beta)", p1), ("P(0, beta)", p0), ("P(>=2, beta)", p_ge2)):
             ax.plot(dense, series, label=label)
         ax.axvline(r_star, color="gray", linestyle=":", label="loss/gain crossing")
         ax.set_xlabel("|beta|")

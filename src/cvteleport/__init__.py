@@ -43,7 +43,6 @@ from .statistics import (
 )
 from .tables import OutputTable
 from .teleport import (
-    beta_density,
     end_to_end_projection,
     epr_state,
     measurement_eigenstate,

@@ -164,15 +164,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     rows = []
     for r in args.radial_range:
         beta = complex(float(r))
-        rows.append(
-            [
-                float(r),
-                single_photon_beta_density(args.q, beta),
-                conditional_beta_density(1, args.q, beta),
-                conditional_beta_density(0, args.q, beta),
-                conditional_beta_density("ge2", args.q, beta),
-            ]
-        )
+        p0, p1, p_ge2 = conditional_beta_density(args.q, beta)
+        rows.append([float(r), single_photon_beta_density(args.q, beta), p1, p0, p_ge2])
     table = OutputTable(
         columns=["beta_abs", "total", "p_one", "p_zero", "p_ge2"],
         rows=rows,
@@ -184,7 +177,9 @@ def cmd_conditional(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config = SamplerConfig(master_seed=args.seed, shots=args.shots, q=args.q, cutoff=args.cutoff)
+    config = SamplerConfig(
+        master_seed=args.seed, shots=args.shots, q=args.q, input_state=number_state(1, args.cutoff)
+    )
     result = run_shots(config)
     table = OutputTable(
         columns=["shot_index", "x_minus", "y_plus", "photon_count", "category_code"],

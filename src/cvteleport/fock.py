@@ -55,18 +55,17 @@ def _as_n_max(n_max: int) -> int:
 class StateVector:
     """Single-mode state: finite complex amplitudes over levels 0..n_max.
 
-    Amplitude arrays are copied and frozen so states are value-like.
+    The cutoff is the amplitude count minus one. Amplitude arrays are copied
+    and frozen so states are value-like.
     """
 
     __slots__ = ("amplitudes", "n_max")
 
-    def __init__(self, amplitudes: np.ndarray, cutoff: int):
-        n_max = _as_n_max(cutoff)
+    def __init__(self, amplitudes: np.ndarray):
         amps = np.asarray(amplitudes, dtype=complex).copy()
-        if amps.shape != (n_max + 1,):
-            raise CutoffViolationError(
-                f"amplitude vector of shape {amps.shape} does not match dim {n_max + 1}"
-            )
+        if amps.ndim != 1:
+            raise CutoffViolationError(f"amplitudes must be 1-D, got shape {amps.shape}")
+        n_max = _as_n_max(amps.size - 1)
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
@@ -90,7 +89,7 @@ class StateVector:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroNormError("cannot normalize a zero state")
-        return StateVector(self.amplitudes / np.sqrt(n2), self.n_max)
+        return StateVector(self.amplitudes / np.sqrt(n2))
 
     def __repr__(self) -> str:
         return f"StateVector(n_max={self.n_max}, norm_sq={self.norm_sq():.6g})"
@@ -103,11 +102,12 @@ def _as_unit(state: StateVector) -> StateVector:
 def number_state(n: int, cutoff: int) -> StateVector:
     """Basis state |n>."""
     n_max = _as_n_max(cutoff)
+    n = operator.index(n)
     if not 0 <= n <= n_max:
         raise CutoffViolationError(f"level {n} outside [0, {n_max}]")
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[n] = 1.0
-    return StateVector(amps, n_max)
+    return StateVector(amps)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:
@@ -134,7 +134,7 @@ def coherent_state(alpha: complex, cutoff: int) -> StateVector:
             f"coherent state |alpha|={abs(alpha):.4g} leaves mass {tail:.3e} above "
             f"n_max={n_max} (tolerance {TAIL_MASS_THRESHOLD:g})"
         )
-    return StateVector(amps, n_max)
+    return StateVector(amps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,6 +162,8 @@ def displacement_stack(alphas, cutoff: int) -> np.ndarray:
     """
     dim = _as_n_max(cutoff) + 1
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("displacement alphas must be finite")
     re, im = alphas.real, alphas.imag
     # hypot and the componentwise unit phase round exactly like abs(alpha)
     # and alpha / abs(alpha) on a Python complex

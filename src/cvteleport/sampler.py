@@ -45,12 +45,11 @@ from .errors import EnvelopeError, TruncationWarning, ZeroNormError
 from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
-    _as_n_max,
     _as_unit,
     displacement_stack,
     number_state,
 )
-from .teleport import _STACK_BLOCK, _as_q, _is_single_photon, _transfer_stack
+from .teleport import _STACK_BLOCK, _as_q, _transfer_stack
 
 __all__ = [
     "MAX_SHOTS",
@@ -105,16 +104,15 @@ class ShotRecord:
 class SamplerConfig:
     """Reproducible description of a Monte Carlo run.
 
-    ``input_state`` = None selects the single-photon input at ``cutoff``.
-    Exactly |1>, implicit or explicit, takes the exact inverse-CDF radial
-    path; any other state, e^{i phi}|1> included, the generic rejection path.
+    The input state carries its own cutoff; the default is |1> at cutoff
+    32. Exactly |1> takes the exact inverse-CDF radial path; any other
+    state, e^{i phi}|1> included, the generic rejection path.
     """
 
     master_seed: int
     shots: int
     q: float
-    cutoff: int = 32
-    input_state: StateVector | None = None
+    input_state: StateVector = number_state(1, 32)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _as_q(self.q))
@@ -124,9 +122,8 @@ class SamplerConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must lie in [0, {MAX_SHOTS}], got {self.shots}")
-        object.__setattr__(self, "cutoff", _as_n_max(self.cutoff))
-        if self.input_state is not None and self.input_state.n_max != self.cutoff:
-            raise ValueError("input_state cutoff disagrees with config cutoff")
+        if not isinstance(self.input_state, StateVector):
+            raise TypeError(f"input_state must be a StateVector, got {self.input_state!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +131,8 @@ class ShotRunResult:
     """Per-shot columns of a run; shot i sits at index i of each.
 
     ``betas`` holds the outcomes, ``photon_counts`` the detected photon numbers
-    (``OVERFLOW_COUNT`` above the cutoff); both are read-only copies.
+    (``OVERFLOW_COUNT`` above the cutoff); both are read-only 1-D copies of
+    equal length, and the counts must be integers.
     """
 
     master_seed: int
@@ -142,10 +140,15 @@ class ShotRunResult:
     photon_counts: np.ndarray
 
     def __post_init__(self) -> None:
+        counts = np.asarray(self.photon_counts)
+        if counts.size and not np.issubdtype(counts.dtype, np.integer):
+            raise TypeError(f"photon counts must be integers, got dtype {counts.dtype}")
         for name, dtype in (("betas", complex), ("photon_counts", np.int64)):
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if self.betas.ndim != 1 or self.betas.shape != self.photon_counts.shape:
+            raise ValueError("betas and photon counts must be 1-D columns of equal length")
         if np.any(self.photon_counts < OVERFLOW_COUNT):
             raise ValueError(f"photon counts must be >= 0 or {OVERFLOW_COUNT} (overflow)")
 
@@ -424,6 +427,11 @@ def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.
     return weights
 
 
+def _is_single_photon(state: StateVector) -> bool:
+    amps = state.amplitudes
+    return amps[1] == 1.0 and not np.any(amps[:1]) and not np.any(amps[2:])
+
+
 def run_shots(config: SamplerConfig) -> ShotRunResult:
     """Run the full shot list; identical configs give identical results.
 
@@ -433,8 +441,6 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     """
     q = config.q
     input_state = config.input_state
-    if input_state is None:
-        input_state = number_state(1, config.cutoff)
     betas = np.empty(config.shots, dtype=complex)
     counts = np.empty(config.shots, dtype=np.int64)
     if _is_single_photon(input_state):

@@ -17,6 +17,7 @@ the polarization budget across q, optionally beside its quadrature.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,7 @@ def photon_statistics_closed_form(q: float, n: int) -> float:
     strictly decreasing in n and the series sums to 1.
     """
     q = _as_q(q)
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     s = 0.5 * (1.0 + q)
@@ -180,36 +182,27 @@ def photon_statistics_quadrature(
     return _photon_distribution(transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2))
 
 
-def conditional_beta_density(
-    category: int | str,
-    q: float,
-    beta: complex,
-) -> float:
-    """Joint density P_q(category, beta) for the single-photon input.
+def conditional_beta_density(q: float, beta: complex) -> tuple[float, float, float]:
+    """Joint densities (P_q(0, beta), P_q(1, beta), P_q(n>=2, beta)) for the
+    single-photon input: photon lost, exact transfer, photon gain.
 
-    Categories: 0 (photon lost), 1 (exact transfer), "ge2" (photon gain).
     The first two are closed forms sharing the envelope e^{-2(1-q)|beta|^2};
     the gain term is the remainder against the total density, clamped only
-    for negative values smaller than 1e-12 in magnitude.
+    for negative values smaller than 1e-12 in magnitude. A non-finite beta
+    raises ValueError.
     """
     q = _as_q(q)
     beta = complex(beta)
+    total = single_photon_beta_density(q, beta)
     a = 1.0 - q * q
     t = abs(beta) ** 2
     envelope = (a / math.pi) * math.exp(-2.0 * (1.0 - q) * t)
     p0 = envelope * (1.0 - q) ** 2 * t
     p1 = envelope * (q + (1.0 - q) ** 2 * t) ** 2
-    if category == 0:
-        return p0
-    if category == 1:
-        return p1
-    if category == "ge2":
-        total = single_photon_beta_density(q, beta)
-        rest = total - p0 - p1
-        if rest < -1e-12:
-            raise ValueError(f"gain density {rest:.3e} below the clamp threshold")
-        return max(rest, 0.0)
-    raise ValueError(f"category must be 0, 1 or 'ge2', got {category!r}")
+    rest = total - p0 - p1
+    if rest < -1e-12:
+        raise ValueError(f"gain density {rest:.3e} below the clamp threshold")
+    return p0, p1, max(rest, 0.0)
 
 
 def crossing_radius(q: float) -> float:

@@ -18,6 +18,7 @@ the measurement-outcome density over beta is
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -39,13 +40,12 @@ __all__ = [
     "teleport_output",
     "single_photon_output_closed_form",
     "single_photon_beta_density",
-    "beta_density",
     "end_to_end_projection",
     "DENSITY_UNDERFLOW_EXPONENT",
 ]
 
 # e^{-(1-q^2)|beta|^2} < 1e-300 marks the density as an exact 0 (see
-# beta_density); 300*ln(10) in the exponent.
+# single_photon_beta_density); 300*ln(10) in the exponent.
 DENSITY_UNDERFLOW_EXPONENT = 300.0 * math.log(10.0)
 
 # EPR norm defect q^{2(n_max+1)} above which projection paths emit a
@@ -130,8 +130,7 @@ def teleport_output(
     The squared norm of the result is the outcome density at beta. A
     relative tail mass above ``TAIL_MASS_THRESHOLD`` emits a TruncationWarning.
     """
-    n_max = input_state.n_max
-    out = StateVector(transfer_operator(q, beta, n_max) @ input_state.amplitudes, n_max)
+    out = StateVector(transfer_operator(q, beta, input_state.n_max) @ input_state.amplitudes)
     if out.tail_mass() > TAIL_MASS_THRESHOLD:
         warnings.warn(
             f"teleport_output: relative tail mass {out.tail_mass():.3e} exceeds "
@@ -161,15 +160,19 @@ def single_photon_output_closed_form(
     core[0] = a * np.conj(beta)
     core[1] = q
     disp = displacement_matrix((1.0 - q) * beta, n_max)
-    return StateVector(pref * (disp @ core), n_max)
+    return StateVector(pref * (disp @ core))
 
 
-def single_photon_beta_density(
-    q: float, beta: complex
-) -> float:
-    """Outcome density for the single-photon input, evaluated in closed form."""
+def single_photon_beta_density(q: float, beta: complex) -> float:
+    """Outcome density for the single-photon input, evaluated in closed form.
+
+    A non-finite beta raises ValueError. Where e^{-(1-q^2)|beta|^2} < 1e-300
+    the density is an exact 0 with a TruncationWarning, not a subnormal.
+    """
     q = _as_q(q)
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     a = 1.0 - q * q
     t = abs(beta) ** 2
     if a * t > DENSITY_UNDERFLOW_EXPONENT:
@@ -180,38 +183,6 @@ def single_photon_beta_density(
         )
         return 0.0
     return (a / math.pi) * math.exp(-a * t) * (a * a * t + q * q)
-
-
-def _is_single_photon(state: StateVector) -> bool:
-    amps = state.amplitudes
-    return amps[1] == 1.0 and not np.any(amps[:1]) and not np.any(amps[2:])
-
-
-def beta_density(
-    input_state: StateVector,
-    q: float,
-    beta: complex,
-) -> float:
-    """Probability density of measuring beta for a normalized input.
-
-    Generic path: squared norm of the conditional output. For the exact
-    single-photon basis input the closed form is used instead. Densities in
-    the far Gaussian tail (e^{-(1-q^2)|beta|^2} < 1e-300) are reported as
-    exactly 0 with a diagnostic rather than relying on subnormal arithmetic.
-    """
-    qv = _as_q(q)
-    betac = complex(beta)
-    a = 1.0 - qv * qv
-    if a * abs(betac) ** 2 > DENSITY_UNDERFLOW_EXPONENT:
-        warnings.warn(
-            f"beta density underflows at |beta|^2 = {abs(betac)**2:.4g} for q = {qv:g}; returning 0",
-            TruncationWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    if _is_single_photon(input_state):
-        return single_photon_beta_density(qv, betac)
-    return teleport_output(input_state, qv, betac).norm_sq()
 
 
 def end_to_end_projection(
@@ -245,4 +216,4 @@ def end_to_end_projection(
     eig = measurement_eigenstate(betac, n_max)
     projected = np.einsum("ar,arb->b", eig.conj(), psi)
     disp_b = displacement_matrix(betac, n_max)
-    return StateVector(disp_b @ projected, n_max)
+    return StateVector(disp_b @ projected)

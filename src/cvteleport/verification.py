@@ -213,19 +213,16 @@ def check_conditional_integrals() -> CheckResult:
     worst = 0.0
     for q in (0.2, 0.5, 0.8):
         radii, weights = _polar_grid(q)
+        densities = [conditional_beta_density(q, r) for r in radii]
         i0, i1 = (
-            2.0 * math.pi
-            * sum(w * conditional_beta_density(c, q, r) for r, w in zip(radii, weights))
-            for c in (0, 1)
+            2.0 * math.pi * sum(w * d[c] for d, w in zip(densities, weights)) for c in (0, 1)
         )
         split = loss_gain_split(q)
         worst = max(worst, abs(i0 - split.p_loss), abs(i1 - split.p_success))
     # at beta = 0 only the single-photon term survives
     origin_ok = all(
-        conditional_beta_density(0, q, 0j) == 0.0
-        and conditional_beta_density("ge2", q, 0j) == 0.0
-        and conditional_beta_density(1, q, 0j) > 0.0
-        for q in (0.2, 0.5, 0.8)
+        p0 == 0.0 and p1 > 0.0 and p_ge2 == 0.0
+        for p0, p1, p_ge2 in (conditional_beta_density(q, 0j) for q in (0.2, 0.5, 0.8))
     )
     return CheckResult(
         "conditional density integrals",
@@ -255,7 +252,7 @@ def check_vacuum_success() -> CheckResult:
 
 def check_monte_carlo() -> CheckResult:
     shots, q = 100_000, 0.5
-    config = SamplerConfig(master_seed=20260815, shots=shots, q=q, cutoff=32)
+    config = SamplerConfig(master_seed=20260815, shots=shots, q=q)
     result = run_shots(config)
     split = loss_gain_split(q)
     worst_sigmas = 0.0

@@ -19,7 +19,6 @@ from cvteleport.fock import (
     displacement_stack,
     number_state,
 )
-from cvteleport.sampler import SamplerConfig
 from cvteleport.teleport import teleport_output
 
 
@@ -33,8 +32,10 @@ def test_cutoff_basics():
             number_state(0, bad)
     with pytest.raises(CutoffViolationError):
         number_state(9, 8)
+    # a state's cutoff is its amplitude count minus one
+    assert StateVector(np.zeros(9)).n_max == 8
     with pytest.raises(CutoffViolationError):
-        SamplerConfig(0, 1, 0.5, cutoff=32.7)
+        StateVector([1.0])
 
 
 def test_number_state_and_norm():
@@ -43,6 +44,11 @@ def test_number_state_and_norm():
     assert state.amplitudes[3] == 1.0
     with pytest.raises(CutoffViolationError):
         number_state(9, 8)
+    # a photon number is an integer, as a cutoff is
+    assert number_state(np.int64(3), 8).amplitudes[3] == 1.0
+    for bad in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            number_state(bad, 8)
 
 
 def test_state_vector_is_immutable():
@@ -54,17 +60,18 @@ def test_state_vector_is_immutable():
 
 
 def test_state_vector_shape_and_norm_checks():
-    with pytest.raises(CutoffViolationError):
-        StateVector(np.zeros(3, dtype=complex), 8)
+    for bad in (np.zeros((3, 3), dtype=complex), 1.0 + 0j):
+        with pytest.raises(CutoffViolationError, match="1-D"):
+            StateVector(bad)
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            StateVector([bad, 0, 0, 0, 0], 4)
+            StateVector([bad, 0, 0, 0, 0])
     with pytest.raises(ZeroNormError):
-        StateVector(np.zeros(5, dtype=complex), 4).unit()
+        StateVector(np.zeros(5, dtype=complex)).unit()
 
 
 def test_unit_rescales():
-    state = StateVector(2.0 * np.eye(5)[1], 4)
+    state = StateVector(2.0 * np.eye(5)[1])
     assert np.isclose(state.norm_sq(), 4.0)
     assert np.isclose(state.unit().norm_sq(), 1.0)
 

@@ -13,6 +13,7 @@ only on purpose, after checking the new values are right:
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from cvteleport.cli import main
-from cvteleport.fock import StateVector, coherent_state, displacement_matrix
+from cvteleport.fock import StateVector, coherent_state, displacement_matrix, number_state
 from cvteleport.sampler import SamplerConfig, _as_unit, _envelope_bound, run_shots
 from cvteleport.teleport import transfer_operator
 
@@ -37,20 +38,20 @@ def _coherent_05() -> StateVector:
 def _superposition_02() -> StateVector:
     amps = np.zeros(17, dtype=complex)
     amps[[0, 2]] = 1.0 / np.sqrt(2.0)
-    return StateVector(amps, 16)
+    return StateVector(amps)
 
 
-# name -> (generic input or None for the single-photon input, q, cutoff, seed, shots)
+# name -> (input-state builder, q, seed, shots); the input carries the cutoff
 RUNS = {
     **{
-        f"photon-q{q}-cutoff{cutoff}-seed{seed}": (None, q, cutoff, seed, 2000)
+        f"photon-q{q}-cutoff{cutoff}-seed{seed}": (
+            functools.partial(number_state, 1, cutoff), q, seed, 2000
+        )
         for q, cutoff in ((0.5, 32), (0.9, 8))
         for seed in range(3)
     },
-    **{
-        f"coherent0.5-cutoff32-seed{seed}": (_coherent_05, 0.5, 32, seed, 200) for seed in range(2)
-    },
-    "superposition02-cutoff16-seed0": (_superposition_02, 0.5, 16, 0, 200),
+    **{f"coherent0.5-cutoff32-seed{seed}": (_coherent_05, 0.5, seed, 200) for seed in range(2)},
+    "superposition02-cutoff16-seed0": (_superposition_02, 0.5, 0, 200),
 }
 
 # name -> generic input whose envelope bound at q = Q_GENERIC is pinned
@@ -97,14 +98,8 @@ def operator_digests() -> dict:
 
 
 def records_digest(name: str) -> str:
-    make_input, q, cutoff, seed, shots = RUNS[name]
-    config = SamplerConfig(
-        master_seed=seed,
-        shots=shots,
-        q=q,
-        cutoff=cutoff,
-        input_state=None if make_input is None else make_input(),
-    )
+    make_input, q, seed, shots = RUNS[name]
+    config = SamplerConfig(master_seed=seed, shots=shots, q=q, input_state=make_input())
     result = run_shots(config)
     lines = [
         f"{rec.shot_index} {rec.master_seed} {rec.beta.real.hex()} {rec.beta.imag.hex()} "

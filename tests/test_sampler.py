@@ -18,6 +18,7 @@ from cvteleport.sampler import (
     _draw_counts,
     _envelope_bound,
     _envelope_density,
+    _is_single_photon,
     _rejection_sample,
     _shot_generator,
     _single_photon_weight_matrix,
@@ -26,7 +27,7 @@ from cvteleport.sampler import (
     run_shots,
 )
 from cvteleport.statistics import loss_gain_split, squeezing_db_to_q
-from cvteleport.teleport import _is_single_photon, beta_density, teleport_output
+from cvteleport.teleport import teleport_output
 
 SEED = 20260815
 # seeds at the 32-bit word edges of numpy's seed-sequence entropy
@@ -63,8 +64,9 @@ def test_config_validation():
         SamplerConfig(master_seed=1, shots=2**32 + 1, q=0.5)
     with pytest.raises(ValueError):
         SamplerConfig(master_seed=1, shots=1, q=1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(master_seed=1, shots=1, q=0.5, cutoff=16, input_state=number_state(0, 8))
+    # the input state carries the cutoff; nothing else is accepted in its place
+    with pytest.raises(TypeError):
+        SamplerConfig(master_seed=1, shots=1, q=0.5, input_state=number_state(1, 8).amplitudes)
 
 
 def test_config_stores_q_as_a_float():
@@ -81,8 +83,8 @@ def test_numpy_integer_seeds_match_int_seeds():
     assert type(config.master_seed) is int
     assert run_shots(config) == run_shots(SamplerConfig(master_seed=3, shots=5, q=0.5))
     coherent = coherent_state(0.5, 32).unit()
-    big = SamplerConfig(np.uint64(2**63 + 5), np.int32(5), 0.5, 32, coherent)
-    assert run_shots(big) == run_shots(SamplerConfig(2**63 + 5, 5, 0.5, 32, coherent))
+    big = SamplerConfig(np.uint64(2**63 + 5), np.int32(5), 0.5, coherent)
+    assert run_shots(big) == run_shots(SamplerConfig(2**63 + 5, 5, 0.5, coherent))
     with pytest.raises(TypeError):
         SamplerConfig(master_seed=1, shots=5.0, q=0.5)
 
@@ -133,6 +135,12 @@ def test_result_columns():
     assert result != ShotRunResult(7, result.betas, [1, 0, OVERFLOW_COUNT, 4, 2, 7])
     with pytest.raises(ValueError):
         ShotRunResult(7, [0j], [-3])
+    # columns are 1-D and of equal length, and counts are integers
+    for betas, counts in (([1j], [1, 2]), ([1j, 2j], [1]), ([[1j]], [[1]])):
+        with pytest.raises(ValueError):
+            ShotRunResult(7, betas, counts)
+    with pytest.raises(TypeError):
+        ShotRunResult(7, [1j], [1.7])
 
 
 def test_different_seeds_differ():
@@ -142,9 +150,9 @@ def test_different_seeds_differ():
 
 
 def test_explicit_single_photon_takes_the_closed_form_path():
-    explicit = SamplerConfig(1, 50, 0.5, 32, number_state(1, 32))
+    explicit = SamplerConfig(1, 50, 0.5, number_state(1, 32))
     assert run_shots(explicit) == run_shots(SamplerConfig(1, 50, 0.5))
-    assert not _is_single_photon(StateVector(1j * number_state(1, 32).amplitudes, 32))
+    assert not _is_single_photon(StateVector(1j * number_state(1, 32).amplitudes))
 
 
 def test_zero_shots():
@@ -190,7 +198,7 @@ def test_category_frequencies_within_three_sigma(photon_run):
 
 
 def test_overflow_absent_at_moderate_squeezing():
-    result = run_shots(SamplerConfig(master_seed=SEED, shots=20_000, q=0.9, cutoff=32))
+    result = run_shots(SamplerConfig(master_seed=SEED, shots=20_000, q=0.9))
     assert result.overflow == 0
 
 
@@ -244,7 +252,7 @@ def test_envelope_bound_certifies_density_ratio():
     for r in np.linspace(0.0, 6.0, 25):
         for theta in np.linspace(0.0, 2 * np.pi, 9):
             beta = r * complex(math.cos(theta), math.sin(theta))
-            target = beta_density(state, q, beta)
+            target = teleport_output(state, q, beta).norm_sq()
             cap = bound * float(_envelope_density(q, r * r))
             assert target <= cap * (1.0 + 1e-9)
 
@@ -268,7 +276,7 @@ def test_generic_path_warns_on_tail_mass():
     # |4> at cutoff 4 leaves mass there on nearly every candidate
     configs = (
         SamplerConfig(master_seed=2, shots=500, q=0.5, input_state=coherent_state(0.5, 32).unit()),
-        SamplerConfig(master_seed=0, shots=50, q=0.0, cutoff=4, input_state=number_state(4, 4)),
+        SamplerConfig(master_seed=0, shots=50, q=0.0, input_state=number_state(4, 4)),
     )
     for config in configs:
         with warnings.catch_warnings(record=True) as caught:
@@ -311,20 +319,20 @@ def test_lockstep_rejection_matches_one_shot_at_a_time(q, parts, seed, shots, pr
     # cutoffs 2..12; shot counts up to 40 cross the stack boundaries at 16 and 32
     amplitudes = np.array([complex(x, y) for x, y in parts])
     assume(np.vdot(amplitudes, amplitudes).real > 1e-6)
-    state = StateVector(amplitudes, amplitudes.size - 1).unit()
+    state = StateVector(amplitudes).unit()
     assume(not _is_single_photon(state))
     # a shot costs about `bound` candidates (near 1000 for a dense 13-level
     # state at q = 0); cap an example's expected work at 2000 candidates
     bound = _envelope_bound(state, q)
     assume(shots * bound <= 2000.0)
     prefix = min(prefix, shots)
-    config = SamplerConfig(seed, shots, q, state.n_max, state)
+    config = SamplerConfig(seed, shots, q, state)
     with warnings.catch_warnings():
         # low cutoffs leave heavy tails; both sides see the same candidates
         warnings.simplefilter("ignore", TruncationWarning)
         result = run_shots(config)
         assert result == _one_shot_at_a_time(state, q, bound, seed, shots)
-        shorter = run_shots(SamplerConfig(seed, prefix, q, state.n_max, state))
+        shorter = run_shots(SamplerConfig(seed, prefix, q, state))
     assert shorter == ShotRunResult(seed, result.betas[:prefix], result.photon_counts[:prefix])
 
 

@@ -39,6 +39,10 @@ def test_photon_statistics_closed_values(q, n, value):
 def test_photon_statistics_rejects_negative_count():
     with pytest.raises(ValueError):
         photon_statistics_closed_form(0.5, -1)
+    assert photon_statistics_closed_form(0.5, np.int64(2)) == photon_statistics_closed_form(0.5, 2)
+    for bad in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            photon_statistics_closed_form(0.5, bad)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2, 0.5, 0.8])
@@ -106,11 +110,11 @@ def test_quadrature_normalizes_its_input():
     one = number_state(1, 32)
     reference = photon_statistics_quadrature(one, 0.5)
     for scale in (2.0, 0.5):
-        dist = photon_statistics_quadrature(StateVector(scale * one.amplitudes, 32), 0.5)
+        dist = photon_statistics_quadrature(StateVector(scale * one.amplitudes), 0.5)
         assert np.array_equal(dist.probabilities, reference.probabilities)
         assert dist.residual == reference.residual
     with pytest.raises(ZeroNormError):
-        photon_statistics_quadrature(StateVector(np.zeros(33), 32), 0.5)
+        photon_statistics_quadrature(StateVector(np.zeros(33)), 0.5)
 
 
 def test_quadrature_masses_integrate_to_one():
@@ -150,23 +154,17 @@ def test_quadrature_matches_64_angle_rule(alpha, q):
 def test_conditional_densities_at_origin():
     # at beta = 0 only the single-photon output survives
     for q in (0.2, 0.5, 0.8):
-        assert conditional_beta_density(0, q, 0j) == 0.0
-        assert conditional_beta_density("ge2", q, 0j) == 0.0
-        expect = (1.0 - q * q) / math.pi * q * q
-        assert np.isclose(conditional_beta_density(1, q, 0j), expect, atol=1e-15)
+        p0, p1, p_ge2 = conditional_beta_density(q, 0j)
+        assert p0 == 0.0 and p_ge2 == 0.0
+        assert np.isclose(p1, (1.0 - q * q) / math.pi * q * q, atol=1e-15)
 
 
 def test_conditional_densities_sum_to_total():
     for r in np.arange(0.0, 4.0, 0.25):
         beta = complex(r, 0.2)
         total = single_photon_beta_density(0.5, beta)
-        parts = sum(conditional_beta_density(c, 0.5, beta) for c in (0, 1, "ge2"))
+        parts = sum(conditional_beta_density(0.5, beta))
         assert np.isclose(parts, total, atol=1e-15)
-
-
-def test_conditional_rejects_unknown_category():
-    with pytest.raises(ValueError):
-        conditional_beta_density(3, 0.5, 0j)
 
 
 def test_crossing_radius_value_and_independent_root():
@@ -174,9 +172,8 @@ def test_crossing_radius_value_and_independent_root():
     assert np.isclose(got, 1.0709936388749737, atol=1e-9)
 
     def gap(r):
-        return conditional_beta_density(0, 0.5, complex(r)) - conditional_beta_density(
-            "ge2", 0.5, complex(r)
-        )
+        p0, _, p_ge2 = conditional_beta_density(0.5, complex(r))
+        return p0 - p_ge2
 
     ref = brentq(gap, 0.5, 2.0, xtol=1e-13)
     assert np.isclose(got, ref, atol=1e-9)
@@ -190,13 +187,10 @@ def test_crossing_radius_weak_entanglement_limit():
 
 def test_crossing_ordering_around_the_root():
     r_star = crossing_radius(0.5)
-    inner, outer = 0.5 * r_star, 1.5 * r_star
-    assert conditional_beta_density(0, 0.5, complex(inner)) > conditional_beta_density(
-        "ge2", 0.5, complex(inner)
-    )
-    assert conditional_beta_density(0, 0.5, complex(outer)) < conditional_beta_density(
-        "ge2", 0.5, complex(outer)
-    )
+    inner, _, inner_gain = conditional_beta_density(0.5, complex(0.5 * r_star))
+    outer, _, outer_gain = conditional_beta_density(0.5, complex(1.5 * r_star))
+    assert inner > inner_gain
+    assert outer < outer_gain
 
 
 def test_crossing_exists_only_below_inverse_sqrt_two():
@@ -215,9 +209,10 @@ def test_crossing_exists_only_below_inverse_sqrt_two():
 
 def test_gain_beats_loss_everywhere_above_inverse_sqrt_two():
     gaps = [
-        conditional_beta_density("ge2", q, complex(r)) - conditional_beta_density(0, q, complex(r))
+        p_ge2 - p0
         for q in np.linspace(0.7072, 0.99, 60)
         for r in np.linspace(0.05, 8.0, 160)
+        for p0, _, p_ge2 in [conditional_beta_density(q, complex(r))]
     ]
     assert min(gaps) > 0.0
 
