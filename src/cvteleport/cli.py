@@ -21,7 +21,7 @@ from .errors import GridMismatchError
 from .fock import number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
-    conditional_beta_density,
+    _conditional_densities,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     single_photon_beta_density,
@@ -164,8 +164,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     rows = []
     for r in args.radial_range:
         beta = complex(float(r))
-        p0, p1, p_ge2 = conditional_beta_density(args.q, beta)
-        rows.append([float(r), single_photon_beta_density(args.q, beta), p1, p0, p_ge2])
+        total, p0, p1, p_ge2 = _conditional_densities(args.q, beta)
+        rows.append([float(r), total, p1, p0, p_ge2])
     table = OutputTable(
         columns=["beta_abs", "total", "p_one", "p_zero", "p_ge2"],
         rows=rows,

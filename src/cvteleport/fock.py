@@ -56,7 +56,9 @@ class StateVector:
     """Single-mode state: finite complex amplitudes over levels 0..n_max.
 
     The cutoff is the amplitude count minus one. Amplitude arrays are copied
-    and frozen so states are value-like.
+    and frozen so states are value-like: two states are equal when their
+    amplitude arrays are (so different cutoffs never compare equal), and
+    equal states hash alike.
     """
 
     __slots__ = ("amplitudes", "n_max")
@@ -74,6 +76,15 @@ class StateVector:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("StateVector is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return np.array_equal(self.amplitudes, other.amplitudes)
+
+    def __hash__(self) -> int:
+        # equal complex values hash alike, -0.0 and 0.0 included
+        return hash(tuple(self.amplitudes.tolist()))
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)

@@ -191,6 +191,12 @@ def conditional_beta_density(q: float, beta: complex) -> tuple[float, float, flo
     for negative values smaller than 1e-12 in magnitude. A non-finite beta
     raises ValueError.
     """
+    return _conditional_densities(q, beta)[1:]
+
+
+def _conditional_densities(q: float, beta: complex) -> tuple[float, float, float, float]:
+    """(total, p0, p1, p_ge2): the conditional densities with the total
+    density they split, from one evaluation of it."""
     q = _as_q(q)
     beta = complex(beta)
     total = single_photon_beta_density(q, beta)
@@ -202,7 +208,7 @@ def conditional_beta_density(q: float, beta: complex) -> tuple[float, float, flo
     rest = total - p0 - p1
     if rest < -1e-12:
         raise ValueError(f"gain density {rest:.3e} below the clamp threshold")
-    return p0, p1, max(rest, 0.0)
+    return total, p0, p1, max(rest, 0.0)
 
 
 def crossing_radius(q: float) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 import cvteleport
 from cvteleport.cli import main, parse_range_spec
+from cvteleport.errors import TruncationWarning
 from cvteleport.tables import OutputTable
 
 
@@ -79,6 +80,15 @@ def test_conditional_columns_sum(capsys):
     assert np.max(np.abs(arr[:, 2:].sum(axis=1) - arr[:, 1])) < 1e-12
     # at beta = 0 only the single-photon term survives
     assert arr[0, 3] == 0.0 and arr[0, 4] == 0.0 and arr[0, 2] > 0.0
+
+
+def test_conditional_evaluates_the_density_once_per_row(capsys):
+    # both radii lie past the underflow radius, so each density evaluation warns
+    with pytest.warns(TruncationWarning) as record:
+        code, out = run_cli(capsys, "conditional", "--q", "0.5", "--radial-range", "40:41:1")
+    assert code == 0
+    assert OutputTable.from_csv(out).rows[:, 1].tolist() == [0.0, 0.0]
+    assert len(record) == 2
 
 
 def test_polarization_sweep(capsys):

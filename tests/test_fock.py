@@ -51,6 +51,18 @@ def test_number_state_and_norm():
             number_state(bad, 8)
 
 
+def test_state_vector_compares_by_value():
+    assert number_state(1, 32) == number_state(1, 32)
+    assert hash(number_state(1, 32)) == hash(number_state(1, 32))
+    # the same level at another cutoff is another state
+    assert number_state(1, 32) != number_state(1, 16)
+    assert number_state(1, 32) != number_state(2, 32)
+    assert number_state(1, 32) != number_state(1, 32).amplitudes.tolist()
+    # -0.0 equals 0.0, so it must hash alike
+    signed = StateVector(np.array([complex(-0.0, -0.0), 1.0]))
+    assert signed == number_state(1, 1) and hash(signed) == hash(number_state(1, 1))
+
+
 def test_state_vector_is_immutable():
     state = number_state(0, 4)
     with pytest.raises(AttributeError):

@@ -155,6 +155,15 @@ def test_explicit_single_photon_takes_the_closed_form_path():
     assert not _is_single_photon(StateVector(1j * number_state(1, 32).amplitudes))
 
 
+def test_equal_configs_compare_and_hash_equal():
+    a = SamplerConfig(1, 5, 0.5, number_state(1, 32))
+    b = SamplerConfig(1, 5, 0.5, number_state(1, 32))
+    assert a == b and hash(a) == hash(b)
+    assert a == SamplerConfig(1, 5, 0.5)
+    assert a != SamplerConfig(1, 5, 0.5, number_state(1, 16))
+    assert len({a, b, SamplerConfig(1, 5, 0.5, coherent_state(0.5, 32))}) == 2
+
+
 def test_zero_shots():
     result = run_shots(SamplerConfig(master_seed=1, shots=0, q=0.5))
     assert result.records == []

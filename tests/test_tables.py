@@ -1,10 +1,11 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cvteleport.tables import OutputTable
+from cvteleport.tables import _BLOCK_ROWS, OutputTable
 
 
 def sample_table():
@@ -116,3 +117,46 @@ def test_rows_are_coerced_to_float():
 def test_from_csv_ignores_blank_lines():
     text = sample_table().to_csv() + "\r\n\r\n"
     assert OutputTable.from_csv(text) == sample_table()
+
+
+def _savetxt_body(rows):
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",", newline="\r\n")
+    return buf.getvalue()
+
+
+def _csv_body(table):
+    # the two lines above the body: metadata and the column header
+    return table.to_csv().split("\r\n", 2)[2]
+
+
+_AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 2.0**53, 1 / 3]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([_AWKWARD, _AWKWARD[::-1]]),
+        np.array(_AWKWARD).reshape(-1, 1),
+        np.empty((0, 3)),
+        np.empty((4, 0)),
+        np.empty((0, 0)),
+    ],
+    ids=["awkward", "one-column", "zero-rows", "zero-columns", "empty"],
+)
+def test_csv_body_matches_savetxt(rows):
+    table = OutputTable(columns=[f"c{j}" for j in range(rows.shape[1])], rows=rows)
+    assert _csv_body(table) == _savetxt_body(rows)
+    if rows.shape[1]:
+        # a zero-column body is blank lines, which the parser skips
+        assert OutputTable.from_csv(table.to_csv()) == table
+
+
+@pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_csv_body_matches_savetxt_across_blocks(n_rows):
+    # distinct rows, so a row lost or repeated at a block border shows
+    rows = np.arange(n_rows * 3, dtype=float).reshape(n_rows, 3) / 7.0
+    rows[:, 2] = np.resize(_AWKWARD, n_rows)
+    table = OutputTable(columns=["a", "b", "c"], rows=rows)
+    assert _csv_body(table) == _savetxt_body(rows)
+    assert OutputTable.from_csv(table.to_csv()) == table
