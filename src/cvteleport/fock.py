@@ -5,11 +5,16 @@ cutoff ``n_max``, a plain int >= 1 (dimension ``n_max + 1``). States are
 complex amplitude vectors; operators are plain read-only (dim, dim)
 complex arrays.
 
-Displacement matrices come from one batched kernel, ``displacement_stack``:
-the two-term associated-Laguerre recurrence runs once for a whole batch of
-alphas along diagonals of fixed ``m - n``, and the prefactors are assembled
-in the log domain over the index triangle, so no factorial ratio is ever
-formed directly. ``displacement_matrix`` is its batch of one. Every row is
+Displacement matrices come from one batched kernel with a real radial
+core. ``_radial_magnitudes`` runs the two-term associated-Laguerre
+recurrence once for a whole batch of radii along diagonals of fixed
+``m - n`` and assembles the prefactors in the log domain over the index
+triangle, so no factorial ratio is ever formed directly. Since
+<m|D(r e^{i theta})|n> = e^{i (m-n) theta} <m|D(r)|n>, the core serves two
+builds: ``displacement_stack`` multiplies it by the unit phases of complex
+alphas, and ``_radial_displacement_stack`` gives the real D(r) of real
+radii, equal to the real part of the complex build bit for bit.
+``displacement_matrix`` is a complex batch of one. Every row is
 bit-identical to a single build of the same alpha: |alpha| is taken with
 ``np.hypot`` and the unit phase componentwise as ``re/r + 1j*(im/r)``,
 which round exactly like Python's ``abs(alpha)`` and ``alpha / r`` (numpy's
@@ -159,17 +164,40 @@ def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j, k, half_log_ratio
 
 
+def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
+    """Signed <j+k|D(r)|j> of positive radii r over ``_triangle(dim)``, shape (B, T).
+
+    The element is sqrt(j!/(j+k)!) r^k e^{-r^2/2} L_j^{(k)}(r^2): the stable
+    two-term recurrence in the Laguerre degree j runs once for the whole
+    batch and every diagonal k, and the prefactor is formed from log-gamma
+    differences, so large cutoffs never overflow.
+    """
+    x = r * r
+    # laguerre[b, j, k] = L_j^{(k)}(x_b), advanced in j for every k and b at once
+    degree = np.arange(dim, dtype=float)
+    laguerre = np.empty((r.size, dim, dim))
+    L_prev = np.zeros((r.size, dim))
+    L_cur = np.ones((r.size, dim))  # L_0^{(k)} = 1 for every k
+    for j in range(dim):
+        laguerre[:, j] = L_cur
+        L_next = ((2 * j + 1 + degree - x[:, None]) * L_cur - (j + degree) * L_prev) / (j + 1)
+        L_prev, L_cur = L_cur, L_next
+
+    j, k, half_log_ratio = _triangle(dim)
+    logmag = half_log_ratio + k * np.log(r)[:, None] - 0.5 * x[:, None]
+    return np.exp(logmag) * laguerre[:, j, k]
+
+
 def displacement_stack(alphas, cutoff: int) -> np.ndarray:
     """Matrices <m|D(alpha)|n> for a 1-D batch of alphas, shape (B, dim, dim).
 
     For m >= n the element is sqrt(n!/m!) alpha^{m-n} e^{-|a|^2/2}
     L_n^{(m-n)}(|a|^2); for m < n the same expression applies after swapping
-    indices and alpha -> -conj(alpha). The stable two-term recurrence in the
-    Laguerre degree j runs once for the whole batch, filling L[b, j, k] for
-    the diagonal k = m - n; the sqrt(n!/m!)|alpha|^k prefactor is then formed
-    from log-gamma differences over the triangle j + k < dim, so large
-    cutoffs never overflow. D(-alpha) equals D(alpha)^dagger bit for bit by
-    this construction, and alpha = 0 gives exactly the identity.
+    indices and alpha -> -conj(alpha). The radial core comes from
+    ``_radial_magnitudes`` and the phases u^k and (-conj(u))^k from
+    cumulative products of the unit phase u. D(-alpha) equals D(alpha)^dagger
+    bit for bit by this construction, and alpha = 0 gives exactly the
+    identity.
     """
     dim = _as_n_max(cutoff) + 1
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
@@ -181,7 +209,6 @@ def displacement_stack(alphas, cutoff: int) -> np.ndarray:
     r = np.hypot(re, im)
     zero = r == 0.0
     r = np.where(zero, 1.0, r)  # alpha = 0 rows become the identity below
-    x = r * r
     u = re / r + 1j * (im / r)
     # unit phases u^k and (-conj(u))^k via cumulative products (exact conj symmetry)
     ones = np.ones((alphas.size, 1), dtype=complex)
@@ -191,22 +218,30 @@ def displacement_stack(alphas, cutoff: int) -> np.ndarray:
         (ones, np.cumprod(np.broadcast_to(-np.conj(u)[:, None], steps), 1)), 1
     )
 
-    # laguerre[b, j, k] = L_j^{(k)}(x_b), advanced in j for every k and b at once
-    degree = np.arange(dim, dtype=float)
-    laguerre = np.empty((alphas.size, dim, dim))
-    L_prev = np.zeros((alphas.size, dim))
-    L_cur = np.ones((alphas.size, dim))  # L_0^{(k)} = 1 for every k
-    for j in range(dim):
-        laguerre[:, j] = L_cur
-        L_next = ((2 * j + 1 + degree - x[:, None]) * L_cur - (j + degree) * L_prev) / (j + 1)
-        L_prev, L_cur = L_cur, L_next
-
-    j, k, half_log_ratio = _triangle(dim)
-    logmag = half_log_ratio + k * np.log(r)[:, None] - 0.5 * x[:, None]
-    mag = np.exp(logmag) * laguerre[:, j, k]
+    j, k, _ = _triangle(dim)
+    mag = _radial_magnitudes(r, dim)
     out = np.zeros((alphas.size, dim, dim), dtype=complex)
     out[:, j + k, j] = mag * lower_phase[:, k]
     out[:, j, j + k] = mag * upper_phase[:, k]
+    out[zero] = np.eye(dim)
+    return out
+
+
+def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
+    """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
+
+    The core of ``displacement_stack`` without its phases: the magnitudes
+    below the diagonal, (-1)^(n-m) times them above it, and the identity at
+    r = 0. Equal to ``displacement_stack(radii, cutoff).real`` bit for bit.
+    """
+    dim = _as_n_max(cutoff) + 1
+    r = np.asarray(radii, dtype=float).reshape(-1)
+    zero = r == 0.0
+    j, k, _ = _triangle(dim)
+    mag = _radial_magnitudes(np.where(zero, 1.0, r), dim)
+    out = np.zeros((r.size, dim, dim))
+    out[:, j + k, j] = mag
+    out[:, j, j + k] = np.where(k % 2, -mag, mag)
     out[zero] = np.eye(dim)
     return out
 

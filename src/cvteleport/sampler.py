@@ -20,12 +20,14 @@ envelope whose bound is certified at sample time: a target density above
 the envelope raises, never clips. This path needs numpy's normal sampler,
 so each shot seeds numpy's ``Philox`` directly with its derived key. All
 pending shots advance in lockstep rounds: each draws one candidate from its
-own stream, and the round's candidates build T_q(beta) in stacks of
-``_STACK_BLOCK``. A candidate's output has the target density as its squared
-norm, and the accepted output is the state the photon count is drawn from.
-Each stream is consumed in the same order as one shot at a time (candidate
-normals, accept uniform, then the count uniform), so records do not depend
-on the batching.
+own stream, and the round's candidates apply T_q(beta) to the input in
+blocks of ``_RADIAL_BLOCK`` real displacements, never building a complex
+displacement or T_q matrix (T_q(r e^{i theta}) is the real T_q(r) between
+diagonal phases). A candidate's output has the target density as its
+squared norm, and the accepted output is the state the photon count is
+drawn from. Each stream is consumed in the same order as one shot at a time
+(candidate normals, accept uniform, then the count uniform), so records do
+not depend on the batching.
 
 Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
 shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
@@ -46,10 +48,10 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
-    displacement_stack,
+    _radial_displacement_stack,
     number_state,
 )
-from .teleport import _STACK_BLOCK, _as_q, _transfer_stack
+from .teleport import _STACK_BLOCK, _as_q, _transfer_apply
 
 __all__ = [
     "MAX_SHOTS",
@@ -70,6 +72,8 @@ _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
+# real displacements per block: the bytes of _STACK_BLOCK complex ones
+_RADIAL_BLOCK = 2 * _STACK_BLOCK
 # shot indices must fit one 32-bit spawn-key word
 MAX_SHOTS = 2**32
 
@@ -317,26 +321,25 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
 
     The truncated density is (a/pi) sum_n q^{2n} |<n|D(-beta)|psi>|^2 and
     every |<n|D|m>| depends only on |beta|, so a majorant built from moduli
-    of displacement columns bounds the density at each radius regardless of
-    angle. The ratio against the envelope is maximized over a dense radial
-    grid reaching past the polynomial/exponential turnover, then padded by a
-    safety factor; sampling re-checks the bound per candidate anyway.
+    of real displacement columns bounds the density at each radius
+    regardless of angle. The ratio against the envelope is maximized over a
+    dense radial grid reaching past the polynomial/exponential turnover,
+    then padded by a safety factor; sampling re-checks the bound per
+    candidate anyway.
     """
     a = 1.0 - q * q
-    c = _envelope_rate(q)
     n_max = input_state.n_max
     weights = q ** (2.0 * np.arange(n_max + 1))
     moduli_in = np.abs(input_state.amplitudes)
     t_hi = (4.0 * (n_max + 1) + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
     ratio_max = 0.0
-    for start in range(0, radii.size, _STACK_BLOCK):
-        block = radii[start : start + _STACK_BLOCK]
-        for r, disp in zip(block, displacement_stack(-block, n_max)):
-            col = np.abs(disp) @ moduli_in
-            majorant = (a / math.pi) * float(weights @ (col * col))
-            ratio = majorant / float(_envelope_density(q, r * r))
-            ratio_max = max(ratio_max, ratio)
+    for start in range(0, radii.size, _RADIAL_BLOCK):
+        block = radii[start : start + _RADIAL_BLOCK]
+        cols = np.abs(_radial_displacement_stack(block, n_max)) @ moduli_in
+        # one 1-D dot per radius: a batched product rounds the sum differently
+        majorants = (a / math.pi) * np.array([weights @ (col * col) for col in cols])
+        ratio_max = max(ratio_max, float(np.max(majorants / _envelope_density(q, block * block))))
     return _ENVELOPE_SAFETY * ratio_max
 
 
@@ -346,43 +349,52 @@ def _rejection_sample(
     """Accepted beta of every shot and its output T_q(beta)|psi>, one row each.
 
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
-    candidate, and the round's candidates build T_q in stacks of
-    ``_STACK_BLOCK``; a shot's stream sees the same draws as it would alone.
-    The proposal makes (1-q^2)|beta|^2 a chi-square variable with two degrees
-    of freedom, so a candidate reaches the far tail where the density
-    underflows (exponent 690) with probability e^-345. Also returns how many
-    candidate outputs leave a relative tail mass above ``TAIL_MASS_THRESHOLD``
-    at the cutoff, and the worst such mass.
+    candidate, and the round's candidates apply T_q to psi in blocks of
+    ``_RADIAL_BLOCK``; then each pending shot draws its accept uniform, so a
+    shot's stream sees the same draws as it would alone. The proposal makes
+    (1-q^2)|beta|^2 a chi-square variable with two degrees of freedom, so a
+    candidate reaches the far tail where the density underflows (exponent
+    690) with probability e^-345. Also returns how many candidate outputs
+    leave a relative tail mass above ``TAIL_MASS_THRESHOLD`` at the cutoff,
+    and the worst such mass.
     """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
-    n_max = unit_state.n_max
     psi = unit_state.amplitudes
     betas = np.empty(len(rngs), dtype=complex)
-    outputs = np.empty((len(rngs), n_max + 1), dtype=complex)
+    outputs = np.empty((len(rngs), psi.size), dtype=complex)
     heavy, worst_tail = 0, 0.0
-    pending = list(range(len(rngs)))
+    pending = np.arange(len(rngs))
     for _ in range(_MAX_REJECTION_DRAWS):
-        candidates = [complex(*rngs[i].normal(0.0, sigma, size=2)) for i in pending]
-        still_pending = []
-        for start in range(0, len(pending), _STACK_BLOCK):
-            block = candidates[start : start + _STACK_BLOCK]
-            stack = _transfer_stack(q, block, n_max) @ psi
-            for i, beta, output in zip(pending[start:], block, stack):
-                target = float(np.vdot(output, output).real)
-                tail = float(abs(output[-1]) ** 2 / target) if target else 0.0
-                if tail > TAIL_MASS_THRESHOLD:
-                    heavy, worst_tail = heavy + 1, max(worst_tail, tail)
-                cap = bound * float(_envelope_density(q, abs(beta) ** 2))
-                if target > cap * (1.0 + 1e-12):
-                    raise EnvelopeError(
-                        f"density {target:.6e} exceeds envelope cap {cap:.6e} at beta={beta:.4f}"
-                    )
-                if rngs[i].uniform() * cap <= target:
-                    betas[i], outputs[i] = beta, output
-                else:
-                    still_pending.append(i)
-        pending = still_pending
-        if not pending:
+        normals = np.array([rngs[i].normal(0.0, sigma, size=2) for i in pending])
+        candidates = normals.view(complex).ravel()
+        stack = np.concatenate(
+            [
+                _transfer_apply(q, candidates[start : start + _RADIAL_BLOCK], psi)
+                for start in range(0, pending.size, _RADIAL_BLOCK)
+            ]
+        )
+        targets = np.sum(np.abs(stack) ** 2, axis=1)
+        tails = np.divide(
+            np.abs(stack[:, -1]) ** 2, targets, out=np.zeros_like(targets), where=targets > 0.0
+        )
+        over = tails > TAIL_MASS_THRESHOLD
+        heavy += int(np.count_nonzero(over))
+        worst_tail = max(worst_tail, float(np.max(tails, initial=0.0, where=over)))
+        # hypot rounds like abs() of a Python complex
+        caps = bound * _envelope_density(q, np.hypot(normals[:, 0], normals[:, 1]) ** 2)
+        broken = np.flatnonzero(targets > caps * (1.0 + 1e-12))
+        if broken.size:
+            i = broken[0]
+            raise EnvelopeError(
+                f"density {targets[i]:.6e} exceeds envelope cap {caps[i]:.6e} "
+                f"at beta={candidates[i]:.4f}"
+            )
+        uniforms = np.array([rngs[i].uniform() for i in pending])
+        accept = uniforms * caps <= targets
+        betas[pending[accept]] = candidates[accept]
+        outputs[pending[accept]] = stack[accept]
+        pending = pending[~accept]
+        if not pending.size:
             return betas, outputs, heavy, worst_tail
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 

@@ -16,6 +16,7 @@ the polarization budget across q, optionally beside its quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -60,6 +61,15 @@ _RADIAL_EXPONENT_SPAN = 40.0
 _RADIAL_NODES = 128
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_RADIAL_NODES``-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _polar_grid(q: float) -> tuple[np.ndarray, np.ndarray]:
     """Radial nodes and their r dr weights for q; raises where the edge bites."""
     radius = math.sqrt(_RADIAL_EXPONENT_SPAN / (1.0 - q * q))
@@ -69,7 +79,7 @@ def _polar_grid(q: float) -> tuple[np.ndarray, np.ndarray]:
             f"quadrature grid cannot hold q = {q:g}: "
             f"edge envelope {edge:.3e} > {_GRID_EDGE_TOLERANCE:g}"
         )
-    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    nodes, weights = _legendre_rule()
     r = 0.5 * radius * (nodes + 1.0)
     return r, 0.5 * radius * weights * r
 

@@ -64,7 +64,9 @@ class OutputTable:
         for line in text.splitlines():
             if line.startswith("#"):
                 meta_lines.append(line.lstrip("#").strip())
-            elif line.strip():
+            elif line.strip() or not body_lines or not body_lines[0]:
+                # the first line is the header even when blank; only a blank
+                # (zero-column) header makes blank lines zero-cell rows
                 body_lines.append(line)
         metadata = json.loads("\n".join(meta_lines)) if meta_lines else {}
         if not body_lines:

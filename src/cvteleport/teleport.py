@@ -29,6 +29,7 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_n_max,
+    _radial_displacement_stack,
     displacement_matrix,
     displacement_stack,
 )
@@ -118,6 +119,38 @@ def _transfer_stack(q: float, betas, cutoff: int) -> np.ndarray:
     disp = displacement_stack(betas, cutoff)
     weights = q ** np.arange(disp.shape[-1])
     return pref * ((disp * weights) @ disp.conj().transpose(0, 2, 1))
+
+
+def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:
+    """T_q(beta) psi for a 1-D batch of betas, shape (B, dim), without building T_q.
+
+    With beta = r u and R = diag(u^n), D(beta) = R D(r) R^dagger and D(r) is
+    real, so T_q(beta) psi = pref R D(r) W D(r)^T R^dagger psi: two real
+    matrix products between diagonal phases. Equal to ``_transfer_stack``
+    applied to psi up to rounding, not bit for bit.
+    """
+    betas = np.asarray(betas, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("transfer betas must be finite")
+    pref = math.sqrt((1.0 - q * q) / math.pi)
+    dim = psi.shape[-1]
+    re, im = betas.real, betas.imag
+    # the radius and unit phase as displacement_stack takes them; any phase serves at beta = 0
+    r = np.hypot(re, im)
+    zero = r == 0.0
+    safe_r = np.where(zero, 1.0, r)
+    u = np.where(zero, 1.0, re / safe_r + 1j * (im / safe_r))
+    ones = np.ones((betas.size, 1), dtype=complex)
+    phase = np.concatenate(
+        (ones, np.cumprod(np.broadcast_to(u[:, None], (betas.size, dim - 1)), 1)), 1
+    )
+    disp = _radial_displacement_stack(r, dim - 1)
+    # the complex vectors as (B, dim, 2) real pairs, so both products stay real
+    pairs = (phase.conj() * psi).view(float).reshape(betas.size, dim, 2)
+    pairs = disp.transpose(0, 2, 1) @ pairs
+    pairs *= (q ** np.arange(dim))[:, None]
+    out = (disp @ pairs).view(complex).reshape(betas.size, dim)
+    return pref * phase * out
 
 
 def teleport_output(

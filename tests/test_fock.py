@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -14,6 +14,7 @@ from cvteleport.errors import (
 )
 from cvteleport.fock import (
     StateVector,
+    _radial_displacement_stack,
     coherent_state,
     displacement_matrix,
     displacement_stack,
@@ -155,6 +156,19 @@ def test_displacement_stack_rows_match_single_builds(alphas, n_max):
     for row, alpha in zip(stack, batch):
         assert np.array_equal(row, displacement_stack([alpha], n_max)[0])
     assert np.array_equal(stack[len(alphas)], np.eye(n_max + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@seed(1969)
+@given(
+    radii=st.lists(st.floats(0.0, 7.0, allow_subnormal=False), min_size=1, max_size=6),
+    n_max=st.integers(1, 64),
+)
+def test_radial_stack_is_the_real_part_of_the_complex_build(radii, n_max):
+    batch = [*radii, 0.0, 1e-8, 7.0]
+    full = displacement_stack(batch, n_max)
+    assert not np.any(full.imag)
+    assert np.array_equal(_radial_displacement_stack(batch, n_max), full.real)
 
 
 def test_displacement_unitary_on_leading_block():

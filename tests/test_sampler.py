@@ -3,18 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
-from cvteleport.fock import StateVector, coherent_state, number_state
+from cvteleport.fock import StateVector, coherent_state, displacement_matrix, number_state
 from cvteleport.sampler import (
     CATEGORIES,
     OVERFLOW_COUNT,
     SamplerConfig,
     ShotRecord,
     ShotRunResult,
+    _ENVELOPE_SAFETY,
     _draw_counts,
     _envelope_bound,
     _envelope_density,
@@ -264,6 +265,34 @@ def test_envelope_bound_certifies_density_ratio():
             target = teleport_output(state, q, beta).norm_sq()
             cap = bound * float(_envelope_density(q, r * r))
             assert target <= cap * (1.0 + 1e-9)
+
+
+def _envelope_bound_one_radius_at_a_time(state, q):
+    """The envelope bound as a plain loop: one complex displacement per radius."""
+    a = 1.0 - q * q
+    n_max = state.n_max
+    weights = q ** (2.0 * np.arange(n_max + 1))
+    moduli_in = np.abs(state.amplitudes)
+    ratio_max = 0.0
+    for r in np.sqrt(np.linspace(0.0, (4.0 * (n_max + 1) + 120.0) / a, 2048)):
+        col = np.abs(displacement_matrix(-r, n_max)) @ moduli_in
+        majorant = (a / math.pi) * float(weights @ (col * col))
+        ratio_max = max(ratio_max, majorant / float(_envelope_density(q, r * r)))
+    return _ENVELOPE_SAFETY * ratio_max
+
+
+@settings(max_examples=15, deadline=None)
+@seed(SEED)
+@given(
+    q=st.floats(0.0, 0.95),
+    parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=17),
+)
+def test_envelope_bound_matches_one_radius_at_a_time(q, parts):
+    # cutoffs 1..16; the bulk bound must keep every bit of the per-radius loop
+    amplitudes = np.array([complex(x, y) for x, y in parts])
+    assume(np.vdot(amplitudes, amplitudes).real > 1e-6)
+    state = StateVector(amplitudes).unit()
+    assert _envelope_bound(state, q) == _envelope_bound_one_radius_at_a_time(state, q)
 
 
 def test_rejection_raises_on_broken_envelope():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cvteleport.errors import TruncationWarning
@@ -8,6 +8,7 @@ from cvteleport.fock import StateVector, displacement_matrix, number_state
 from cvteleport.statistics import conditional_beta_density
 from cvteleport.teleport import (
     _as_q,
+    _transfer_apply,
     _transfer_stack,
     end_to_end_projection,
     epr_state,
@@ -103,6 +104,27 @@ def test_transfer_stack_rows_are_hermitian(q, betas, n_max):
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
 
+_WIDE_BETA_PART = st.floats(-5.0, 5.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@seed(1857)
+@given(
+    q=st.floats(0.0, 0.95),
+    betas=st.lists(st.builds(complex, _WIDE_BETA_PART, _WIDE_BETA_PART), max_size=5),
+    n_max=st.integers(1, 48),
+    psi_seed=st.integers(0, 2**32 - 1),
+)
+def test_transfer_apply_matches_operator(q, betas, n_max, psi_seed):
+    psi = [1.0, 1j] @ np.random.default_rng(psi_seed).normal(size=(2, n_max + 1))
+    batch = [*betas, 0j, 1e-8j, 7.0, -7j, 7.0 * np.exp(2.5j)]
+    applied = _transfer_apply(q, batch, psi)
+    assert applied.shape == (len(batch), n_max + 1)
+    for row, beta in zip(applied, batch):
+        expected = transfer_operator(q, beta, n_max) @ psi
+        assert np.linalg.norm(row - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_displacement_commutation_with_raising_operator():
     # D(-b) a^dag = (a^dag + conj(b)) D(-b), the identity behind the closed form
     beta = 0.6 - 0.9j
@@ -165,6 +187,8 @@ def test_non_finite_beta_is_refused(bad):
         displacement_matrix(1.0 + bad * 1j, 4)
     with pytest.raises(ValueError, match="finite"):
         transfer_operator(0.5, bad, 4)
+    with pytest.raises(ValueError, match="finite"):
+        _transfer_apply(0.5, [0.3, bad], number_state(1, 4).amplitudes)
     with pytest.raises(ValueError, match="finite"):
         single_photon_beta_density(0.5, bad)
     with pytest.raises(ValueError, match="finite"):
