@@ -24,10 +24,10 @@ complex ``abs`` and division do not).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import CutoffViolationError, TruncationError, ZeroNormError
 
@@ -129,9 +129,9 @@ def number_state(n: int, cutoff: int) -> StateVector:
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Truncated coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    The exact Poisson mass above the cutoff is checked against
-    ``TAIL_MASS_THRESHOLD``; exceeding it raises TruncationError because the
-    requested state simply does not fit in the space.
+    The Poisson mass above the cutoff, 1 - ||truncated||^2, is checked
+    against ``TAIL_MASS_THRESHOLD``; exceeding it raises TruncationError
+    because the requested state simply does not fit in the space.
     """
     n_max = _as_n_max(cutoff)
     alpha = complex(alpha)
@@ -140,24 +140,63 @@ def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     if alpha == 0:
         return number_state(0, n_max)
     # log-domain magnitudes; phase applied as a unit complex power
-    logmag = -0.5 * x + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    logmag = -0.5 * x + n * np.log(abs(alpha)) - 0.5 * _log_factorials(n_max + 1)
     phase = np.concatenate(([1.0 + 0j], np.cumprod(np.full(n_max, alpha / abs(alpha)))))
-    amps = np.exp(logmag) * phase
-    # regularized lower incomplete gamma = Poisson mass strictly above n_max
-    tail = float(gammainc(n_max + 1, x))
+    state = StateVector(np.exp(logmag) * phase)
+    # the untruncated state has unit norm, so the rest is the mass above n_max
+    tail = 1.0 - state.norm_sq()
     if tail > TAIL_MASS_THRESHOLD:
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} leaves mass {tail:.3e} above "
             f"n_max={n_max} (tolerance {TAIL_MASS_THRESHOLD:g})"
         )
-    return StateVector(amps)
+    return state
+
+
+# Cephes lgam's Stirling-series coefficients in 1/x^2, for 13 <= x < 1000 and for x >= 1000
+_STIRLING_SERIES = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_STIRLING_SERIES_LARGE = (
+    7.9365079365079365079365e-4,
+    -2.7777777777777777777778e-3,
+    0.0833333333333333333333,
+)
+_LN_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(n: int) -> float:
+    """ln n! = ln Gamma(n + 1), rounded the way Cephes ``lgam`` rounds it."""
+    if n < 12:
+        return math.log(math.factorial(n))
+    x = n + 1.0
+    p = 1.0 / (x * x)
+    series = 0.0
+    for coefficient in _STIRLING_SERIES if x < 1000.0 else _STIRLING_SERIES_LARGE:
+        series = series * p + coefficient
+    return (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI + series / x
+
+
+@functools.lru_cache(maxsize=None)
+def _log_factorials(dim: int) -> np.ndarray:
+    """ln n! for n = 0 .. dim-1, read-only; equal to scipy's ``gammaln(n + 1)`` bit for bit."""
+    table = np.array([_log_factorial(n) for n in range(dim)])
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
 def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (j, k) with j + k < dim and their 0.5 (ln j! - ln (j+k)!)."""
+    """Index pairs (j, k) with j + k < dim and their 0.5 (ln j! - ln (j+k)!).
+
+    The pairs run j-major: row j holds k = 0 .. dim-1-j.
+    """
     j, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
-    lg = gammaln(np.arange(dim) + 1.0)
+    lg = _log_factorials(dim)
     half_log_ratio = 0.5 * (lg[j] - lg[j + k])
     for arr in (j, k, half_log_ratio):
         arr.setflags(write=False)
@@ -169,23 +208,36 @@ def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
 
     The element is sqrt(j!/(j+k)!) r^k e^{-r^2/2} L_j^{(k)}(r^2): the stable
     two-term recurrence in the Laguerre degree j runs once for the whole
-    batch and every diagonal k, and the prefactor is formed from log-gamma
-    differences, so large cutoffs never overflow.
+    batch, over the diagonals k < dim - j that degree j still reaches, and
+    writes each degree's values straight into its row of the triangle. The
+    prefactor is formed from log-gamma differences, so large cutoffs never
+    overflow.
     """
     x = r * r
-    # laguerre[b, j, k] = L_j^{(k)}(x_b), advanced in j for every k and b at once
+    # L_prev, L_cur hold L_{j-1}^{(k)}(x_b), L_j^{(k)}(x_b) for k < dim - j
     degree = np.arange(dim, dtype=float)
-    laguerre = np.empty((r.size, dim, dim))
+    out = np.empty((r.size, dim * (dim + 1) // 2))
     L_prev = np.zeros((r.size, dim))
     L_cur = np.ones((r.size, dim))  # L_0^{(k)} = 1 for every k
+    start = 0
     for j in range(dim):
-        laguerre[:, j] = L_cur
-        L_next = ((2 * j + 1 + degree - x[:, None]) * L_cur - (j + degree) * L_prev) / (j + 1)
-        L_prev, L_cur = L_cur, L_next
+        width = dim - j
+        out[:, start : start + width] = L_cur
+        start += width
+        if width == 1:
+            break
+        L_next = (2 * j + 1 + degree[: width - 1]) - x[:, None]
+        L_next *= L_cur[:, : width - 1]
+        L_next -= (j + degree[: width - 1]) * L_prev[:, : width - 1]
+        L_next /= j + 1
+        L_prev, L_cur = L_cur[:, : width - 1], L_next
 
-    j, k, half_log_ratio = _triangle(dim)
-    logmag = half_log_ratio + k * np.log(r)[:, None] - 0.5 * x[:, None]
-    return np.exp(logmag) * laguerre[:, j, k]
+    _, k, half_log_ratio = _triangle(dim)
+    logmag = np.multiply(k, np.log(r)[:, None])
+    logmag += half_log_ratio
+    logmag -= 0.5 * x[:, None]
+    out *= np.exp(logmag, out=logmag)
+    return out
 
 
 def displacement_stack(alphas, cutoff: int) -> np.ndarray:

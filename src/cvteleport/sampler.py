@@ -21,13 +21,14 @@ the envelope raises, never clips. This path needs numpy's normal sampler,
 so each shot seeds numpy's ``Philox`` directly with its derived key. All
 pending shots advance in lockstep rounds: each draws one candidate from its
 own stream, and the round's candidates apply T_q(beta) to the input in
-blocks of ``_RADIAL_BLOCK`` real displacements, never building a complex
-displacement or T_q matrix (T_q(r e^{i theta}) is the real T_q(r) between
-diagonal phases). A candidate's output has the target density as its
-squared norm, and the accepted output is the state the photon count is
-drawn from. Each stream is consumed in the same order as one shot at a time
-(candidate normals, accept uniform, then the count uniform), so records do
-not depend on the batching.
+batches of real displacements sized by ``teleport._batch_size`` (at least
+32, and 480 at cutoff 32), never building a complex displacement or T_q
+matrix (T_q(r e^{i theta}) is the real T_q(r) between diagonal phases). The
+envelope bound takes its radii in batches of the same size. A candidate's
+output has the target density as its squared norm, and the accepted output
+is the state the photon count is drawn from. Each stream is consumed in the
+same order as one shot at a time (candidate normals, accept uniform, then
+the count uniform), so records do not depend on the batching.
 
 Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
 shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
@@ -41,17 +42,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EnvelopeError, TruncationWarning, ZeroNormError
 from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
+    _log_factorials,
     _radial_displacement_stack,
     number_state,
 )
-from .teleport import _STACK_BLOCK, _as_q, _transfer_apply
+from .teleport import _as_q, _batch_size, _transfer_apply
 
 __all__ = [
     "MAX_SHOTS",
@@ -72,8 +73,6 @@ _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
-# real displacements per block: the bytes of _STACK_BLOCK complex ones
-_RADIAL_BLOCK = 2 * _STACK_BLOCK
 # shot indices must fit one 32-bit spawn-key word
 MAX_SHOTS = 2**32
 
@@ -333,9 +332,10 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     moduli_in = np.abs(input_state.amplitudes)
     t_hi = (4.0 * (n_max + 1) + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
+    batch = _batch_size(n_max + 1, 8)
     ratio_max = 0.0
-    for start in range(0, radii.size, _RADIAL_BLOCK):
-        block = radii[start : start + _RADIAL_BLOCK]
+    for start in range(0, radii.size, batch):
+        block = radii[start : start + batch]
         cols = np.abs(_radial_displacement_stack(block, n_max)) @ moduli_in
         # one 1-D dot per radius: a batched product rounds the sum differently
         majorants = (a / math.pi) * np.array([weights @ (col * col) for col in cols])
@@ -349,17 +349,18 @@ def _rejection_sample(
     """Accepted beta of every shot and its output T_q(beta)|psi>, one row each.
 
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
-    candidate, and the round's candidates apply T_q to psi in blocks of
-    ``_RADIAL_BLOCK``; then each pending shot draws its accept uniform, so a
-    shot's stream sees the same draws as it would alone. The proposal makes
-    (1-q^2)|beta|^2 a chi-square variable with two degrees of freedom, so a
-    candidate reaches the far tail where the density underflows (exponent
-    690) with probability e^-345. Also returns how many candidate outputs
-    leave a relative tail mass above ``TAIL_MASS_THRESHOLD`` at the cutoff,
-    and the worst such mass.
+    candidate, and the round's candidates apply T_q to psi in batches of
+    ``teleport._batch_size`` real displacements; then each pending shot
+    draws its accept uniform, so a shot's stream sees the same draws as it
+    would alone. The proposal makes (1-q^2)|beta|^2 a chi-square variable
+    with two degrees of freedom, so a candidate reaches the far tail where
+    the density underflows (exponent 690) with probability e^-345. Also
+    returns how many candidate outputs leave a relative tail mass above
+    ``TAIL_MASS_THRESHOLD`` at the cutoff, and the worst such mass.
     """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
     psi = unit_state.amplitudes
+    batch = _batch_size(psi.size, 8)
     betas = np.empty(len(rngs), dtype=complex)
     outputs = np.empty((len(rngs), psi.size), dtype=complex)
     heavy, worst_tail = 0, 0.0
@@ -369,8 +370,8 @@ def _rejection_sample(
         candidates = normals.view(complex).ravel()
         stack = np.concatenate(
             [
-                _transfer_apply(q, candidates[start : start + _RADIAL_BLOCK], psi)
-                for start in range(0, pending.size, _RADIAL_BLOCK)
+                _transfer_apply(q, candidates[start : start + batch], psi)
+                for start in range(0, pending.size, batch)
             ]
         )
         targets = np.sum(np.abs(stack) ** 2, axis=1)
@@ -431,7 +432,7 @@ def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.
     if np.any(pos):
         tp, sp = t[pos], s[pos]
         bracket = a * (1.0 - q) * tp[:, None] + q * (n[None, :] - sp[:, None])
-        log_radial = (n[None, :] - 1.0) * np.log(sp)[:, None] - gammaln(n + 1.0)[None, :]
+        log_radial = (n[None, :] - 1.0) * np.log(sp)[:, None] - _log_factorials(n_max + 1)
         weights[pos] = envelope[pos, None] * np.exp(log_radial) * bracket**2
         weights[pos, 0] = envelope[pos] * (1.0 - q) ** 2 * tp
     if np.any(~pos):

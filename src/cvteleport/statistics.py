@@ -29,6 +29,7 @@ from .tables import OutputTable
 from .teleport import (
     _STACK_BLOCK,
     _as_q,
+    _batch_size,
     _transfer_stack,
     single_photon_beta_density,
 )
@@ -155,15 +156,20 @@ def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
     By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
     e^{-i theta n} and Parseval's identity the angular integral is exact,
     int dtheta |<n|T(r e^{i theta})|psi>|^2 = 2 pi sum_m |T_nm(r)|^2 |psi_m|^2,
-    so only the radial nodes are summed, ``_STACK_BLOCK`` operators at a time.
+    so only the radial nodes are summed. The operators are built in batches
+    of ``teleport._batch_size`` (the whole grid at cutoff 32) and summed
+    ``_STACK_BLOCK`` nodes at a time, whatever the batch.
     """
     radii, weights = _polar_grid(q)
     dim = _as_n_max(cutoff) + 1
+    batch = _batch_size(dim, 16)
     out = np.zeros((dim, dim))
-    for start in range(0, radii.size, _STACK_BLOCK):
-        block = slice(start, start + _STACK_BLOCK)
-        t_r = _transfer_stack(q, radii[block], cutoff)
-        out += np.einsum("b,bnm->nm", (2.0 * math.pi) * weights[block], np.abs(t_r) ** 2)
+    for start in range(0, radii.size, batch):
+        t_r = _transfer_stack(q, radii[start : start + batch], cutoff)
+        for offset in range(0, t_r.shape[0], _STACK_BLOCK):
+            block = slice(start + offset, start + offset + _STACK_BLOCK)
+            t_block = t_r[offset : offset + _STACK_BLOCK]
+            out += np.einsum("b,bnm->nm", (2.0 * math.pi) * weights[block], np.abs(t_block) ** 2)
     return out
 
 

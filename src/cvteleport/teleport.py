@@ -53,8 +53,20 @@ DENSITY_UNDERFLOW_EXPONENT = 300.0 * math.log(10.0)
 # truncation diagnostic.
 _EPR_DEFECT_THRESHOLD = 1e-8
 
-# matrices per displacement or T_q stack (see _transfer_stack); bounds their peak memory
+# T_q matrices per quadrature sum (see statistics._photon_transfer_matrix)
 _STACK_BLOCK = 16
+# bytes of one (B, dim, dim) array in a batch of displacement or T_q matrices
+_BATCH_BYTES = 4 << 20
+
+
+def _batch_size(dim: int, itemsize: int) -> int:
+    """(dim, dim) matrices of ``itemsize``-byte entries per batch.
+
+    The batch is a whole number of blocks of ``_STACK_BLOCK`` complex
+    matrices' bytes: as many blocks as ``_BATCH_BYTES`` holds, at least one.
+    """
+    block_bytes = _STACK_BLOCK * 16 * dim * dim
+    return max(1, _BATCH_BYTES // block_bytes) * block_bytes // (itemsize * dim * dim)
 
 
 def _as_q(q: float) -> float:
@@ -117,8 +129,11 @@ def _transfer_stack(q: float, betas, cutoff: int) -> np.ndarray:
     """Matrices of T_q(beta) for a 1-D batch of betas, shape (B, dim, dim)."""
     pref = math.sqrt((1.0 - q * q) / math.pi)
     disp = displacement_stack(betas, cutoff)
-    weights = q ** np.arange(disp.shape[-1])
-    return pref * ((disp * weights) @ disp.conj().transpose(0, 2, 1))
+    adjoint = disp.conj().transpose(0, 2, 1)
+    disp *= q ** np.arange(disp.shape[-1])
+    out = disp @ adjoint
+    out *= pref
+    return out
 
 
 def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:

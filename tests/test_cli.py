@@ -235,6 +235,26 @@ def test_sample_finishes_near_ideal_entanglement():
     assert len(OutputTable.from_csv(proc.stdout).rows) == 3
 
 
+def test_package_runs_without_scipy():
+    # numpy is the only run-time dependency; scipy serves the tests alone
+    src = Path(cvteleport.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import sys\n"
+        "from cvteleport import SamplerConfig, coherent_state, run_shots\n"
+        "from cvteleport.cli import main\n"
+        "assert main(['polarization']) == 0\n"
+        "run_shots(SamplerConfig(master_seed=0, shots=20, q=0.5,"
+        " input_state=coherent_state(0.5, 24)))\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class _ClosedPipeStdout:
     """Mimics stdout whose reader has gone away."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammainc, gammaln
 
 from cvteleport.errors import (
     CutoffViolationError,
@@ -13,8 +14,11 @@ from cvteleport.errors import (
     ZeroNormError,
 )
 from cvteleport.fock import (
+    TAIL_MASS_THRESHOLD,
     StateVector,
+    _log_factorials,
     _radial_displacement_stack,
+    _radial_magnitudes,
     coherent_state,
     displacement_matrix,
     displacement_stack,
@@ -109,6 +113,30 @@ def test_coherent_state_rejects_heavy_tail():
         coherent_state(2.5, 8)
 
 
+def test_coherent_tail_matches_incomplete_gamma():
+    # the tail 1 - ||truncated||^2 against the Poisson mass above the cutoff,
+    # the regularized lower incomplete gamma P(n_max + 1, |alpha|^2)
+    for n_max in range(1, 80):
+        for r in np.linspace(0.0, 12.0, 241)[1:]:
+            alpha = r * np.exp(1j * r)
+            exact = float(gammainc(n_max + 1, r * r))
+            try:
+                state = coherent_state(alpha, n_max)
+            except TruncationError:
+                assert exact > TAIL_MASS_THRESHOLD, (n_max, r)
+                continue
+            assert exact <= TAIL_MASS_THRESHOLD, (n_max, r)
+            assert abs((1.0 - state.norm_sq()) - exact) <= 1e-13, (n_max, r)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 12, 13, 14, 999, 1000, 1001, 2000])
+def test_log_factorials_match_gammaln_bitwise(dim):
+    table = _log_factorials(dim)
+    assert table is _log_factorials(dim)
+    assert not table.flags.writeable
+    assert np.array_equal(table, gammaln(np.arange(dim) + 1.0))
+
+
 @pytest.mark.parametrize("alpha", [0.5, -1.2, 0.3 + 0.8j, 2.0, 1j])
 def test_displacement_matches_matrix_exponential(alpha):
     # independent oracle: expm of the truncated generator, leading block only
@@ -169,6 +197,23 @@ def test_radial_stack_is_the_real_part_of_the_complex_build(radii, n_max):
     full = displacement_stack(batch, n_max)
     assert not np.any(full.imag)
     assert np.array_equal(_radial_displacement_stack(batch, n_max), full.real)
+
+
+@settings(max_examples=40, deadline=None)
+@seed(1857)
+@given(
+    parts=st.lists(
+        st.lists(st.floats(1e-8, 12.0, allow_subnormal=False), min_size=1, max_size=40),
+        min_size=1,
+        max_size=4,
+    ),
+    dim=st.integers(1, 65),
+)
+def test_radial_magnitudes_do_not_depend_on_the_batch(parts, dim):
+    whole = _radial_magnitudes(np.concatenate(parts), dim)
+    assert whole.shape == (sum(map(len, parts)), dim * (dim + 1) // 2)
+    split = np.concatenate([_radial_magnitudes(np.array(part), dim) for part in parts])
+    assert np.array_equal(whole, split)
 
 
 def test_displacement_unitary_on_leading_block():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -10,6 +10,7 @@ from cvteleport.errors import GridMismatchError, NoCrossingError, ZeroNormError
 from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
     PhotonDistribution,
+    _photon_transfer_matrix,
     _polar_grid,
     conditional_beta_density,
     crossing_radius,
@@ -19,7 +20,7 @@ from cvteleport.statistics import (
     squeezing_db_to_q,
     sweep_q,
 )
-from cvteleport.teleport import single_photon_beta_density, transfer_operator
+from cvteleport.teleport import _transfer_stack, single_photon_beta_density, transfer_operator
 
 
 @pytest.mark.parametrize(
@@ -87,6 +88,25 @@ def test_grid_construction_and_validation():
     # near q = 1 the fixed radial extent no longer contains the integrand
     with pytest.raises(GridMismatchError):
         _polar_grid(0.995)
+
+
+def _per_block_transfer_matrix(q, cutoff):
+    """M built 16 radial nodes at a time, one T_q stack per block."""
+    radii, weights = _polar_grid(q)
+    out = np.zeros((cutoff + 1, cutoff + 1))
+    for start in range(0, radii.size, 16):
+        block = slice(start, start + 16)
+        t_r = _transfer_stack(q, radii[block], cutoff)
+        out += np.einsum("b,bnm->nm", (2.0 * math.pi) * weights[block], np.abs(t_r) ** 2)
+    return out
+
+
+@settings(max_examples=4, deadline=None)
+@seed(1969)
+@given(q=st.floats(0.0, 0.98))
+@pytest.mark.parametrize("cutoff", [2, 32, 48])
+def test_transfer_matrix_does_not_depend_on_the_batch(cutoff, q):
+    assert np.array_equal(_photon_transfer_matrix(q, cutoff), _per_block_transfer_matrix(q, cutoff))
 
 
 def test_distribution_guards():

@@ -125,6 +125,18 @@ def test_transfer_apply_matches_operator(q, betas, n_max, psi_seed):
         assert np.linalg.norm(row - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+@settings(max_examples=10, deadline=None)
+@seed(1857)
+@given(q=st.floats(0.0, 0.95), n_max=st.integers(1, 40), beta_seed=st.integers(0, 2**32 - 1))
+def test_transfer_apply_does_not_depend_on_the_batch(q, n_max, beta_seed):
+    rng = np.random.default_rng(beta_seed)
+    betas = [1.0, 1j] @ rng.normal(0.0, 3.0, size=(2, 300))
+    betas[:3] = 0.0, 1e-8j, 7.0
+    psi = [1.0, 1j] @ rng.normal(size=(2, n_max + 1))
+    blocks = [_transfer_apply(q, betas[start : start + 32], psi) for start in range(0, 300, 32)]
+    assert np.array_equal(_transfer_apply(q, betas, psi), np.concatenate(blocks))
+
+
 def test_displacement_commutation_with_raising_operator():
     # D(-b) a^dag = (a^dag + conj(b)) D(-b), the identity behind the closed form
     beta = 0.6 - 0.9j
