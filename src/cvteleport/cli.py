@@ -94,6 +94,13 @@ def _q_range(text: str) -> np.ndarray:
     return values
 
 
+def _radial_range(text: str) -> np.ndarray:
+    values = parse_range_spec(text)
+    if values[0] < 0.0:
+        raise argparse.ArgumentTypeError(f"radial range must start at |beta| >= 0, got {text!r}")
+    return values
+
+
 def _write_output(text: str, out: str) -> int:
     if out == "-":
         sys.stdout.write(text)
@@ -285,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "range_text"):
             args.range = parse_range_spec(args.range_text)
         if hasattr(args, "radial_range_text"):
-            args.radial_range = parse_range_spec(args.radial_range_text)
+            args.radial_range = _radial_range(args.radial_range_text)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     if getattr(args, "cutoff", 1) < 1:

@@ -10,13 +10,16 @@ core. ``_radial_magnitudes`` runs the two-term associated-Laguerre
 recurrence once for a whole batch of radii along diagonals of fixed
 ``m - n`` and assembles the prefactors in the log domain over the index
 triangle, so no factorial ratio is ever formed directly. Since
-<m|D(r e^{i theta})|n> = e^{i (m-n) theta} <m|D(r)|n>, the core serves two
-builds: ``displacement_stack`` multiplies it by the unit phases of complex
-alphas, and ``_radial_displacement_stack`` gives the real D(r) of real
-radii, equal to the real part of the complex build bit for bit.
+<m|D(r u)|n> = u^m <m|D(r)|n> conj(u)^n for a unit phase u, the core serves
+two builds. ``_radial_displacement_stack`` gives the real D(r) of real
+radii, which every transfer product in the package runs on, with a complex
+beta entering only as the unit-phase powers u^n of ``_polar`` outside the
+product. ``displacement_stack`` multiplies the core by the same phases for
+the complex D(alpha) of the projection route, the measurement eigenstate
+and the closed forms; its real part is the real build bit for bit.
 ``displacement_matrix`` is a complex batch of one. Every row is
-bit-identical to a single build of the same alpha: |alpha| is taken with
-``np.hypot`` and the unit phase componentwise as ``re/r + 1j*(im/r)``,
+bit-identical to a single build of the same alpha: ``_polar`` takes |alpha|
+with ``np.hypot`` and the unit phase componentwise as ``re/r + 1j*(im/r)``,
 which round exactly like Python's ``abs(alpha)`` and ``alpha / r`` (numpy's
 complex ``abs`` and division do not).
 """
@@ -240,51 +243,33 @@ def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def displacement_stack(alphas, cutoff: int) -> np.ndarray:
-    """Matrices <m|D(alpha)|n> for a 1-D batch of alphas, shape (B, dim, dim).
+def _polar(alphas, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii |alpha| and unit-phase powers u^n, n < dim, of a 1-D batch of finite alphas.
 
-    For m >= n the element is sqrt(n!/m!) alpha^{m-n} e^{-|a|^2/2}
-    L_n^{(m-n)}(|a|^2); for m < n the same expression applies after swapping
-    indices and alpha -> -conj(alpha). The radial core comes from
-    ``_radial_magnitudes`` and the phases u^k and (-conj(u))^k from
-    cumulative products of the unit phase u. D(-alpha) equals D(alpha)^dagger
-    bit for bit by this construction, and alpha = 0 gives exactly the
-    identity.
+    Shapes (B,) and (B, dim), with u = 1 at alpha = 0. |alpha| is taken with
+    ``np.hypot`` and u componentwise as ``re/r + 1j*(im/r)``, which round
+    exactly like Python's ``abs(alpha)`` and ``alpha / r``; the powers are
+    cumulative products of u.
     """
-    dim = _as_n_max(cutoff) + 1
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(alphas)):
-        raise ValueError("displacement alphas must be finite")
+        raise ValueError("displacement amplitudes must be finite")
     re, im = alphas.real, alphas.imag
-    # hypot and the componentwise unit phase round exactly like abs(alpha)
-    # and alpha / abs(alpha) on a Python complex
     r = np.hypot(re, im)
     zero = r == 0.0
-    r = np.where(zero, 1.0, r)  # alpha = 0 rows become the identity below
-    u = re / r + 1j * (im / r)
-    # unit phases u^k and (-conj(u))^k via cumulative products (exact conj symmetry)
-    ones = np.ones((alphas.size, 1), dtype=complex)
-    steps = (alphas.size, dim - 1)
-    lower_phase = np.concatenate((ones, np.cumprod(np.broadcast_to(u[:, None], steps), 1)), 1)
-    upper_phase = np.concatenate(
-        (ones, np.cumprod(np.broadcast_to(-np.conj(u)[:, None], steps), 1)), 1
-    )
-
-    j, k, _ = _triangle(dim)
-    mag = _radial_magnitudes(r, dim)
-    out = np.zeros((alphas.size, dim, dim), dtype=complex)
-    out[:, j + k, j] = mag * lower_phase[:, k]
-    out[:, j, j + k] = mag * upper_phase[:, k]
-    out[zero] = np.eye(dim)
-    return out
+    safe_r = np.where(zero, 1.0, r)
+    u = np.where(zero, 1.0, re / safe_r + 1j * (im / safe_r))
+    steps = np.broadcast_to(u[:, None], (alphas.size, dim - 1))
+    phase = np.concatenate((np.ones((alphas.size, 1), dtype=complex), np.cumprod(steps, 1)), 1)
+    return r, phase
 
 
 def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
     """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
 
-    The core of ``displacement_stack`` without its phases: the magnitudes
-    below the diagonal, (-1)^(n-m) times them above it, and the identity at
-    r = 0. Equal to ``displacement_stack(radii, cutoff).real`` bit for bit.
+    The magnitudes of ``_radial_magnitudes`` below the diagonal, (-1)^(n-m)
+    times them above it, and the identity at r = 0. Equal to
+    ``displacement_stack(radii, cutoff).real`` bit for bit.
     """
     dim = _as_n_max(cutoff) + 1
     r = np.asarray(radii, dtype=float).reshape(-1)
@@ -294,6 +279,31 @@ def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
     out = np.zeros((r.size, dim, dim))
     out[:, j + k, j] = mag
     out[:, j, j + k] = np.where(k % 2, -mag, mag)
+    out[zero] = np.eye(dim)
+    return out
+
+
+def displacement_stack(alphas, cutoff: int) -> np.ndarray:
+    """Matrices <m|D(alpha)|n> for a 1-D batch of alphas, shape (B, dim, dim).
+
+    For m >= n the element is sqrt(n!/m!) alpha^{m-n} e^{-|a|^2/2}
+    L_n^{(m-n)}(|a|^2); for m < n the same expression applies after swapping
+    indices and alpha -> -conj(alpha). The radial core comes from
+    ``_radial_magnitudes``, |alpha| and the phases u^k below the diagonal from
+    ``_polar``, and the phases above it are (-conj(u))^k = (-1)^k conj(u^k).
+    D(-alpha) equals D(alpha)^dagger bit for bit by this construction, and
+    alpha = 0 gives exactly the identity.
+    """
+    dim = _as_n_max(cutoff) + 1
+    r, phase = _polar(alphas, dim)
+    zero = r == 0.0
+    upper_phase = phase.conj()
+    np.negative(upper_phase[:, 1::2], out=upper_phase[:, 1::2])
+    j, k, _ = _triangle(dim)
+    mag = _radial_magnitudes(np.where(zero, 1.0, r), dim)
+    out = np.zeros((r.size, dim, dim), dtype=complex)
+    out[:, j + k, j] = mag * phase[:, k]
+    out[:, j, j + k] = mag * upper_phase[:, k]
     out[zero] = np.eye(dim)
     return out
 

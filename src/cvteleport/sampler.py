@@ -21,9 +21,9 @@ the envelope raises, never clips. This path needs numpy's normal sampler,
 so each shot seeds numpy's ``Philox`` directly with its derived key. All
 pending shots advance in lockstep rounds: each draws one candidate from its
 own stream, and the round's candidates apply T_q(beta) to the input in
-batches of real displacements sized by ``teleport._batch_size`` (at least
-32, and 480 at cutoff 32), never building a complex displacement or T_q
-matrix (T_q(r e^{i theta}) is the real T_q(r) between diagonal phases). The
+batches of ``teleport._batch_size`` real displacements D(r) (at least 32,
+and 480 at cutoff 32) through ``teleport._transfer_apply``, which keeps the
+unit phases of beta outside the real product and builds no T_q matrix. The
 envelope bound takes its radii in batches of the same size. A candidate's
 output has the target density as its squared norm, and the accepted output
 is the state the photon count is drawn from. Each stream is consumed in the
@@ -332,7 +332,7 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     moduli_in = np.abs(input_state.amplitudes)
     t_hi = (4.0 * (n_max + 1) + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
-    batch = _batch_size(n_max + 1, 8)
+    batch = _batch_size(n_max + 1)
     ratio_max = 0.0
     for start in range(0, radii.size, batch):
         block = radii[start : start + batch]
@@ -360,7 +360,7 @@ def _rejection_sample(
     """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
     psi = unit_state.amplitudes
-    batch = _batch_size(psi.size, 8)
+    batch = _batch_size(psi.size)
     betas = np.empty(len(rngs), dtype=complex)
     outputs = np.empty((len(rngs), psi.size), dtype=complex)
     heavy, worst_tail = 0, 0.0

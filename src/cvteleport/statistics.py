@@ -26,13 +26,7 @@ import numpy as np
 from .errors import GridMismatchError, NoCrossingError
 from .fock import StateVector, _as_n_max, _as_unit, number_state
 from .tables import OutputTable
-from .teleport import (
-    _STACK_BLOCK,
-    _as_q,
-    _batch_size,
-    _transfer_stack,
-    single_photon_beta_density,
-)
+from .teleport import _as_q, _batch_size, _transfer_stack, single_photon_beta_density
 
 __all__ = [
     "PhotonDistribution",
@@ -156,21 +150,19 @@ def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
     By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
     e^{-i theta n} and Parseval's identity the angular integral is exact,
     int dtheta |<n|T(r e^{i theta})|psi>|^2 = 2 pi sum_m |T_nm(r)|^2 |psi_m|^2,
-    so only the radial nodes are summed. The operators are built in batches
-    of ``teleport._batch_size`` (the whole grid at cutoff 32) and summed
-    ``_STACK_BLOCK`` nodes at a time, whatever the batch.
+    so only the radial nodes are summed. The real T_q(r) are built in batches
+    of ``teleport._batch_size`` (the whole grid at cutoff 32), and each batch
+    is summed by one product of the weights with the squared entries.
     """
     radii, weights = _polar_grid(q)
     dim = _as_n_max(cutoff) + 1
-    batch = _batch_size(dim, 16)
-    out = np.zeros((dim, dim))
+    batch = _batch_size(dim)
+    out = np.zeros(dim * dim)
     for start in range(0, radii.size, batch):
-        t_r = _transfer_stack(q, radii[start : start + batch], cutoff)
-        for offset in range(0, t_r.shape[0], _STACK_BLOCK):
-            block = slice(start + offset, start + offset + _STACK_BLOCK)
-            t_block = t_r[offset : offset + _STACK_BLOCK]
-            out += np.einsum("b,bnm->nm", (2.0 * math.pi) * weights[block], np.abs(t_block) ** 2)
-    return out
+        block = slice(start, start + batch)
+        t_r = _transfer_stack(q, radii[block], cutoff)
+        out += ((2.0 * math.pi) * weights[block]) @ (t_r * t_r).reshape(-1, dim * dim)
+    return out.reshape(dim, dim)
 
 
 def _photon_distribution(probabilities: np.ndarray) -> PhotonDistribution:

@@ -9,9 +9,12 @@ operator
 
     T_q(beta) = sqrt((1-q^2)/pi) D(beta) q^{n} D(-beta),
 
-which is hermitian and, at beta = 0, exactly diagonal. For a single-photon
-input the output has a closed form (a displaced two-term superposition) and
-the measurement-outcome density over beta is
+which is hermitian and, at beta = 0, exactly diagonal. With beta = r u,
+r >= 0 and |u| = 1, it is the real T_q(r) between unit phases,
+T_q(beta)[n, m] = u^n T_q(r)[n, m] conj(u)^m, and every route here builds or
+applies it that way. For a single-photon input the output has a closed form
+(a displaced two-term superposition) and the measurement-outcome density
+over beta is
 
     P_q(beta) = ((1-q^2)/pi) e^{-(1-q^2)|beta|^2} ((1-q^2)^2 |beta|^2 + q^2).
 """
@@ -29,9 +32,9 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_n_max,
+    _polar,
     _radial_displacement_stack,
     displacement_matrix,
-    displacement_stack,
 )
 
 __all__ = [
@@ -53,20 +56,14 @@ DENSITY_UNDERFLOW_EXPONENT = 300.0 * math.log(10.0)
 # truncation diagnostic.
 _EPR_DEFECT_THRESHOLD = 1e-8
 
-# T_q matrices per quadrature sum (see statistics._photon_transfer_matrix)
-_STACK_BLOCK = 16
-# bytes of one (B, dim, dim) array in a batch of displacement or T_q matrices
+# bytes of one (B, dim, dim) batch of real displacement or T_q matrices
 _BATCH_BYTES = 4 << 20
 
 
-def _batch_size(dim: int, itemsize: int) -> int:
-    """(dim, dim) matrices of ``itemsize``-byte entries per batch.
-
-    The batch is a whole number of blocks of ``_STACK_BLOCK`` complex
-    matrices' bytes: as many blocks as ``_BATCH_BYTES`` holds, at least one.
-    """
-    block_bytes = _STACK_BLOCK * 16 * dim * dim
-    return max(1, _BATCH_BYTES // block_bytes) * block_bytes // (itemsize * dim * dim)
+def _batch_size(dim: int) -> int:
+    """Real (dim, dim) matrices per batch: as many whole blocks of 32 as
+    ``_BATCH_BYTES`` holds, at least one block (480 at cutoff 32)."""
+    return 32 * max(1, _BATCH_BYTES // (32 * 8 * dim * dim))
 
 
 def _as_q(q: float) -> float:
@@ -110,61 +107,50 @@ def transfer_operator(
     cutoff: int,
 ) -> np.ndarray:
     """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta), a read-only
-    (dim, dim) complex array; row 0 of ``_transfer_stack``.
+    (dim, dim) complex array.
 
-    Hermitian to rounding only: D(-beta) is never built, the product is
-    formed as D W D^dagger from D(beta) alone, and its two off-diagonal halves
-    come from separate sums that may differ in the last bits (``verify``
-    bounds the defect at 1e-12). At beta = 0 the matrix is exactly diagonal
-    with entries sqrt((1-q^2)/pi) q^n.
+    With beta = r u and R = diag(u^n), D(beta) = R D(r) R^dagger, so T_q(beta)
+    is the real T_q(r) of ``_transfer_stack`` times the unit phases
+    u^n conj(u)^m. Those phases are hermitian exactly; T_q(r) is symmetric to
+    rounding only, as its two off-diagonal halves come from separate sums
+    that may differ in the last bits (``verify`` bounds the defect at 1e-12).
+    At beta = 0 the matrix is exactly diagonal with entries
+    sqrt((1-q^2)/pi) q^n.
     """
     q = _as_q(q)
-    beta = complex(beta)
-    mat = _transfer_stack(q, [beta], cutoff)[0]
+    dim = _as_n_max(cutoff) + 1
+    r, phase = _polar([beta], dim)
+    mat = _transfer_stack(q, r, cutoff)[0] * np.outer(phase[0], phase[0].conj())
     mat.setflags(write=False)
     return mat
 
 
-def _transfer_stack(q: float, betas, cutoff: int) -> np.ndarray:
-    """Matrices of T_q(beta) for a 1-D batch of betas, shape (B, dim, dim)."""
-    pref = math.sqrt((1.0 - q * q) / math.pi)
-    disp = displacement_stack(betas, cutoff)
-    adjoint = disp.conj().transpose(0, 2, 1)
-    disp *= q ** np.arange(disp.shape[-1])
-    out = disp @ adjoint
-    out *= pref
+def _transfer_stack(q: float, radii, cutoff: int) -> np.ndarray:
+    """Real matrices T_q(r) = pref D(r) W D(r)^T for a 1-D batch of radii r >= 0,
+    shape (B, dim, dim), with W = diag(q^n) and pref = sqrt((1-q^2)/pi)."""
+    disp = _radial_displacement_stack(radii, cutoff)
+    out = (disp * q ** np.arange(disp.shape[-1])) @ disp.transpose(0, 2, 1)
+    out *= math.sqrt((1.0 - q * q) / math.pi)
     return out
 
 
 def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:
     """T_q(beta) psi for a 1-D batch of betas, shape (B, dim), without building T_q.
 
-    With beta = r u and R = diag(u^n), D(beta) = R D(r) R^dagger and D(r) is
-    real, so T_q(beta) psi = pref R D(r) W D(r)^T R^dagger psi: two real
-    matrix products between diagonal phases. Equal to ``_transfer_stack``
-    applied to psi up to rounding, not bit for bit.
+    With beta = r u and R = diag(u^n) from ``fock._polar``, T_q(beta) psi =
+    pref R D(r) W D(r)^T R^dagger psi: two real matrix products on the real
+    D(r) between the unit phases. Equal to ``transfer_operator`` applied to
+    psi up to rounding, not bit for bit.
     """
-    betas = np.asarray(betas, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(betas)):
-        raise ValueError("transfer betas must be finite")
     pref = math.sqrt((1.0 - q * q) / math.pi)
     dim = psi.shape[-1]
-    re, im = betas.real, betas.imag
-    # the radius and unit phase as displacement_stack takes them; any phase serves at beta = 0
-    r = np.hypot(re, im)
-    zero = r == 0.0
-    safe_r = np.where(zero, 1.0, r)
-    u = np.where(zero, 1.0, re / safe_r + 1j * (im / safe_r))
-    ones = np.ones((betas.size, 1), dtype=complex)
-    phase = np.concatenate(
-        (ones, np.cumprod(np.broadcast_to(u[:, None], (betas.size, dim - 1)), 1)), 1
-    )
+    r, phase = _polar(betas, dim)
     disp = _radial_displacement_stack(r, dim - 1)
     # the complex vectors as (B, dim, 2) real pairs, so both products stay real
-    pairs = (phase.conj() * psi).view(float).reshape(betas.size, dim, 2)
+    pairs = (phase.conj() * psi).view(float).reshape(r.size, dim, 2)
     pairs = disp.transpose(0, 2, 1) @ pairs
     pairs *= (q ** np.arange(dim))[:, None]
-    out = (disp @ pairs).view(complex).reshape(betas.size, dim)
+    out = (disp @ pairs).view(complex).reshape(r.size, dim)
     return pref * phase * out
 
 
@@ -173,12 +159,13 @@ def teleport_output(
     q: float,
     beta: complex,
 ) -> StateVector:
-    """Unnormalized conditional output T_q(beta) |input>.
+    """Unnormalized conditional output T_q(beta) |input>, by the kernel the
+    sampler applies (``_transfer_apply``).
 
     The squared norm of the result is the outcome density at beta. A
     relative tail mass above ``TAIL_MASS_THRESHOLD`` emits a TruncationWarning.
     """
-    out = StateVector(transfer_operator(q, beta, input_state.n_max) @ input_state.amplitudes)
+    out = StateVector(_transfer_apply(_as_q(q), [beta], input_state.amplitudes)[0])
     if out.tail_mass() > TAIL_MASS_THRESHOLD:
         warnings.warn(
             f"teleport_output: relative tail mass {out.tail_mass():.3e} exceeds "

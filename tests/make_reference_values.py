@@ -1,0 +1,74 @@
+"""Print the literals of ``test_reference_values.py`` from exact formulas.
+
+The values come from mpmath at 40 significant digits and share no code with
+the package:
+
+- T_q(beta)[n, m] from the finite normal-order sum
+  T_q(beta) = sqrt((1-q^2)/pi) e^{-(1-q)|beta|^2} e^{c a^dag} q^{a^dag a} e^{conj(c) a},
+  c = (1-q) beta (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), whose
+  element is a sum over k <= min(n, m) and has no cutoff;
+- the photon-transfer matrix M[n, m] from unit-gain teleportation as a pure
+  loss of transmissivity eta = 1/G followed by an amplifier of gain
+  G = 2/(1+q) (Garcia-Patron et al., PRL 108, 110505 (2012)).
+
+Needs mpmath, which the package does not depend on. Run it by hand and paste
+its output over the literals:
+
+    python tests/make_reference_values.py
+"""
+
+import mpmath as mp
+
+mp.mp.dps = 40
+
+QS = ("0.0", "0.3", "0.5")
+BETAS = ((0.3, -0.2), (-1.2, 0.7), (2.0, 0.5))
+SIZE = 4
+
+
+def transfer_entry(q, beta, n: int, m: int):
+    c = (1 - q) * beta
+
+    def e(row: int, k: int):
+        return c ** (row - k) * mp.sqrt(mp.factorial(row) / mp.factorial(k)) / mp.factorial(row - k)
+
+    pref = mp.sqrt((1 - q * q) / mp.pi) * mp.exp(-(1 - q) * abs(beta) ** 2)
+    return pref * mp.fsum(e(n, k) * q**k * mp.conj(e(m, k)) for k in range(min(n, m) + 1))
+
+
+def loss_gain_entry(q, n: int, m: int):
+    gain = 2 / (1 + q)
+    eta = 1 / gain
+    return mp.fsum(
+        mp.binomial(m, k) * eta**k * (1 - eta) ** (m - k)
+        * mp.binomial(n, k) * gain ** -(k + 1) * (1 - 1 / gain) ** (n - k)
+        for k in range(min(n, m) + 1)
+    )
+
+
+def main() -> None:
+    print("TRANSFER = {")
+    for q_text in QS:
+        q = mp.mpf(q_text)
+        for re, im in BETAS:
+            # the floats as written, so the test feeds the kernel the same beta
+            beta = mp.mpc(mp.mpf(re), mp.mpf(im))
+            print(f"    ({q_text}, {complex(re, im)!r}): [")
+            for n in range(SIZE):
+                row = [repr(complex(transfer_entry(q, beta, n, m))) for m in range(SIZE)]
+                print(f"        [{row[0]}, {row[1]},\n         {row[2]}, {row[3]}],")
+            print("    ],")
+    print("}")
+    print("PHOTON_TRANSFER = {")
+    for q_text in QS:
+        q = mp.mpf(q_text)
+        print(f"    {q_text}: [")
+        for n in range(SIZE):
+            row = ", ".join(repr(float(loss_gain_entry(q, n, m))) for m in range(SIZE))
+            print(f"        [{row}],")
+        print("    ],")
+    print("}")
+
+
+if __name__ == "__main__":
+    main()

@@ -171,6 +171,7 @@ def test_verify_fast_passes(capsys):
         ["beta-density", "--q", "-0.1"],
         ["conditional", "--radial-range", "0:2"],
         ["conditional", "--radial-range", "0:2:-1"],
+        ["conditional", "--radial-range=-1:0:0.5"],
         ["loss-gain", "--q-range", "0:1.2:0.1"],
         ["nonsense"],
         ["photon-stats", "--q", "0.995"],

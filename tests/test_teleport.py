@@ -100,7 +100,11 @@ _BETA_PART = st.floats(-4.0, 4.0, allow_subnormal=False)
     n_max=st.integers(1, 40),
 )
 def test_transfer_stack_rows_are_hermitian(q, betas, n_max):
-    for mat in _transfer_stack(q, betas, n_max):
+    # the real T_q(|beta|) is symmetric, and T_q(beta) with its phases hermitian
+    for mat in _transfer_stack(q, np.abs(betas), n_max):
+        assert np.max(np.abs(mat - mat.T)) < 1e-12
+    for beta in betas:
+        mat = transfer_operator(q, beta, n_max)
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
 
@@ -193,8 +197,9 @@ def test_density_is_phase_invariant():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_non_finite_beta_is_refused(bad):
-    # every operator route displaces through displacement_stack, and the
-    # conditional densities go through single_photon_beta_density
+    # displacement_stack and the transfer kernels take |beta| and its phases
+    # from fock._polar, and the conditional densities go through
+    # single_photon_beta_density
     with pytest.raises(ValueError, match="finite"):
         displacement_matrix(1.0 + bad * 1j, 4)
     with pytest.raises(ValueError, match="finite"):
