@@ -3,6 +3,9 @@
 The values come from mpmath at 40 significant digits and share no code with
 the package:
 
+- D(alpha)[m, n] from the finite normal-order sum
+  e^{-|alpha|^2/2} sum_{k <= min(m, n)} sqrt(m! n!) alpha^{m-k} (-conj(alpha))^{n-k}
+  / (k! (m-k)! (n-k)!) of D(alpha) = e^{-|alpha|^2/2} e^{alpha a^dag} e^{-conj(alpha) a};
 - T_q(beta)[n, m] from the finite normal-order sum
   T_q(beta) = sqrt((1-q^2)/pi) e^{-(1-q)|beta|^2} e^{c a^dag} q^{a^dag a} e^{conj(c) a},
   c = (1-q) beta (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), whose
@@ -26,6 +29,21 @@ BETAS = ((0.3, -0.2), (-1.2, 0.7), (2.0, 0.5))
 SIZE = 4
 
 
+def displacement_entry(alpha, m: int, n: int):
+    return mp.exp(-abs(alpha) ** 2 / 2) * mp.fsum(
+        mp.sqrt(mp.factorial(m) * mp.factorial(n))
+        * alpha ** (m - k) * (-mp.conj(alpha)) ** (n - k)
+        / (mp.factorial(k) * mp.factorial(m - k) * mp.factorial(n - k))
+        for k in range(min(m, n) + 1)
+    )
+
+
+def print_block(entry) -> None:
+    for n in range(SIZE):
+        row = [repr(complex(entry(n, m))) for m in range(SIZE)]
+        print(f"        [{row[0]}, {row[1]},\n         {row[2]}, {row[3]}],")
+
+
 def transfer_entry(q, beta, n: int, m: int):
     c = (1 - q) * beta
 
@@ -47,16 +65,20 @@ def loss_gain_entry(q, n: int, m: int):
 
 
 def main() -> None:
+    # the floats as written, so the tests feed the kernels the same beta
+    betas = [(complex(re, im), mp.mpc(mp.mpf(re), mp.mpf(im))) for re, im in BETAS]
+    print("DISPLACEMENT = {")
+    for key, beta in betas:
+        print(f"    {key!r}: [")
+        print_block(lambda m, n: displacement_entry(beta, m, n))
+        print("    ],")
+    print("}")
     print("TRANSFER = {")
     for q_text in QS:
         q = mp.mpf(q_text)
-        for re, im in BETAS:
-            # the floats as written, so the test feeds the kernel the same beta
-            beta = mp.mpc(mp.mpf(re), mp.mpf(im))
-            print(f"    ({q_text}, {complex(re, im)!r}): [")
-            for n in range(SIZE):
-                row = [repr(complex(transfer_entry(q, beta, n, m))) for m in range(SIZE)]
-                print(f"        [{row[0]}, {row[1]},\n         {row[2]}, {row[3]}],")
+        for key, beta in betas:
+            print(f"    ({q_text}, {key!r}): [")
+            print_block(lambda n, m: transfer_entry(q, beta, n, m))
             print("    ],")
     print("}")
     print("PHOTON_TRANSFER = {")
