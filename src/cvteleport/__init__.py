@@ -14,7 +14,6 @@ from .fock import (
     StateVector,
     coherent_state,
     displacement_matrix,
-    displacement_stack,
     number_state,
 )
 from .polarization import (

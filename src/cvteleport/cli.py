@@ -35,6 +35,9 @@ __all__ = ["main", "build_parser", "parse_range_spec"]
 
 _DEFAULT_CUTOFF = 32
 
+# the most float64 points an array can hold
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 def parse_range_spec(spec: str) -> np.ndarray:
     """Parse 'start:end:step' into an inclusive grid.
@@ -55,7 +58,10 @@ def parse_range_spec(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"step must be > 0, got {step}")
     if end < start:
         raise argparse.ArgumentTypeError(f"range end {end} below start {start}")
-    count = int(math.floor((end - start) / step + 1e-9))
+    span = (end - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"range {spec!r} has too many points for an array")
+    count = int(math.floor(span))
     return start + step * np.arange(count + 1)
 
 

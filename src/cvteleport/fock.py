@@ -5,23 +5,14 @@ cutoff ``n_max``, a plain int >= 1 (dimension ``n_max + 1``). States are
 complex amplitude vectors; operators are plain read-only (dim, dim)
 complex arrays.
 
-Displacement matrices come from one batched kernel with a real radial
-core. ``_radial_magnitudes`` runs the two-term associated-Laguerre
-recurrence once for a whole batch of radii along diagonals of fixed
-``m - n`` and assembles the prefactors in the log domain over the index
-triangle, so no factorial ratio is ever formed directly. Since
-<m|D(r u)|n> = u^m <m|D(r)|n> conj(u)^n for a unit phase u, the core serves
-two builds. ``_radial_displacement_stack`` gives the real D(r) of real
-radii, which every transfer product in the package runs on, with a complex
-beta entering only as the unit-phase powers u^n of ``_polar`` outside the
-product. ``displacement_stack`` multiplies the core by the same phases for
-the complex D(alpha) of the projection route, the measurement eigenstate
-and the closed forms; its real part is the real build bit for bit.
-``displacement_matrix`` is a complex batch of one. Every row is
-bit-identical to a single build of the same alpha: ``_polar`` takes |alpha|
-with ``np.hypot`` and the unit phase componentwise as ``re/r + 1j*(im/r)``,
-which round exactly like Python's ``abs(alpha)`` and ``alpha / r`` (numpy's
-complex ``abs`` and division do not).
+Displacement matrices have one build. ``_radial_magnitudes`` runs the
+two-term associated-Laguerre recurrence once for a whole batch of radii along
+diagonals of fixed ``m - n`` and assembles the prefactors in the log domain
+over the index triangle, so no factorial ratio is ever formed directly.
+``_radial_displacement_stack`` scatters them into the real D(r). A complex
+alpha = r u enters only through the unit-phase powers u^n of ``_polar``, since
+<m|D(r u)|n> = u^{m-n} <m|D(r)|n>: the transfer products keep them outside a
+real product, and ``displacement_matrix`` puts them on the diagonals of D(r).
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ __all__ = [
     "number_state",
     "coherent_state",
     "displacement_matrix",
-    "displacement_stack",
     "TAIL_MASS_THRESHOLD",
 ]
 
@@ -142,10 +132,10 @@ def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     x = abs(alpha) ** 2
     if alpha == 0:
         return number_state(0, n_max)
-    # log-domain magnitudes; phase applied as a unit complex power
+    # log-domain magnitudes times the unit-phase powers u^n
     logmag = -0.5 * x + n * np.log(abs(alpha)) - 0.5 * _log_factorials(n_max + 1)
-    phase = np.concatenate(([1.0 + 0j], np.cumprod(np.full(n_max, alpha / abs(alpha)))))
-    state = StateVector(np.exp(logmag) * phase)
+    _, phase = _polar([alpha], n_max + 1)
+    state = StateVector(np.exp(logmag) * phase[0])
     # the untruncated state has unit norm, so the rest is the mass above n_max
     tail = 1.0 - state.norm_sq()
     if tail > TAIL_MASS_THRESHOLD:
@@ -249,18 +239,19 @@ def _polar(alphas, dim: int) -> tuple[np.ndarray, np.ndarray]:
     Shapes (B,) and (B, dim), with u = 1 at alpha = 0. |alpha| is taken with
     ``np.hypot`` and u componentwise as ``re/r + 1j*(im/r)``, which round
     exactly like Python's ``abs(alpha)`` and ``alpha / r``; the powers are
-    cumulative products of u.
+    cumulative products of u. The one source of unit-phase powers.
     """
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(alphas)):
+    if not np.isfinite(alphas).all():
         raise ValueError("displacement amplitudes must be finite")
     re, im = alphas.real, alphas.imag
     r = np.hypot(re, im)
     zero = r == 0.0
     safe_r = np.where(zero, 1.0, r)
-    u = np.where(zero, 1.0, re / safe_r + 1j * (im / safe_r))
-    steps = np.broadcast_to(u[:, None], (alphas.size, dim - 1))
-    phase = np.concatenate((np.ones((alphas.size, 1), dtype=complex), np.cumprod(steps, 1)), 1)
+    phase = np.empty((alphas.size, dim), dtype=complex)
+    phase[:, 0] = 1.0
+    phase[:, 1:] = np.where(zero, 1.0, re / safe_r + 1j * (im / safe_r))[:, None]
+    np.cumprod(phase[:, 1:], axis=1, out=phase[:, 1:])
     return r, phase
 
 
@@ -268,8 +259,8 @@ def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
     """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
 
     The magnitudes of ``_radial_magnitudes`` below the diagonal, (-1)^(n-m)
-    times them above it, and the identity at r = 0. Equal to
-    ``displacement_stack(radii, cutoff).real`` bit for bit.
+    times them above it, and the identity at r = 0. The one scatter of
+    displacement entries.
     """
     dim = _as_n_max(cutoff) + 1
     r = np.asarray(radii, dtype=float).reshape(-1)
@@ -283,35 +274,20 @@ def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def displacement_stack(alphas, cutoff: int) -> np.ndarray:
-    """Matrices <m|D(alpha)|n> for a 1-D batch of alphas, shape (B, dim, dim).
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """The displacement operator D(alpha), a read-only (dim, dim) complex array.
 
     For m >= n the element is sqrt(n!/m!) alpha^{m-n} e^{-|a|^2/2}
     L_n^{(m-n)}(|a|^2); for m < n the same expression applies after swapping
-    indices and alpha -> -conj(alpha). The radial core comes from
-    ``_radial_magnitudes``, |alpha| and the phases u^k below the diagonal from
-    ``_polar``, and the phases above it are (-conj(u))^k = (-1)^k conj(u^k).
-    D(-alpha) equals D(alpha)^dagger bit for bit by this construction, and
-    alpha = 0 gives exactly the identity.
+    indices and alpha -> -conj(alpha). With alpha = r u this is the real D(r)
+    with u^k on the diagonal m - n = k and conj(u^k) on n - m = k. D(-alpha)
+    equals D(alpha)^dagger bit for bit, and alpha = 0 gives exactly the identity.
     """
     dim = _as_n_max(cutoff) + 1
-    r, phase = _polar(alphas, dim)
-    zero = r == 0.0
-    upper_phase = phase.conj()
-    np.negative(upper_phase[:, 1::2], out=upper_phase[:, 1::2])
+    r, phase = _polar([alpha], dim)
     j, k, _ = _triangle(dim)
-    mag = _radial_magnitudes(np.where(zero, 1.0, r), dim)
-    out = np.zeros((r.size, dim, dim), dtype=complex)
-    out[:, j + k, j] = mag * phase[:, k]
-    out[:, j, j + k] = mag * upper_phase[:, k]
-    out[zero] = np.eye(dim)
-    return out
-
-
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """The displacement operator D(alpha), a read-only (dim, dim) complex
-    array; row 0 of ``displacement_stack``."""
-    mat = displacement_stack([alpha], cutoff)[0]
+    mat = _radial_displacement_stack(r, cutoff)[0].astype(complex)
+    mat[j + k, j] *= phase[0, k]
+    mat[j, j + k] *= phase[0, k].conj()
     mat.setflags(write=False)
     return mat
-

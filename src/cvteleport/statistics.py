@@ -208,6 +208,9 @@ def _conditional_densities(q: float, beta: complex) -> tuple[float, float, float
     q = _as_q(q)
     beta = complex(beta)
     total = single_photon_beta_density(q, beta)
+    if total == 0.0:
+        # the three parts are non-negative and sum to the total
+        return total, 0.0, 0.0, 0.0
     a = 1.0 - q * q
     t = abs(beta) ** 2
     envelope = (a / math.pi) * math.exp(-2.0 * (1.0 - q) * t)

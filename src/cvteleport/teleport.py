@@ -51,6 +51,9 @@ __all__ = [
 # e^{-(1-q^2)|beta|^2} < 1e-300 marks the density as an exact 0 (see
 # single_photon_beta_density); 300*ln(10) in the exponent.
 DENSITY_UNDERFLOW_EXPONENT = 300.0 * math.log(10.0)
+# |beta| whose square stays finite; every q < 1 has 1-q^2 > 1e-17, so past it
+# (1-q^2)|beta|^2 exceeds the exponent above and the density is 0 anyway
+_SQUARABLE_RADIUS = 1e150
 
 # EPR norm defect q^{2(n_max+1)} above which projection paths emit a
 # truncation diagnostic.
@@ -202,21 +205,23 @@ def single_photon_beta_density(q: float, beta: complex) -> float:
     """Outcome density for the single-photon input, evaluated in closed form.
 
     A non-finite beta raises ValueError. Where e^{-(1-q^2)|beta|^2} < 1e-300
-    the density is an exact 0 with a TruncationWarning, not a subnormal.
+    the density is an exact 0 with a TruncationWarning, not a subnormal; a
+    |beta| too large to square takes that branch before it is squared.
     """
     q = _as_q(q)
     beta = complex(beta)
     if not cmath.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
     a = 1.0 - q * q
-    t = abs(beta) ** 2
-    if a * t > DENSITY_UNDERFLOW_EXPONENT:
+    r = abs(beta)
+    if r > _SQUARABLE_RADIUS or a * r**2 > DENSITY_UNDERFLOW_EXPONENT:
         warnings.warn(
-            f"beta density underflows at |beta|^2 = {t:.4g} for q = {q:g}; returning 0",
+            f"beta density underflows at |beta| = {r:.4g} for q = {q:g}; returning 0",
             TruncationWarning,
             stacklevel=2,
         )
         return 0.0
+    t = r**2
     return (a / math.pi) * math.exp(-a * t) * (a * a * t + q * q)
 
 

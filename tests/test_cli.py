@@ -91,6 +91,18 @@ def test_conditional_evaluates_the_density_once_per_row(capsys):
     assert len(record) == 2
 
 
+def test_densities_past_the_squarable_radius_exit_zero(capsys):
+    with pytest.warns(TruncationWarning):
+        code, out = run_cli(capsys, "conditional", "--radial-range", "0:2e80:1e80")
+    assert code == 0
+    assert OutputTable.from_csv(out).rows[1:, 1:].tolist() == [[0.0] * 4] * 2
+    with pytest.warns(TruncationWarning):
+        code, out = run_cli(capsys, "beta-density", "--range=-1e160:1e160:1e160")
+    assert code == 0
+    rows = OutputTable.from_csv(out).rows
+    assert not np.any(rows[np.hypot(rows[:, 0], rows[:, 1]) > 0.0, 2])
+
+
 def test_polarization_sweep(capsys):
     code, out = run_cli(capsys, "polarization", "--q-range", "0:0.9:0.1", "--format", "json")
     assert code == 0
@@ -178,6 +190,7 @@ def test_verify_fast_passes(capsys):
         ["photon-stats", "--max-n", "-1"],
         ["sample", "--seed", "-1"],
         ["loss-gain", "--q-range", "nan:0.5:0.1"],
+        ["loss-gain", "--q-range", "0:0.5:1e-300"],
         ["beta-density", "--range", "0:inf:1"],
         ["sample", "--shots", "4294967297"],
         ["conditional", "--q", "half"],

@@ -21,7 +21,6 @@ from cvteleport.fock import (
     _radial_magnitudes,
     coherent_state,
     displacement_matrix,
-    displacement_stack,
     number_state,
 )
 from cvteleport.teleport import teleport_output
@@ -167,25 +166,6 @@ def test_displacement_at_zero_is_exact_identity():
         mat[0, 0] = 2.0
 
 
-_ALPHA_PART = st.one_of(
-    st.just(0.0), st.floats(-1e-8, 1e-8), st.floats(-7.0, 7.0, allow_subnormal=False)
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    alphas=st.lists(st.builds(complex, _ALPHA_PART, _ALPHA_PART), min_size=1, max_size=6),
-    n_max=st.integers(1, 64),
-)
-def test_displacement_stack_rows_match_single_builds(alphas, n_max):
-    batch = [*alphas, 0j, 1e-8j, 7.0]
-    stack = displacement_stack(batch, n_max)
-    assert stack.shape == (len(batch), n_max + 1, n_max + 1)
-    for row, alpha in zip(stack, batch):
-        assert np.array_equal(row, displacement_stack([alpha], n_max)[0])
-    assert np.array_equal(stack[len(alphas)], np.eye(n_max + 1))
-
-
 @settings(max_examples=60, deadline=None)
 @seed(1969)
 @given(
@@ -194,9 +174,11 @@ def test_displacement_stack_rows_match_single_builds(alphas, n_max):
 )
 def test_radial_stack_is_the_real_part_of_the_complex_build(radii, n_max):
     batch = [*radii, 0.0, 1e-8, 7.0]
-    full = displacement_stack(batch, n_max)
-    assert not np.any(full.imag)
-    assert np.array_equal(_radial_displacement_stack(batch, n_max), full.real)
+    stack = _radial_displacement_stack(batch, n_max)
+    for row, r in zip(stack, batch):
+        full = displacement_matrix(r, n_max)
+        assert not np.any(full.imag)
+        assert np.array_equal(row, full.real)
 
 
 @settings(max_examples=40, deadline=None)

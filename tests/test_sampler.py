@@ -96,6 +96,7 @@ def test_shot_record_lineage():
 
 
 @settings(max_examples=60, deadline=None)
+@seed(1969)
 @given(
     seed=st.integers(0, 2**130 - 1),
     start=st.integers(0, 2**32 - 16),
@@ -344,6 +345,7 @@ def _one_shot_at_a_time(state, q, bound, seed, shots):
 
 
 @settings(max_examples=30, deadline=None)
+@seed(1969)
 @given(
     q=st.floats(0.0, 0.9),
     parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=13),

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cvteleport.errors import GridMismatchError, NoCrossingError, ZeroNormError
+from cvteleport.errors import GridMismatchError, NoCrossingError, TruncationWarning, ZeroNormError
 from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
     PhotonDistribution,
@@ -144,6 +144,7 @@ def test_quadrature_masses_integrate_to_one():
 
 
 @settings(max_examples=25, deadline=None)
+@seed(1969)
 @given(
     alpha=st.floats(0.0, 2.0),
     phi=st.floats(0.0, 2.0 * math.pi),
@@ -169,6 +170,17 @@ def test_quadrature_matches_64_angle_rule(alpha, q):
         reference += (w * 2.0 * math.pi / 64) * (np.abs(out) ** 2).sum(axis=1)
     dist = photon_statistics_quadrature(state, q)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("beta_abs", [5e77, 1e160, 1e300])
+def test_densities_past_the_squarable_radius_are_zero_with_warning(beta_abs):
+    # |beta|^2 overflows a float past about 1.3e154, and the exact-transfer
+    # term squares a multiple of it again
+    for beta in (beta_abs, beta_abs * 1j):
+        with pytest.warns(TruncationWarning):
+            assert single_photon_beta_density(0.5, beta) == 0.0
+        with pytest.warns(TruncationWarning):
+            assert conditional_beta_density(0.5, beta) == (0.0, 0.0, 0.0)
 
 
 def test_conditional_densities_at_origin():

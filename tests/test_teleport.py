@@ -94,6 +94,7 @@ _BETA_PART = st.floats(-4.0, 4.0, allow_subnormal=False)
 
 
 @settings(max_examples=40, deadline=None)
+@seed(1969)
 @given(
     q=st.floats(0.0, 0.95),
     betas=st.lists(st.builds(complex, _BETA_PART, _BETA_PART), min_size=1, max_size=5),
@@ -197,7 +198,7 @@ def test_density_is_phase_invariant():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_non_finite_beta_is_refused(bad):
-    # displacement_stack and the transfer kernels take |beta| and its phases
+    # displacement_matrix and the transfer kernels take |beta| and its phases
     # from fock._polar, and the conditional densities go through
     # single_photon_beta_density
     with pytest.raises(ValueError, match="finite"):
