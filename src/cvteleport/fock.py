@@ -9,7 +9,8 @@ Displacement matrices have one build. ``_radial_magnitudes`` runs the
 two-term associated-Laguerre recurrence once for a whole batch of radii along
 diagonals of fixed ``m - n`` and assembles the prefactors in the log domain
 over the index triangle, so no factorial ratio is ever formed directly.
-``_radial_displacement_stack`` scatters them into the real D(r). A complex
+``_radial_displacement_stack`` scatters them into the real D(r), in a fresh
+array or in a workspace that a batch loop reuses. A complex
 alpha = r u enters only through the unit-phase powers u^n of ``_polar``, since
 <m|D(r u)|n> = u^{m-n} <m|D(r)|n>: the transfer products keep them outside a
 real product, and ``displacement_matrix`` puts them on the diagonals of D(r).
@@ -202,20 +203,25 @@ def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
     The element is sqrt(j!/(j+k)!) r^k e^{-r^2/2} L_j^{(k)}(r^2): the stable
     two-term recurrence in the Laguerre degree j runs once for the whole
     batch, over the diagonals k < dim - j that degree j still reaches, and
-    writes each degree's values straight into its row of the triangle. The
-    prefactor is formed from log-gamma differences, so large cutoffs never
-    overflow.
+    multiplies each degree's values straight into its row of the triangle.
+    The prefactor is formed from log-gamma differences, so large cutoffs
+    never overflow, and in the result array itself, so the result is the
+    only (B, T) array the build allocates.
     """
     x = r * r
+    _, k, half_log_ratio = _triangle(dim)
+    out = np.multiply(k, np.log(r)[:, None])
+    out += half_log_ratio
+    out -= 0.5 * x[:, None]
+    np.exp(out, out=out)
     # L_prev, L_cur hold L_{j-1}^{(k)}(x_b), L_j^{(k)}(x_b) for k < dim - j
     degree = np.arange(dim, dtype=float)
-    out = np.empty((r.size, dim * (dim + 1) // 2))
     L_prev = np.zeros((r.size, dim))
     L_cur = np.ones((r.size, dim))  # L_0^{(k)} = 1 for every k
     start = 0
     for j in range(dim):
         width = dim - j
-        out[:, start : start + width] = L_cur
+        out[:, start : start + width] *= L_cur
         start += width
         if width == 1:
             break
@@ -224,12 +230,6 @@ def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
         L_next -= (j + degree[: width - 1]) * L_prev[:, : width - 1]
         L_next /= j + 1
         L_prev, L_cur = L_cur[:, : width - 1], L_next
-
-    _, k, half_log_ratio = _triangle(dim)
-    logmag = np.multiply(k, np.log(r)[:, None])
-    logmag += half_log_ratio
-    logmag -= 0.5 * x[:, None]
-    out *= np.exp(logmag, out=logmag)
     return out
 
 
@@ -255,23 +255,27 @@ def _polar(alphas, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return r, phase
 
 
-def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
+def _radial_displacement_stack(radii: np.ndarray, cutoff: int, out=None) -> np.ndarray:
     """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
 
     The magnitudes of ``_radial_magnitudes`` below the diagonal, (-1)^(n-m)
     times them above it, and the identity at r = 0. The one scatter of
-    displacement entries.
+    displacement entries. The two scatters cover every entry, so the result
+    needs no zero fill. It is written into ``out[:B]`` when a float buffer
+    of shape (>= B, dim, dim) is given, so that a batch loop reuses one
+    workspace, and into a fresh array otherwise.
     """
     dim = _as_n_max(cutoff) + 1
     r = np.asarray(radii, dtype=float).reshape(-1)
     zero = r == 0.0
     j, k, _ = _triangle(dim)
     mag = _radial_magnitudes(np.where(zero, 1.0, r), dim)
-    out = np.zeros((r.size, dim, dim))
-    out[:, j + k, j] = mag
-    out[:, j, j + k] = np.where(k % 2, -mag, mag)
-    out[zero] = np.eye(dim)
-    return out
+    stack = np.empty((r.size, dim, dim)) if out is None else out[: r.size]
+    stack[:, j + k, j] = mag
+    mag *= np.where(k % 2, -1.0, 1.0)
+    stack[:, j, j + k] = mag
+    stack[zero] = np.eye(dim)
+    return stack
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:

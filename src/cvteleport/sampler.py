@@ -24,11 +24,14 @@ own stream, and the round's candidates apply T_q(beta) to the input in
 batches of ``teleport._batch_size`` real displacements D(r) (at least 32,
 and 480 at cutoff 32) through ``teleport._transfer_apply``, which keeps the
 unit phases of beta outside the real product and builds no T_q matrix. The
-envelope bound takes its radii in batches of the same size. A candidate's
-output has the target density as its squared norm, and the accepted output
-is the state the photon count is drawn from. Each stream is consumed in the
-same order as one shot at a time (candidate normals, accept uniform, then
-the count uniform), so records do not depend on the batching.
+envelope bound takes its radii in batches of the same size. Each of the two
+loops allocates one displacement workspace of a batch and builds every
+batch's D(r) in it, so no batch asks the allocator for fresh pages. A
+candidate's output has the target density as its squared norm, and the
+accepted output is the state the photon count is drawn from. Each stream
+is consumed in the same order as one shot at a time (candidate normals,
+accept uniform, then the count uniform), so records do not depend on the
+batching.
 
 Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
 shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
@@ -333,12 +336,15 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     t_hi = (4.0 * (n_max + 1) + 120.0) / a
     radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
     batch = _batch_size(n_max + 1)
+    work = np.empty((min(batch, radii.size), n_max + 1, n_max + 1))
     ratio_max = 0.0
     for start in range(0, radii.size, batch):
         block = radii[start : start + batch]
-        cols = np.abs(_radial_displacement_stack(block, n_max)) @ moduli_in
+        disp = _radial_displacement_stack(block, n_max, out=work)
+        cols = np.abs(disp, out=disp) @ moduli_in
         # one 1-D dot per radius: a batched product rounds the sum differently
-        majorants = (a / math.pi) * np.array([weights @ (col * col) for col in cols])
+        dots = np.fromiter(map(weights.dot, cols * cols), float, count=len(cols))
+        majorants = (a / math.pi) * dots
         ratio_max = max(ratio_max, float(np.max(majorants / _envelope_density(q, block * block))))
     return _ENVELOPE_SAFETY * ratio_max
 
@@ -361,6 +367,7 @@ def _rejection_sample(
     sigma = math.sqrt(1.0 / (1.0 - q * q))
     psi = unit_state.amplitudes
     batch = _batch_size(psi.size)
+    work = np.empty((min(batch, len(rngs)), psi.size, psi.size))
     betas = np.empty(len(rngs), dtype=complex)
     outputs = np.empty((len(rngs), psi.size), dtype=complex)
     heavy, worst_tail = 0, 0.0
@@ -370,7 +377,7 @@ def _rejection_sample(
         candidates = normals.view(complex).ravel()
         stack = np.concatenate(
             [
-                _transfer_apply(q, candidates[start : start + batch], psi)
+                _transfer_apply(q, candidates[start : start + batch], psi, work)
                 for start in range(0, pending.size, batch)
             ]
         )
@@ -406,12 +413,13 @@ def _draw_counts(weights: np.ndarray, totals: np.ndarray, u: np.ndarray) -> np.n
     Row i picks level n with probability weights[i, n] / max(totals[i], row
     sum) from the uniform u[i]; a total above the row sum is the untruncated
     norm, and the mass missing above the cutoff draws ``OVERFLOW_COUNT``.
+    The cumulative sums are taken in place, so ``weights`` is overwritten.
     """
-    cdf = np.cumsum(weights, axis=1)
+    cdf = np.cumsum(weights, axis=1, out=weights)
     if np.any(cdf[:, -1] == 0.0):
         raise ZeroNormError("cannot sample a photon count from a zero output state")
     draw = u * np.maximum(totals, cdf[:, -1])
-    counts = (cdf <= draw[:, None]).sum(axis=1)
+    counts = np.count_nonzero(cdf <= draw[:, None], axis=1)
     return np.where(counts >= weights.shape[1], OVERFLOW_COUNT, counts)
 
 
@@ -420,23 +428,31 @@ def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.
 
     Row per shot, column per n: (a/pi) e^{-2(1-q)t} s^{n-1}/n! *
     (a(1-q)t + q(n - s))^2 with t = |beta|^2, s = (1-q)^2 t. Matches the
-    amplitudes of the displaced two-term closed form exactly.
+    amplitudes of the displaced two-term closed form exactly. The weights are
+    built in two (B, dim) arrays, in place; rows with t = 0 are built at
+    t = 1 and then set to their own limit.
     """
     a = 1.0 - q * q
     t = np.abs(betas) ** 2
-    s = (1.0 - q) ** 2 * t
-    n = np.arange(n_max + 1, dtype=float)
-    envelope = (a / math.pi) * np.exp(-2.0 * (1.0 - q) * t)
-    weights = np.zeros((t.size, n_max + 1))
     pos = t > 0.0
-    if np.any(pos):
-        tp, sp = t[pos], s[pos]
-        bracket = a * (1.0 - q) * tp[:, None] + q * (n[None, :] - sp[:, None])
-        log_radial = (n[None, :] - 1.0) * np.log(sp)[:, None] - _log_factorials(n_max + 1)
-        weights[pos] = envelope[pos, None] * np.exp(log_radial) * bracket**2
-        weights[pos, 0] = envelope[pos] * (1.0 - q) ** 2 * tp
-    if np.any(~pos):
-        weights[~pos, 1] = (a / math.pi) * q * q
+    tp = np.where(pos, t, 1.0)
+    sp = (1.0 - q) ** 2 * tp
+    n = np.arange(n_max + 1, dtype=float)
+    envelope = (a / math.pi) * np.exp(-2.0 * (1.0 - q) * tp)
+    # the squared bracket, a(1-q)t + q(n - s)
+    bracket = np.subtract(n, sp[:, None])
+    bracket *= q
+    bracket += a * (1.0 - q) * tp[:, None]
+    bracket *= bracket
+    # s^{n-1}/n! from its logarithm, times the envelope and the squared bracket
+    weights = np.multiply(n - 1.0, np.log(sp)[:, None])
+    weights -= _log_factorials(n_max + 1)
+    np.exp(weights, out=weights)
+    weights *= envelope[:, None]
+    weights *= bracket
+    weights[:, 0] = envelope * (1.0 - q) ** 2 * tp
+    weights[~pos] = 0.0
+    weights[~pos, 1] = (a / math.pi) * q * q
     return weights
 
 

@@ -137,18 +137,20 @@ def _transfer_stack(q: float, radii, cutoff: int) -> np.ndarray:
     return out
 
 
-def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:
+def _transfer_apply(q: float, betas, psi: np.ndarray, work=None) -> np.ndarray:
     """T_q(beta) psi for a 1-D batch of betas, shape (B, dim), without building T_q.
 
     With beta = r u and R = diag(u^n) from ``fock._polar``, T_q(beta) psi =
     pref R D(r) W D(r)^T R^dagger psi: two real matrix products on the real
     D(r) between the unit phases. Equal to ``transfer_operator`` applied to
-    psi up to rounding, not bit for bit.
+    psi up to rounding, not bit for bit. D(r) is built in ``work`` when a
+    workspace is given (see ``fock._radial_displacement_stack``); the result
+    does not depend on it.
     """
     pref = math.sqrt((1.0 - q * q) / math.pi)
     dim = psi.shape[-1]
     r, phase = _polar(betas, dim)
-    disp = _radial_displacement_stack(r, dim - 1)
+    disp = _radial_displacement_stack(r, dim - 1, out=work)
     # the complex vectors as (B, dim, 2) real pairs, so both products stay real
     pairs = (phase.conj() * psi).view(float).reshape(r.size, dim, 2)
     pairs = disp.transpose(0, 2, 1) @ pairs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,10 +16,12 @@ from cvteleport.sampler import (
     SamplerConfig,
     ShotRecord,
     ShotRunResult,
+    _CHUNK,
     _ENVELOPE_SAFETY,
     _draw_counts,
     _envelope_bound,
     _envelope_density,
+    _invert_radial_cdf,
     _is_single_photon,
     _rejection_sample,
     _shot_generator,
@@ -223,6 +226,35 @@ def test_weight_matrix_matches_operator_amplitudes():
         # the two routes cancel differently near amplitude zeros; agreement
         # is absolute-tight, relative-loose there
         assert np.allclose(weights[row], direct, rtol=1e-7, atol=1e-11)
+
+
+def test_weight_matrix_rows_do_not_depend_on_the_batch():
+    # beta = 0 rows are set to their own limit; the rest must match rows built alone
+    q, n_max = 0.6, 32
+    betas = np.array([0.3 + 0.4j, 0j, 1.2 - 0.1j, 5.0 + 2.0j, 0j, 1e-3j])
+    weights = _single_photon_weight_matrix(q, betas, n_max)
+    rows = [_single_photon_weight_matrix(q, betas[i : i + 1], n_max)[0] for i in range(betas.size)]
+    assert np.array_equal(weights, np.array(rows))
+    vacuum = np.zeros(n_max + 1)
+    vacuum[1] = ((1.0 - q * q) / math.pi) * q * q
+    assert np.array_equal(weights[1], vacuum) and np.array_equal(weights[4], vacuum)
+
+
+def test_single_photon_counts_stay_within_three_weight_arrays():
+    # the weights are built in two (chunk, dim) arrays and summed in place
+    q, n_max = 0.5, 32
+    u = _stream_uniforms(SEED, 0, _CHUNK)
+    t = _invert_radial_cdf(u[:, 0], q)
+    betas = np.sqrt(t) * np.exp(2j * math.pi * u[:, 1])
+    a = 1.0 - q * q
+    totals = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
+    tracemalloc.start()
+    try:
+        _draw_counts(_single_photon_weight_matrix(q, betas, n_max), totals, u[:, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _CHUNK * (n_max + 1) * 8
 
 
 def test_shot_beta_follows_inverse_cdf():

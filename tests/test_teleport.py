@@ -142,6 +142,17 @@ def test_transfer_apply_does_not_depend_on_the_batch(q, n_max, beta_seed):
     assert np.array_equal(_transfer_apply(q, betas, psi), np.concatenate(blocks))
 
 
+def test_transfer_apply_reuses_a_workspace():
+    # a short batch after a full one sees a workspace holding stale D(r)
+    q, n_max = 0.5, 32
+    rng = np.random.default_rng(1969)
+    psi = [1.0, 1j] @ rng.normal(size=(2, n_max + 1))
+    work = np.empty((480, n_max + 1, n_max + 1))
+    for size in (480, 20):
+        betas = [1.0, 1j] @ rng.normal(0.0, 2.0, size=(2, size))
+        assert np.array_equal(_transfer_apply(q, betas, psi, work), _transfer_apply(q, betas, psi))
+
+
 def test_displacement_commutation_with_raising_operator():
     # D(-b) a^dag = (a^dag + conj(b)) D(-b), the identity behind the closed form
     beta = 0.6 - 0.9j
