@@ -38,7 +38,6 @@ from .statistics import (
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     squeezing_db_to_q,
-    sweep_q,
 )
 from .tables import OutputTable
 from .teleport import (

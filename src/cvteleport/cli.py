@@ -1,10 +1,13 @@
 """Command-line front end: figure data, Monte Carlo runs, verification.
 
 Subcommands: beta-density, photon-stats, loss-gain, conditional,
-polarization, sample, verify. Tables go to --out as CSV (RFC-4180 body,
-17-significant-digit floats) or JSON; '-' writes to stdout. --cutoff
-defaults to 32. Exit codes: 0 success, 1 verification failure, 2
-usage error, including a q the quadrature grid cannot hold.
+polarization, sample, verify. Each table subcommand builds its own table,
+the q sweeps with their optional quadrature columns and ``flag`` column
+included, and writes it to --out as CSV (RFC-4180 body,
+17-significant-digit floats) or JSON; '-' writes to stdout. The metadata
+carries the package version and the subcommand. --cutoff defaults to
+32. Exit codes: 0 success, 1 verification failure, 2 usage error,
+including a q the quadrature grid cannot hold or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -16,16 +19,16 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, polarization
 from .errors import GridMismatchError
 from .fock import number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
     _conditional_densities,
+    loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     single_photon_beta_density,
-    sweep_q,
 )
 from .tables import OutputTable
 from .teleport import _as_q
@@ -37,6 +40,9 @@ _DEFAULT_CUTOFF = 32
 
 # the most float64 points an array can hold
 _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+# closed-form vs quadrature disagreement that flags a sweep row
+_SWEEP_FLAG_TOLERANCE = 1e-6
 
 
 def parse_range_spec(spec: str) -> np.ndarray:
@@ -107,23 +113,27 @@ def _radial_range(text: str) -> np.ndarray:
     return values
 
 
-def _write_output(text: str, out: str) -> int:
-    if out == "-":
+def _write_table(args: argparse.Namespace, columns: list[str], rows, **metadata) -> int:
+    """Write one table to ``args.out`` in ``args.format``; 2 if the file cannot be written."""
+    table = OutputTable(
+        columns=columns,
+        rows=rows,
+        metadata={"version": __version__, "command": args.command, **metadata},
+    )
+    # the table holds its own copy; a caller's temporary array must not stay
+    # alive beside the text
+    del rows
+    text = table.serialize(args.format)
+    if args.out == "-":
         sys.stdout.write(text)
         return 0
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _base_metadata(**kwargs) -> dict:
-    meta = {"version": __version__}
-    meta.update(kwargs)
-    return meta
 
 
 def cmd_beta_density(args: argparse.Namespace) -> int:
@@ -132,12 +142,8 @@ def cmd_beta_density(args: argparse.Namespace) -> int:
     for x in axis:
         for y in axis:
             rows.append([float(x), float(y), single_photon_beta_density(args.q, complex(x, y))])
-    table = OutputTable(
-        columns=["x_minus", "y_plus", "density"],
-        rows=rows,
-        metadata=_base_metadata(command="beta-density", q=args.q, range=args.range_text),
-    )
-    return _write_output(table.serialize(args.format), args.out)
+    columns = ["x_minus", "y_plus", "density"]
+    return _write_table(args, columns, rows, q=args.q, range=args.range_text)
 
 
 def cmd_photon_stats(args: argparse.Namespace) -> int:
@@ -150,27 +156,57 @@ def cmd_photon_stats(args: argparse.Namespace) -> int:
         [float(n), photon_statistics_closed_form(args.q, n), float(dist.probabilities[n])]
         for n in range(args.max_n + 1)
     ]
-    closed_residual = 1.0 - sum(row[1] for row in rows)
-    table = OutputTable(
-        columns=["n", "probability", "probability_quadrature"],
-        rows=rows,
-        metadata=_base_metadata(
-            command="photon-stats",
-            q=args.q,
-            cutoff=cutoff,
-            residual_closed_form=closed_residual,
-            residual_quadrature=dist.residual,
-        ),
+    return _write_table(
+        args,
+        ["n", "probability", "probability_quadrature"],
+        rows,
+        q=args.q,
+        cutoff=cutoff,
+        residual_closed_form=1.0 - sum(row[1] for row in rows),
+        residual_quadrature=dist.residual,
     )
-    return _write_output(table.serialize(args.format), args.out)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    table = sweep_q(
-        args.quantity, args.q_range, with_quadrature=args.with_quadrature, cutoff=args.cutoff
+    """Tabulate a closed form across q; ``--with-quadrature`` adds the
+    quadrature columns and a ``flag`` of 1.0 where the two disagree beyond
+    1e-6."""
+    cutoff = args.cutoff
+    # command -> (column names, closed form, quadrature route); polarization's
+    # routes are looked up per call, where bench/spans.py patches them
+    names, closed_form, quadrature = {
+        "loss-gain": (
+            ["p_loss", "p_success", "p_gain"],
+            loss_gain_split,
+            lambda q: photon_statistics_quadrature(number_state(1, cutoff), q).loss_gain(),
+        ),
+        "polarization": (
+            ["p_trans", "p_flip", "p_zero", "p_multi"],
+            polarization.polarization_budget,
+            lambda q: polarization.polarization_budget_numerical(q, cutoff),
+        ),
+    }[args.command]
+    columns = ["q", *names]
+    if args.with_quadrature:
+        columns += [f"{name}_quad" for name in names] + ["flag"]
+    rows = []
+    for q in args.q_range.tolist():
+        closed = closed_form(q).as_tuple()
+        row = [q, *closed]
+        if args.with_quadrature:
+            quad = quadrature(q).as_tuple()
+            flag = float(max(abs(c - n) for c, n in zip(closed, quad)) > _SWEEP_FLAG_TOLERANCE)
+            row += [*quad, flag]
+        rows.append(row)
+    metadata = {"cutoff": cutoff} if args.with_quadrature else {}
+    return _write_table(
+        args,
+        columns,
+        rows,
+        q_range=args.q_range_text,
+        with_quadrature=args.with_quadrature,
+        **metadata,
     )
-    table.metadata.update(_base_metadata(command=args.command, q_range=args.q_range_text))
-    return _write_output(table.serialize(args.format), args.out)
 
 
 def cmd_conditional(args: argparse.Namespace) -> int:
@@ -179,14 +215,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
         beta = complex(float(r))
         total, p0, p1, p_ge2 = _conditional_densities(args.q, beta)
         rows.append([float(r), total, p1, p0, p_ge2])
-    table = OutputTable(
-        columns=["beta_abs", "total", "p_one", "p_zero", "p_ge2"],
-        rows=rows,
-        metadata=_base_metadata(
-            command="conditional", q=args.q, radial_range=args.radial_range_text
-        ),
-    )
-    return _write_output(table.serialize(args.format), args.out)
+    columns = ["beta_abs", "total", "p_one", "p_zero", "p_ge2"]
+    return _write_table(args, columns, rows, q=args.q, radial_range=args.radial_range_text)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -194,9 +224,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         master_seed=args.seed, shots=args.shots, q=args.q, input_state=number_state(1, args.cutoff)
     )
     result = run_shots(config)
-    table = OutputTable(
-        columns=["shot_index", "x_minus", "y_plus", "photon_count", "category_code"],
-        rows=np.column_stack(
+    return _write_table(
+        args,
+        ["shot_index", "x_minus", "y_plus", "photon_count", "category_code"],
+        np.column_stack(
             (
                 np.arange(args.shots),
                 result.betas.real,
@@ -205,17 +236,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 result.category_codes,
             )
         ),
-        metadata=_base_metadata(
-            command="sample",
-            q=args.q,
-            cutoff=args.cutoff,
-            seed=args.seed,
-            shots=args.shots,
-            counts=result.counts,
-            overflow=result.overflow,
-        ),
+        q=args.q,
+        cutoff=args.cutoff,
+        seed=args.seed,
+        shots=args.shots,
+        counts=result.counts,
+        overflow=result.overflow,
     )
-    return _write_output(table.serialize(args.format), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -232,13 +259,13 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="-", help="output path; '-' writes to stdout")
 
 
-def _add_sweep(commands, name: str, quantity: str, help_text: str) -> None:
+def _add_sweep(commands, name: str, help_text: str) -> None:
     sub = commands.add_parser(name, help=help_text)
     sub.add_argument("--q-range", dest="q_range_text", default="0:0.99:0.01")
     sub.add_argument("--with-quadrature", action="store_true")
     sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
-    sub.set_defaults(func=cmd_sweep, quantity=quantity)
+    sub.set_defaults(func=cmd_sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_photon_stats)
 
-    _add_sweep(commands, "loss-gain", "loss_gain", "loss/success/gain split swept over q")
+    _add_sweep(commands, "loss-gain", "loss/success/gain split swept over q")
 
     sub = commands.add_parser("conditional", help="joint photon-count/outcome densities vs |beta|")
     sub.add_argument("--q", type=_q_value, default=0.5)
@@ -270,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_conditional)
 
-    _add_sweep(
-        commands, "polarization", "polarization", "polarization outcome budget swept over q"
-    )
+    _add_sweep(commands, "polarization", "polarization outcome budget swept over q")
 
     sub = commands.add_parser("sample", help="seeded Monte Carlo shot list")
     sub.add_argument("--q", type=_q_value, default=0.5)

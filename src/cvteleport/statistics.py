@@ -1,4 +1,4 @@
-"""Output photon statistics, conditional densities, and q sweeps.
+"""Output photon statistics and conditional densities.
 
 Two independent routes to the output photon-number distribution exist side
 by side: polar quadrature over the measurement outcome beta and the closed
@@ -8,10 +8,9 @@ The angle is integrated exactly, so each q builds one photon-transfer
 matrix M[n, m], the output law of the number state |m>, and an input enters
 only through its photon-number populations. Where the grid's edge envelope
 exceeds 1e-14 (q above about 0.9915) it raises ``GridMismatchError``
-instead of truncating silently. The
-split into loss (n=0), success (n=1) and gain (n>=2) has the closed form
-(¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3)). ``sweep_q`` tabulates the split or
-the polarization budget across q, optionally beside its quadrature.
+instead of truncating silently. The split into loss (n=0), success (n=1)
+and gain (n>=2) has the closed form (¼(1-q^2), ¼(1+q+q^2+q^3),
+¼(2-q-q^3)).
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError
-from .fock import StateVector, _as_n_max, _as_unit, number_state
-from .tables import OutputTable
+from .fock import StateVector, _as_n_max, _as_unit
 from .teleport import _as_q, _batch_size, _transfer_stack, single_photon_beta_density
 
 __all__ = [
@@ -37,8 +35,6 @@ __all__ = [
     "conditional_beta_density",
     "crossing_radius",
     "squeezing_db_to_q",
-    "sweep_q",
-    "SWEEP_QUANTITIES",
 ]
 
 # Grid validity: the integrand envelope e^{-(1-q^2)R^2}(1+R^2) must be below
@@ -269,60 +265,3 @@ def squeezing_db_to_q(db: float) -> float:
         raise ValueError(f"squeezing level must be >= 0 dB, got {db}")
     return _as_q(math.tanh(db * math.log(10.0) / 20.0))
 
-
-SWEEP_QUANTITIES = ("loss_gain", "polarization")
-
-# closed-form vs quadrature disagreement that flags a sweep row
-_SWEEP_FLAG_TOLERANCE = 1e-6
-
-
-def sweep_q(
-    quantity: str,
-    q_values: np.ndarray,
-    with_quadrature: bool = False,
-    cutoff: int = 32,
-) -> OutputTable:
-    """Tabulate a closed-form quantity across q, optionally cross-checked.
-
-    With ``with_quadrature`` the table gains quadrature columns plus a
-    ``flag`` column set to 1.0 on any row where the two routes disagree
-    beyond 1e-6.
-    """
-    from .polarization import polarization_budget, polarization_budget_numerical
-
-    if quantity not in SWEEP_QUANTITIES:
-        raise ValueError(f"quantity must be one of {SWEEP_QUANTITIES}, got {quantity!r}")
-    cutoff = _as_n_max(cutoff)
-    q_values = [_as_q(q) for q in q_values]
-
-    # quantity -> (column names, closed form, quadrature route), each route
-    # returning an object with as_tuple()
-    names, closed_form, quadrature = {
-        "loss_gain": (
-            ["p_loss", "p_success", "p_gain"],
-            loss_gain_split,
-            lambda q: photon_statistics_quadrature(number_state(1, cutoff), q).loss_gain(),
-        ),
-        "polarization": (
-            ["p_trans", "p_flip", "p_zero", "p_multi"],
-            polarization_budget,
-            lambda q: polarization_budget_numerical(q, cutoff),
-        ),
-    }[quantity]
-    columns = ["q", *names]
-    if with_quadrature:
-        columns += [f"{name}_quad" for name in names] + ["flag"]
-    rows = []
-    for q in q_values:
-        closed = closed_form(q).as_tuple()
-        row = [q, *closed]
-        if with_quadrature:
-            quad = quadrature(q).as_tuple()
-            flag = float(max(abs(c - n) for c, n in zip(closed, quad)) > _SWEEP_FLAG_TOLERANCE)
-            row += [*quad, flag]
-        rows.append(row)
-
-    metadata = {"quantity": quantity, "with_quadrature": with_quadrature}
-    if with_quadrature:
-        metadata["cutoff"] = cutoff
-    return OutputTable(columns=columns, rows=rows, metadata=metadata)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import cvteleport
 from cvteleport.cli import main, parse_range_spec
 from cvteleport.errors import TruncationWarning
+from cvteleport.statistics import loss_gain_split, squeezing_db_to_q
 from cvteleport.tables import OutputTable
 
 
@@ -69,6 +73,67 @@ def test_loss_gain_sweep(capsys):
     assert np.allclose(arr[:, 1:].sum(axis=1), 1.0, atol=1e-12)
     # photon gain stays above photon loss at every swept q
     assert np.all(arr[:, 3] >= arr[:, 1])
+
+
+def test_sweep_with_quadrature_flags_clean_rows(capsys):
+    code, out = run_cli(
+        capsys, "loss-gain", "--with-quadrature", "--q-range", "0.3:0.6:0.3", "--cutoff", "48"
+    )
+    assert code == 0
+    table = OutputTable.from_csv(out)
+    assert table.columns[-1] == "flag"
+    assert table.rows.shape == (2, 8)
+    assert not np.any(table.rows[:, -1])
+    assert np.allclose(table.rows[:, 1:4], table.rows[:, 4:7], atol=1e-6)
+    assert table.metadata["cutoff"] == 48
+
+
+def test_sweep_takes_plain_float_q(capsys):
+    q = squeezing_db_to_q(3.0)
+    code, out = run_cli(capsys, "loss-gain", "--q-range", f"{q!r}:{q!r}:1", "--format", "json")
+    assert code == 0
+    assert OutputTable.from_json(out).rows.tolist() == [[q, *loss_gain_split(q).as_tuple()]]
+
+
+# each table subcommand with arguments small enough to run in a blink
+TABLE_COMMANDS = {
+    "beta-density": ["--range", "0:1:1"],
+    "photon-stats": ["--max-n", "2", "--cutoff", "4"],
+    "loss-gain": ["--q-range", "0:0.5:0.5"],
+    "conditional": ["--radial-range", "0:1:1"],
+    "polarization": ["--q-range", "0:0.5:0.5"],
+    "sample": ["--shots", "4"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+def test_every_table_opens_with_version_and_command(capsys, command, fmt):
+    code, out = run_cli(capsys, command, *TABLE_COMMANDS[command], "--format", fmt)
+    assert code == 0
+    metadata = OutputTable.parse(out, fmt).metadata
+    assert metadata["command"] == command
+    assert metadata["version"] == cvteleport.__version__
+    assert "quantity" not in metadata
+    if fmt == "json":
+        assert list(metadata)[:2] == ["version", "command"]
+
+
+def test_sample_table_peak_stays_near_its_rows_array():
+    # The rows are 100,000 x 5 float64, 4 MB. Measured on CPython 3.11 with
+    # numpy 2.4, the peak is 4.25 times that; keeping the caller's array
+    # alive while the text is built lifts it to 5.16.
+    argv = ["sample", "--q", "0.5", "--shots", "100000", "--seed", "0"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0  # warm: imports and caches stay outside the peak
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.7 * 100_000 * 5 * 8
 
 
 def test_conditional_columns_sum(capsys):

@@ -18,7 +18,6 @@ from cvteleport.statistics import (
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     squeezing_db_to_q,
-    sweep_q,
 )
 from cvteleport.teleport import single_photon_beta_density, transfer_operator
 
@@ -272,32 +271,3 @@ def test_squeezing_conversion_anchors():
     with pytest.raises(ValueError):
         squeezing_db_to_q(-1.0)
 
-
-def test_sweep_loss_gain_table():
-    table = sweep_q("loss_gain", np.arange(0.0, 0.95, 0.05))
-    assert table.columns == ["q", "p_loss", "p_success", "p_gain"]
-    arr = np.array(table.rows)
-    assert np.allclose(arr[:, 1:].sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(arr[0, 1:], [0.25, 0.25, 0.5], atol=1e-15)
-
-
-def test_sweep_with_quadrature_flags_clean_rows():
-    table = sweep_q("loss_gain", np.array([0.3, 0.6]), with_quadrature=True, cutoff=48)
-    assert table.columns[-1] == "flag"
-    arr = np.array(table.rows)
-    assert not np.any(arr[:, -1])
-    assert np.allclose(arr[:, 1], arr[:, 4], atol=1e-6)
-
-
-def test_sweep_takes_plain_float_q():
-    q = squeezing_db_to_q(3.0)
-    table = sweep_q("loss_gain", [q])
-    assert table.rows.shape == (1, 4)
-    assert table.rows[0].tolist() == [q, *loss_gain_split(q).as_tuple()]
-    with pytest.raises(ValueError):
-        sweep_q("loss_gain", [0.5, 1.0])
-
-
-def test_sweep_rejects_unknown_quantity():
-    with pytest.raises(ValueError):
-        sweep_q("nonsense", np.array([0.5]))
