@@ -4,8 +4,11 @@ A table's rows are one read-only float64 array of shape (n, len(columns)).
 CSV: metadata travels as '#'-prefixed JSON header lines above an RFC-4180
 body whose floats carry 17 significant digits, enough to reproduce every
 float64 bit for bit. The body is formatted in blocks of rows with one
-``%`` per block, and matches numpy's ``savetxt`` with ``fmt="%.17g"``,
-``delimiter=","`` and ``newline="\\r\\n"`` byte for byte. JSON: one
+``%`` per block. A column whose every cell is a whole number below 2**53
+in magnitude, and none of them -0.0, is written with ``%d`` from int64,
+which gives the bytes ``%.17g`` gives and costs less. So the body still
+matches numpy's ``savetxt`` with ``fmt="%.17g"``, ``delimiter=","`` and
+``newline="\\r\\n"`` byte for byte. JSON: one
 top-level object with "metadata", "columns" and "rows".
 parse(serialize(table)) == table holds exactly for both formats; equality
 counts NaN cells as equal, and -0.0 as equal to 0.0.
@@ -24,6 +27,17 @@ __all__ = ["OutputTable"]
 
 # rows formatted per ``%``: whole-body formatting is slower and lifts peak memory
 _BLOCK_ROWS = 4096
+
+
+def _integral(column: np.ndarray) -> bool:
+    """Whether '%d' of every cell, as an int, is the cell's '%.17g'.
+
+    True when all cells are whole numbers below 2**53 in magnitude and none
+    is -0.0, which '%.17g' writes as '-0'.
+    """
+    whole = np.abs(column) < 2.0**53
+    whole &= column == np.trunc(column)
+    return bool(whole.all()) and not np.signbit(column[column == 0.0]).any()
 
 
 @dataclass
@@ -51,10 +65,15 @@ class OutputTable:
         buf = io.StringIO()
         buf.write("# " + json.dumps(self.metadata, sort_keys=True) + "\r\n")
         csv.writer(buf, quoting=csv.QUOTE_MINIMAL).writerow(self.columns)
-        line = ",".join(["%.17g"] * self.rows.shape[1]) + "\r\n"
+        width = self.rows.shape[1]
+        integral = [_integral(column) for column in self.rows.T]
+        line = ",".join(["%d" if i else "%.17g" for i in integral]) + "\r\n"
         for start in range(0, len(self.rows), _BLOCK_ROWS):
             block = self.rows[start : start + _BLOCK_ROWS]
-            buf.write((line * len(block)) % tuple(block.ravel().tolist()))
+            cells = [None] * block.size
+            for j, column in enumerate(block.T):
+                cells[j::width] = (column.astype(np.int64) if integral[j] else column).tolist()
+            buf.write((line * len(block)) % tuple(cells))
         return buf.getvalue()
 
     @classmethod

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from cvteleport.tables import _BLOCK_ROWS, OutputTable
+from cvteleport.tables import _BLOCK_ROWS, OutputTable, _integral
 
 
 def sample_table():
@@ -131,18 +133,43 @@ def _csv_body(table):
 
 
 _AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 2.0**53, 1 / 3]
+# written with %d; the three after it keep %.17g
+_INTEGRAL = [0.0, -1.0, 2.0, 2.0**53 - 1, -(2.0**53 - 1), 1e15]
+_PAST_2_53 = [0.0, 1.0, 2.0**53, 3.0, 4.0, 5.0]
+_NEGATIVE_ZERO = [0.0, -0.0, 3.0]
+_INTEGRAL_NAN = [0.0, 1.0, math.nan, 3.0, 4.0, 5.0]
+
+
+def _column(values):
+    return np.array(values).reshape(-1, 1)
 
 
 @pytest.mark.parametrize(
     "rows",
     [
         np.array([_AWKWARD, _AWKWARD[::-1]]),
-        np.array(_AWKWARD).reshape(-1, 1),
+        _column(_AWKWARD),
+        _column(_INTEGRAL),
+        _column(_PAST_2_53),
+        _column(_NEGATIVE_ZERO),
+        _column(_INTEGRAL_NAN),
+        np.column_stack([_INTEGRAL, _PAST_2_53, _INTEGRAL_NAN, _AWKWARD[:6]]),
         np.empty((0, 3)),
         np.empty((4, 0)),
         np.empty((0, 0)),
     ],
-    ids=["awkward", "one-column", "zero-rows", "zero-columns", "empty"],
+    ids=[
+        "awkward",
+        "one-column",
+        "integral",
+        "past-2**53",
+        "negative-zero",
+        "integral-nan",
+        "mixed",
+        "zero-rows",
+        "zero-columns",
+        "empty",
+    ],
 )
 def test_csv_body_matches_savetxt(rows):
     table = OutputTable(columns=[f"c{j}" for j in range(rows.shape[1])], rows=rows)
@@ -158,3 +185,34 @@ def test_csv_body_matches_savetxt_across_blocks(n_rows):
     table = OutputTable(columns=["a", "b", "c"], rows=rows)
     assert _csv_body(table) == _savetxt_body(rows)
     assert OutputTable.from_csv(table.to_csv()) == table
+
+
+def test_integral_columns_are_the_exact_whole_numbers():
+    assert _integral(np.array(_INTEGRAL))
+    for values in (_PAST_2_53, _NEGATIVE_ZERO, _INTEGRAL_NAN, [1.0, math.inf], [0.5]):
+        assert not _integral(np.array(values))
+
+
+_WHOLE = st.one_of(
+    st.integers(-(2**53) - 2, 2**53 + 2).map(float),
+    st.sampled_from([0.0, -0.0, 1e15, -1e16, 2.0**53 - 1, 2.0**53, -(2.0**53)]),
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _mixed_rows(draw):
+    n_rows = draw(st.integers(0, 12))
+    whole = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    columns = [
+        draw(st.lists(_WHOLE if w else _FLOATS, min_size=n_rows, max_size=n_rows)) for w in whole
+    ]
+    return np.array(columns, dtype=float).T.reshape(n_rows, len(whole))
+
+
+@settings(max_examples=200, deadline=None)
+@seed(20260815)
+@given(rows=_mixed_rows())
+def test_csv_body_of_mixed_columns_matches_savetxt(rows):
+    table = OutputTable(columns=[f"c{j}" for j in range(rows.shape[1])], rows=rows)
+    assert _csv_body(table) == _savetxt_body(rows)
