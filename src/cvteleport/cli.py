@@ -1,13 +1,14 @@
 """Command-line front end: figure data, Monte Carlo runs, verification.
 
-Subcommands: beta-density, photon-stats, loss-gain, conditional,
-polarization, sample, verify. Each table subcommand builds its own table,
-the q sweeps with their optional quadrature columns and ``flag`` column
-included, and writes it to --out as CSV (RFC-4180 body,
-17-significant-digit floats) or JSON; '-' writes to stdout. The metadata
-carries the package version and the subcommand. --cutoff defaults to
-32. Exit codes: 0 success, 1 verification failure, 2 usage error,
-including a q the quadrature grid cannot hold or an unwritable --out.
+Subcommands: beta-density, photon-stats, loss-gain, conditional, polarization,
+sample, verify. Each table subcommand builds its own table, the q sweeps with
+their optional quadrature columns and ``flag`` column included, and writes it
+to --out as CSV (RFC-4180 body, 17-significant-digit floats) or JSON; '-'
+writes to stdout. The metadata carries the package version and the
+subcommand. --cutoff defaults to 32. Usage errors, --max-n above the cutoff
+included, all come from the parser before any command starts. Exit codes: 0
+success, 1 verification failure, 2 usage error, a q the quadrature grid
+cannot hold or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__, polarization
 from .errors import GridMismatchError
-from .fock import number_state
+from .fock import _as_n_max, number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
     _conditional_densities,
@@ -37,6 +38,9 @@ from .verification import CHECK_LEVELS, run_checks
 __all__ = ["main", "build_parser", "parse_range_spec"]
 
 _DEFAULT_CUTOFF = 32
+
+# options whose value may start with '-' in the separate-word form
+_RANGE_FLAGS = ("--range", "--q-range", "--radial-range")
 
 # the most float64 points an array can hold
 _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
@@ -99,18 +103,30 @@ def _shot_count(text: str) -> int:
     return n
 
 
-def _q_range(text: str) -> np.ndarray:
+def _cutoff(text: str) -> int:
+    try:
+        return _as_n_max(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from exc
+
+
+# range options keep their text, which the metadata records unchanged
+def _range(text: str) -> str:
+    parse_range_spec(text)
+    return text
+
+
+def _q_range(text: str) -> str:
     values = parse_range_spec(text)
     if values[-1] >= 1.0 or values[0] < 0.0:
         raise argparse.ArgumentTypeError(f"q range must stay within [0, 1), got {text!r}")
-    return values
+    return text
 
 
-def _radial_range(text: str) -> np.ndarray:
-    values = parse_range_spec(text)
-    if values[0] < 0.0:
+def _radial_range(text: str) -> str:
+    if parse_range_spec(text)[0] < 0.0:
         raise argparse.ArgumentTypeError(f"radial range must start at |beta| >= 0, got {text!r}")
-    return values
+    return text
 
 
 def _write_table(args: argparse.Namespace, columns: list[str], rows, **metadata) -> int:
@@ -137,21 +153,17 @@ def _write_table(args: argparse.Namespace, columns: list[str], rows, **metadata)
 
 
 def cmd_beta_density(args: argparse.Namespace) -> int:
-    axis = args.range
+    axis = parse_range_spec(args.range)
     rows = []
     for x in axis:
         for y in axis:
             rows.append([float(x), float(y), single_photon_beta_density(args.q, complex(x, y))])
     columns = ["x_minus", "y_plus", "density"]
-    return _write_table(args, columns, rows, q=args.q, range=args.range_text)
+    return _write_table(args, columns, rows, q=args.q, range=args.range)
 
 
 def cmd_photon_stats(args: argparse.Namespace) -> int:
-    cutoff = args.cutoff
-    if args.max_n > cutoff:
-        print(f"error: --max-n {args.max_n} above cutoff {cutoff}", file=sys.stderr)
-        return 2
-    dist = photon_statistics_quadrature(number_state(1, cutoff), args.q)
+    dist = photon_statistics_quadrature(number_state(1, args.cutoff), args.q)
     rows = [
         [float(n), photon_statistics_closed_form(args.q, n), float(dist.probabilities[n])]
         for n in range(args.max_n + 1)
@@ -161,7 +173,7 @@ def cmd_photon_stats(args: argparse.Namespace) -> int:
         ["n", "probability", "probability_quadrature"],
         rows,
         q=args.q,
-        cutoff=cutoff,
+        cutoff=args.cutoff,
         residual_closed_form=1.0 - sum(row[1] for row in rows),
         residual_quadrature=dist.residual,
     )
@@ -190,7 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.with_quadrature:
         columns += [f"{name}_quad" for name in names] + ["flag"]
     rows = []
-    for q in args.q_range.tolist():
+    for q in parse_range_spec(args.q_range).tolist():
         closed = closed_form(q).as_tuple()
         row = [q, *closed]
         if args.with_quadrature:
@@ -203,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args,
         columns,
         rows,
-        q_range=args.q_range_text,
+        q_range=args.q_range,
         with_quadrature=args.with_quadrature,
         **metadata,
     )
@@ -211,12 +223,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_conditional(args: argparse.Namespace) -> int:
     rows = []
-    for r in args.radial_range:
+    for r in parse_range_spec(args.radial_range):
         beta = complex(float(r))
         total, p0, p1, p_ge2 = _conditional_densities(args.q, beta)
         rows.append([float(r), total, p1, p0, p_ge2])
     columns = ["beta_abs", "total", "p_one", "p_zero", "p_ge2"]
-    return _write_table(args, columns, rows, q=args.q, radial_range=args.radial_range_text)
+    return _write_table(args, columns, rows, q=args.q, radial_range=args.radial_range)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -261,9 +273,9 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_sweep(commands, name: str, help_text: str) -> None:
     sub = commands.add_parser(name, help=help_text)
-    sub.add_argument("--q-range", dest="q_range_text", default="0:0.99:0.01")
+    sub.add_argument("--q-range", type=_q_range, default="0:0.99:0.01")
     sub.add_argument("--with-quadrature", action="store_true")
-    sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
+    sub.add_argument("--cutoff", type=_cutoff, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sweep)
 
@@ -278,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("beta-density", help="outcome density grid for the photon input")
     sub.add_argument("--q", type=_q_value, default=0.5)
-    sub.add_argument("--range", dest="range_text", default="-4:4:0.1", help="grid for both axes")
+    sub.add_argument("--range", type=_range, default="-4:4:0.1", help="grid for both axes")
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_beta_density)
 
     sub = commands.add_parser("photon-stats", help="output photon-number distribution")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--max-n", type=_non_negative_int, default=10)
-    sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
+    sub.add_argument("--cutoff", type=_cutoff, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_photon_stats)
 
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("conditional", help="joint photon-count/outcome densities vs |beta|")
     sub.add_argument("--q", type=_q_value, default=0.5)
-    sub.add_argument("--radial-range", dest="radial_range_text", default="0:4:0.05")
+    sub.add_argument("--radial-range", type=_radial_range, default="0:4:0.05")
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_conditional)
 
@@ -303,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--shots", type=_shot_count, default=10_000)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
-    sub.add_argument("--cutoff", type=int, default=_DEFAULT_CUTOFF)
+    sub.add_argument("--cutoff", type=_cutoff, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sample)
 
@@ -314,20 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fuse_range_values(argv: list[str]) -> list[str]:
+    """Join a range flag and a following word like '-4:4:0.1' into
+    '--range=-4:4:0.1', which argparse would otherwise read as an option."""
+    fused: list[str] = []
+    for word in argv:
+        if fused and fused[-1] in _RANGE_FLAGS and word.startswith("-") and ":" in word:
+            fused[-1] += "=" + word
+        else:
+            fused.append(word)
+    return fused
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if hasattr(args, "q_range_text"):
-            args.q_range = _q_range(args.q_range_text)
-        if hasattr(args, "range_text"):
-            args.range = parse_range_spec(args.range_text)
-        if hasattr(args, "radial_range_text"):
-            args.radial_range = _radial_range(args.radial_range_text)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-    if getattr(args, "cutoff", 1) < 1:
-        parser.error("cutoff must be >= 1")
+    args = parser.parse_args(_fuse_range_values(sys.argv[1:] if argv is None else argv))
+    if args.command == "photon-stats" and args.max_n > args.cutoff:
+        parser.error(f"--max-n {args.max_n} above cutoff {args.cutoff}")
     try:
         return args.func(args)
     except GridMismatchError as exc:

@@ -38,4 +38,4 @@ class ZeroNormError(ValueError):
 
 
 class NoCrossingError(RuntimeError):
-    """No sign change found when bracketing a root."""
+    """No loss/gain crossing exists: ``crossing_radius`` at q >= 1/sqrt(2)."""

@@ -22,7 +22,6 @@ from .polarization import (
 )
 from .sampler import SamplerConfig, _stream_keys, _stream_uniforms, run_shots
 from .statistics import (
-    _polar_grid,
     conditional_beta_density,
     loss_gain_split,
     photon_statistics_closed_form,
@@ -208,14 +207,19 @@ def check_photon_stats_quadrature() -> CheckResult:
 def check_conditional_integrals() -> CheckResult:
     """Plane integrals of the loss and transfer densities vs the closed-form split.
 
-    Both densities depend on |beta| alone, so the angle contributes 2 pi.
+    Each density is a polynomial of degree <= 2 in |beta|^2 times
+    e^{-2(1-q)|beta|^2}. With x = 2(1-q)|beta|^2 its plane integral is
+    pi/(2(1-q)) times the integral of e^x p(x) against e^{-x} over x >= 0,
+    which two-point Gauss-Laguerre gives exactly.
     """
     worst = 0.0
+    nodes, weights = np.polynomial.laguerre.laggauss(2)
+    weights = weights * np.exp(nodes)
     for q in (0.2, 0.5, 0.8):
-        radii, weights = _polar_grid(q)
-        densities = [conditional_beta_density(q, r) for r in radii]
+        scale = 2.0 * (1.0 - q)
+        densities = [conditional_beta_density(q, math.sqrt(x / scale)) for x in nodes]
         i0, i1 = (
-            2.0 * math.pi * sum(w * d[c] for d, w in zip(densities, weights)) for c in (0, 1)
+            math.pi / scale * sum(w * d[c] for w, d in zip(weights, densities)) for c in (0, 1)
         )
         split = loss_gain_split(q)
         worst = max(worst, abs(i0 - split.p_loss), abs(i1 - split.p_success))
@@ -226,8 +230,8 @@ def check_conditional_integrals() -> CheckResult:
     )
     return CheckResult(
         "conditional density integrals",
-        worst < 1e-6 and origin_ok,
-        1e-6,
+        worst < 1e-12 and origin_ok,
+        1e-12,
         worst,
         f"origin split {'ok' if origin_ok else 'WRONG'}",
     )

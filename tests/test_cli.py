@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from cvteleport.cli import main, parse_range_spec
 from cvteleport.errors import TruncationWarning
 from cvteleport.statistics import loss_gain_split, squeezing_db_to_q
 from cvteleport.tables import OutputTable
+from cvteleport.verification import run_checks
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +170,44 @@ def test_densities_past_the_squarable_radius_exit_zero(capsys):
     assert not np.any(rows[np.hypot(rows[:, 0], rows[:, 1]) > 0.0, 2])
 
 
+def test_range_may_start_with_a_minus_as_a_separate_word(capsys):
+    code, spaced = run_cli(capsys, "beta-density", "--range", "-1:1:0.5")
+    assert code == 0
+    _, joined = run_cli(capsys, "beta-density", "--range=-1:1:0.5")
+    assert spaced == joined
+    assert OutputTable.from_csv(spaced).metadata["range"] == "-1:1:0.5"
+
+
+@pytest.mark.parametrize(
+    "command, metavar",
+    [
+        ("beta-density", "RANGE"),
+        ("loss-gain", "Q_RANGE"),
+        ("conditional", "RADIAL_RANGE"),
+        ("polarization", "Q_RANGE"),
+    ],
+)
+def test_help_names_range_values_by_their_option(capsys, command, metavar):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "_TEXT" not in out
+    assert f"-{metavar.lower().replace('_', '-')} {metavar}" in out
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    readme = Path(cvteleport.__file__).resolve().parents[2] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cvteleport ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+
+
 def test_polarization_sweep(capsys):
     code, out = run_cli(capsys, "polarization", "--q-range", "0:0.9:0.1", "--format", "json")
     assert code == 0
@@ -232,6 +272,11 @@ def test_json_and_csv_agree(capsys, tmp_path):
     assert a == b
 
 
+def test_run_checks_refuses_an_unknown_level():
+    with pytest.raises(ValueError):
+        run_checks("nope")
+
+
 def test_verify_fast_passes(capsys):
     code, out = run_cli(capsys, "verify")
     assert code == 0
@@ -262,6 +307,13 @@ def test_verify_fast_passes(capsys):
         ["sample", "--q", "nan"],
         ["photon-stats", "--cutoff", "0"],
         ["sample", "--cutoff", "0"],
+        ["loss-gain", "--q-range", "a:1:0.5"],
+        ["beta-density", "--range", "2:1:0.5"],
+        ["sample", "--seed", "x"],
+        ["sample", "--cutoff", "x"],
+        ["photon-stats", "--cutoff", "-1"],
+        ["photon-stats", "--max-n", "40"],
+        ["conditional", "--radial-range", "-1:0:0.5"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys, monkeypatch):
