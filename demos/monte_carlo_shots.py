@@ -26,8 +26,7 @@ def main() -> None:
     config = SamplerConfig(master_seed=SEED, shots=SHOTS, q=Q)
     result = run_shots(config)
 
-    split = loss_gain_split(Q)
-    expected = dict(zip(("loss", "success", "gain"), split.as_tuple()))
+    expected = dict(zip(("loss", "success", "gain"), loss_gain_split(Q)))
     print(f"{SHOTS} shots at q = {Q}, master seed {SEED}")
     print(f"{'class':>9} {'observed':>10} {'expected':>10} {'deviation':>10}")
     freq = result.frequencies()

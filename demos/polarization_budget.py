@@ -22,9 +22,9 @@ def main() -> None:
     numeric = polarization_budget_numerical(q_demo, 48)
     print(f"outcome budget at q = {q_demo} (closed form | quadrature):")
     names = ("transfer", "flip", "zero photons", "multi photon")
-    for name, a, b in zip(names, closed.as_tuple(), numeric.as_tuple()):
+    for name, a, b in zip(names, closed, numeric):
         print(f"  {name:>13}: {a:.8f} | {b:.8f}  (gap {abs(a - b):.2e})")
-    print(f"  budget total: {closed.total():.12f}")
+    print(f"  budget total: {sum(closed):.12f}")
 
     print("\nsweep: probability of faithful polarization transfer")
     print(f"{'q':>5} {'transfer':>9} {'flip':>9} {'zero':>9} {'multi':>9}")

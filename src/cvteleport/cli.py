@@ -5,15 +5,16 @@ sample, verify. Each table subcommand builds its own table, the q sweeps with
 their optional quadrature columns and ``flag`` column included, and writes it
 to --out as CSV (RFC-4180 body, 17-significant-digit floats) or JSON; '-'
 writes to stdout. The metadata carries the package version and the
-subcommand. --cutoff defaults to 32. Usage errors, --max-n above the cutoff
-included, all come from the parser before any command starts. Exit codes: 0
-success, 1 verification failure, 2 usage error, a q the quadrature grid
-cannot hold or an unwritable --out.
+subcommand. --cutoff defaults to 32. Options must be spelled in full. Usage
+errors, --max-n above the cutoff included, all come from the parser before
+any command starts. Exit codes: 0 success, 1 verification failure, 2 usage
+error, a q the quadrature grid cannot hold or an unwritable --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ from .errors import GridMismatchError
 from .fock import _as_n_max, number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
+    LossGainSplit,
     _conditional_densities,
     loss_gain_split,
     photon_statistics_closed_form,
@@ -184,29 +186,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     quadrature columns and a ``flag`` of 1.0 where the two disagree beyond
     1e-6."""
     cutoff = args.cutoff
-    # command -> (column names, closed form, quadrature route); polarization's
-    # routes are looked up per call, where bench/spans.py patches them
-    names, closed_form, quadrature = {
+    # command -> (result fields, closed form, quadrature route); the fields
+    # name the columns, and polarization's routes are looked up per call,
+    # where bench/spans.py patches them
+    fields, closed_form, quadrature = {
         "loss-gain": (
-            ["p_loss", "p_success", "p_gain"],
+            LossGainSplit._fields,
             loss_gain_split,
             lambda q: photon_statistics_quadrature(number_state(1, cutoff), q).loss_gain(),
         ),
         "polarization": (
-            ["p_trans", "p_flip", "p_zero", "p_multi"],
+            polarization.PolarizationOutcomeBudget._fields,
             polarization.polarization_budget,
             lambda q: polarization.polarization_budget_numerical(q, cutoff),
         ),
     }[args.command]
-    columns = ["q", *names]
+    columns = ["q", *fields]
     if args.with_quadrature:
-        columns += [f"{name}_quad" for name in names] + ["flag"]
+        columns += [f"{name}_quad" for name in fields] + ["flag"]
     rows = []
     for q in parse_range_spec(args.q_range).tolist():
-        closed = closed_form(q).as_tuple()
+        closed = closed_form(q)
         row = [q, *closed]
         if args.with_quadrature:
-            quad = quadrature(q).as_tuple()
+            quad = quadrature(q)
             flag = float(max(abs(c - n) for c, n in zip(closed, quad)) > _SWEEP_FLAG_TOLERANCE)
             row += [*quad, flag]
         rows.append(row)
@@ -271,8 +274,8 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="-", help="output path; '-' writes to stdout")
 
 
-def _add_sweep(commands, name: str, help_text: str) -> None:
-    sub = commands.add_parser(name, help=help_text)
+def _add_sweep(add_command, name: str, help_text: str) -> None:
+    sub = add_command(name, help=help_text)
     sub.add_argument("--q-range", type=_q_range, default="0:0.99:0.01")
     sub.add_argument("--with-quadrature", action="store_true")
     sub.add_argument("--cutoff", type=_cutoff, default=_DEFAULT_CUTOFF)
@@ -284,34 +287,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvteleport",
         description="Data behind truncated Fock-space teleportation of single photons",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    sub = commands.add_parser("beta-density", help="outcome density grid for the photon input")
+    sub = add_command("beta-density", help="outcome density grid for the photon input")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--range", type=_range, default="-4:4:0.1", help="grid for both axes")
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_beta_density)
 
-    sub = commands.add_parser("photon-stats", help="output photon-number distribution")
+    sub = add_command("photon-stats", help="output photon-number distribution")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--max-n", type=_non_negative_int, default=10)
     sub.add_argument("--cutoff", type=_cutoff, default=_DEFAULT_CUTOFF)
     _add_table_flags(sub)
-    sub.set_defaults(func=cmd_photon_stats)
+    # main checks --max-n against --cutoff and reports it with this usage line
+    sub.set_defaults(func=cmd_photon_stats, usage_error=sub.error)
 
-    _add_sweep(commands, "loss-gain", "loss/success/gain split swept over q")
+    _add_sweep(add_command, "loss-gain", "loss/success/gain split swept over q")
 
-    sub = commands.add_parser("conditional", help="joint photon-count/outcome densities vs |beta|")
+    sub = add_command("conditional", help="joint photon-count/outcome densities vs |beta|")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--radial-range", type=_radial_range, default="0:4:0.05")
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_conditional)
 
-    _add_sweep(commands, "polarization", "polarization outcome budget swept over q")
+    _add_sweep(add_command, "polarization", "polarization outcome budget swept over q")
 
-    sub = commands.add_parser("sample", help="seeded Monte Carlo shot list")
+    sub = add_command("sample", help="seeded Monte Carlo shot list")
     sub.add_argument("--q", type=_q_value, default=0.5)
     sub.add_argument("--shots", type=_shot_count, default=10_000)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_flags(sub)
     sub.set_defaults(func=cmd_sample)
 
-    sub = commands.add_parser("verify", help="run the cross-check suite")
+    sub = add_command("verify", help="run the cross-check suite")
     sub.add_argument("--level", choices=CHECK_LEVELS, default="fast")
     sub.set_defaults(func=cmd_verify)
 
@@ -342,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_fuse_range_values(sys.argv[1:] if argv is None else argv))
     if args.command == "photon-stats" and args.max_n > args.cutoff:
-        parser.error(f"--max-n {args.max_n} above cutoff {args.cutoff}")
+        args.usage_error(f"--max-n {args.max_n} above cutoff {args.cutoff}")
     try:
         return args.func(args)
     except GridMismatchError as exc:

@@ -16,7 +16,7 @@ p_zero = P_q(0)·(1+q)/2 hold as float identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,20 +31,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarizationOutcomeBudget:
+class PolarizationOutcomeBudget(NamedTuple):
     """Probabilities of the four photon-number outcome classes; sums to 1."""
 
     p_trans: float
     p_flip: float
     p_zero: float
     p_multi: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p_trans, self.p_flip, self.p_zero, self.p_multi)
-
-    def total(self) -> float:
-        return self.p_trans + self.p_flip + self.p_zero + self.p_multi
 
 
 def polarized_output(q: float, beta_h: complex, beta_v: complex, cutoff: int) -> np.ndarray:

@@ -433,13 +433,14 @@ def _rejection_sample(
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
-def _draw_counts(weights: np.ndarray, totals: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _draw_counts(weights: np.ndarray, totals: np.ndarray | float, u: np.ndarray) -> np.ndarray:
     """Photon counts by inverse CDF, one row of level weights per shot.
 
     Row i picks level n with probability weights[i, n] / max(totals[i], row
     sum) from the uniform u[i]; a total above the row sum is the untruncated
-    norm, and the mass missing above the cutoff draws ``OVERFLOW_COUNT``.
-    The cumulative sums are taken in place, so ``weights`` is overwritten.
+    norm, and the mass missing above the cutoff draws ``OVERFLOW_COUNT``; a
+    total of 0 keeps every draw inside the cutoff. The cumulative sums are
+    taken in place, so ``weights`` is overwritten.
     """
     cdf = np.cumsum(weights, axis=1, out=weights)
     if np.any(cdf[:, -1] == 0.0):
@@ -526,7 +527,8 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
             # each stream's next uniform, after its accepted candidate, draws the count
             weights = np.abs(outputs) ** 2
             u = np.array([rng.uniform() for rng in rngs])
-            counts[start:stop] = _draw_counts(weights, weights.sum(axis=1), u)
+            # a pairwise row sum can exceed the CDF's last entry by an ulp
+            counts[start:stop] = _draw_counts(weights, 0.0, u)
         if heavy:
             warnings.warn(
                 f"rejection sampler: {heavy} candidate outputs exceed relative tail mass "

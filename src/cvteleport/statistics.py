@@ -19,6 +19,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,9 +92,6 @@ class PhotonDistribution:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "residual", max(float(self.residual), 0.0))
 
-    def total(self) -> float:
-        return float(self.probabilities.sum() + self.residual)
-
     def loss_gain(self) -> "LossGainSplit":
         p = self.probabilities
         return LossGainSplit(
@@ -103,16 +101,12 @@ class PhotonDistribution:
         )
 
 
-@dataclass(frozen=True)
-class LossGainSplit:
+class LossGainSplit(NamedTuple):
     """Probabilities of losing the photon, exact transfer, and photon gain."""
 
     p_loss: float
     p_success: float
     p_gain: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p_loss, self.p_success, self.p_gain)
 
 
 def photon_statistics_closed_form(q: float, n: int) -> float:

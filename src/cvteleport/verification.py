@@ -132,7 +132,7 @@ def check_loss_gain_identities() -> CheckResult:
         worst = max(worst, abs(split.p_loss - photon_statistics_closed_form(float(q), 0)))
         worst = max(worst, abs(split.p_success - photon_statistics_closed_form(float(q), 1)))
     exact_at_half = (0.1875, 0.46875, 0.34375)
-    triple = max(abs(p - e) for p, e in zip(loss_gain_split(0.5).as_tuple(), exact_at_half))
+    triple = max(abs(p - e) for p, e in zip(loss_gain_split(0.5), exact_at_half))
     return CheckResult(
         "loss/success/gain closed-form identities",
         worst < 1e-15 and triple < 1e-12,
@@ -153,7 +153,7 @@ def check_polarization_identities() -> CheckResult:
         worst = max(worst, abs(budget.p_trans - p1 * s))
         worst = max(worst, abs(budget.p_flip - p0 * p0))
         worst = max(worst, abs(budget.p_zero - p0 * s))
-        worst = max(worst, abs(budget.total() - 1.0))
+        worst = max(worst, abs(sum(budget) - 1.0))
     thresholds = polarization_budget(0.7).p_trans > 0.5 and polarization_budget(0.8).p_trans > 0.66
     return CheckResult(
         "polarization factorization identities",
@@ -240,8 +240,8 @@ def check_conditional_integrals() -> CheckResult:
 def check_polarization_quadrature() -> CheckResult:
     worst = 0.0
     for q in (0.33, 0.5, 0.82):
-        closed = polarization_budget(q).as_tuple()
-        numeric = polarization_budget_numerical(q, 48).as_tuple()
+        closed = polarization_budget(q)
+        numeric = polarization_budget_numerical(q, 48)
         worst = max(worst, max(abs(c - n) for c, n in zip(closed, numeric)))
     return CheckResult("polarization budget quadrature", worst < 1e-6, 1e-6, worst)
 
@@ -258,9 +258,8 @@ def check_monte_carlo() -> CheckResult:
     shots, q = 100_000, 0.5
     config = SamplerConfig(master_seed=20260815, shots=shots, q=q)
     result = run_shots(config)
-    split = loss_gain_split(q)
     worst_sigmas = 0.0
-    for name, expected in zip(("loss", "success", "gain"), split.as_tuple()):
+    for name, expected in zip(("loss", "success", "gain"), loss_gain_split(q)):
         observed = result.counts[name] / shots
         sigma = math.sqrt(expected * (1.0 - expected) / shots)
         worst_sigmas = max(worst_sigmas, abs(observed - expected) / sigma)

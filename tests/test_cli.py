@@ -14,7 +14,8 @@ import pytest
 import cvteleport
 from cvteleport.cli import main, parse_range_spec
 from cvteleport.errors import TruncationWarning
-from cvteleport.statistics import loss_gain_split, squeezing_db_to_q
+from cvteleport.polarization import PolarizationOutcomeBudget
+from cvteleport.statistics import LossGainSplit, loss_gain_split, squeezing_db_to_q
 from cvteleport.tables import OutputTable
 from cvteleport.verification import run_checks
 
@@ -68,7 +69,7 @@ def test_loss_gain_sweep(capsys):
     code, out = run_cli(capsys, "loss-gain", "--q-range", "0:0.9:0.1")
     assert code == 0
     table = OutputTable.from_csv(out)
-    assert table.columns == ["q", "p_loss", "p_success", "p_gain"]
+    assert table.columns == ["q", "p_loss", "p_success", "p_gain"] == ["q", *LossGainSplit._fields]
     arr = np.array(table.rows)
     assert arr.shape == (10, 4)
     assert np.allclose(arr[0, 1:], [0.25, 0.25, 0.5], atol=1e-15)
@@ -77,24 +78,35 @@ def test_loss_gain_sweep(capsys):
     assert np.all(arr[:, 3] >= arr[:, 1])
 
 
-def test_sweep_with_quadrature_flags_clean_rows(capsys):
+def assert_quadrature_sweep_clean(capsys, command, result):
     code, out = run_cli(
-        capsys, "loss-gain", "--with-quadrature", "--q-range", "0.3:0.6:0.3", "--cutoff", "48"
+        capsys, command, "--with-quadrature", "--q-range", "0.3:0.6:0.3", "--cutoff", "48"
     )
     assert code == 0
     table = OutputTable.from_csv(out)
-    assert table.columns[-1] == "flag"
-    assert table.rows.shape == (2, 8)
+    # the result's fields name the columns: q, closed forms, quadratures, flag
+    quad = [f"{name}_quad" for name in result._fields]
+    assert table.columns == ["q", *result._fields, *quad, "flag"]
+    k = len(result._fields)
+    assert table.rows.shape == (2, 2 * k + 2)
     assert not np.any(table.rows[:, -1])
-    assert np.allclose(table.rows[:, 1:4], table.rows[:, 4:7], atol=1e-6)
+    assert np.allclose(table.rows[:, 1 : k + 1], table.rows[:, k + 1 : 2 * k + 1], atol=1e-6)
     assert table.metadata["cutoff"] == 48
+
+
+def test_sweep_with_quadrature_flags_clean_rows(capsys):
+    assert_quadrature_sweep_clean(capsys, "loss-gain", LossGainSplit)
+
+
+def test_polarization_with_quadrature_flags_clean_rows(capsys):
+    assert_quadrature_sweep_clean(capsys, "polarization", PolarizationOutcomeBudget)
 
 
 def test_sweep_takes_plain_float_q(capsys):
     q = squeezing_db_to_q(3.0)
     code, out = run_cli(capsys, "loss-gain", "--q-range", f"{q!r}:{q!r}:1", "--format", "json")
     assert code == 0
-    assert OutputTable.from_json(out).rows.tolist() == [[q, *loss_gain_split(q).as_tuple()]]
+    assert OutputTable.from_json(out).rows.tolist() == [[q, *loss_gain_split(q)]]
 
 
 # each table subcommand with arguments small enough to run in a blink
@@ -213,6 +225,7 @@ def test_polarization_sweep(capsys):
     assert code == 0
     table = OutputTable.from_json(out)
     assert table.columns == ["q", "p_trans", "p_flip", "p_zero", "p_multi"]
+    assert table.columns == ["q", *PolarizationOutcomeBudget._fields]
     arr = np.array(table.rows)
     assert np.allclose(arr[:, 1:].sum(axis=1), 1.0, atol=1e-12)
 
@@ -314,6 +327,11 @@ def test_verify_fast_passes(capsys):
         ["photon-stats", "--cutoff", "-1"],
         ["photon-stats", "--max-n", "40"],
         ["conditional", "--radial-range", "-1:0:0.5"],
+        # options must be spelled in full
+        ["conditional", "--radial", "0:1:1"],
+        ["beta-density", "--ran", "-1:1:1"],
+        ["beta-density", "--ran=-1:1:1"],
+        ["--vers"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys, monkeypatch):
@@ -328,6 +346,15 @@ def test_usage_errors_exit_two(argv, capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_max_n_above_cutoff_shows_the_photon_stats_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["photon-stats", "--max-n", "40"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cvteleport photon-stats")
+    assert "cvteleport photon-stats: error: --max-n 40 above cutoff 32" in err
 
 
 def test_unwritable_output_exits_two(capsys):

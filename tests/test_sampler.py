@@ -203,7 +203,7 @@ def test_radius_and_angle_distributions(photon_run):
 def test_category_frequencies_within_three_sigma(photon_run):
     q, shots = 0.5, 100_000
     result = ShotRunResult(SEED, photon_run.betas[:shots], photon_run.photon_counts[:shots])
-    expected = dict(zip(CATEGORIES, loss_gain_split(q).as_tuple()))
+    expected = dict(zip(CATEGORIES, loss_gain_split(q)))
     for name, p in expected.items():
         sigma = math.sqrt(p * (1.0 - p) / shots)
         assert abs(result.counts[name] / shots - p) < 3.0 * sigma
@@ -457,7 +457,7 @@ def _one_shot_at_a_time(state, q, bound, seed, shots):
                 break
         weights = np.abs(output.amplitudes[None, :]) ** 2
         betas.append(beta)
-        counts.append(_draw_counts(weights, weights.sum(axis=1), rng.uniform(size=1))[0])
+        counts.append(_draw_counts(weights, 0.0, rng.uniform(size=1))[0])
     return ShotRunResult(seed, betas, counts)
 
 
@@ -497,7 +497,7 @@ def test_draw_counts_paths():
     one = np.abs(number_state(1, 8).amplitudes) ** 2
     u = np.append(_numpy_stream(3, 0).uniform(size=63), 0.0)
     weights = np.tile(one, (u.size, 1))
-    assert np.all(_draw_counts(weights, weights.sum(axis=1), u) == 1)
+    assert np.all(_draw_counts(weights, 0.0, u) == 1)
     with pytest.raises(ZeroNormError):
         _draw_counts(np.vstack([one, np.zeros(9)]), np.ones(2), np.full(2, 0.5))
     # declaring extra unseen mass routes draws to the overflow sentinel
@@ -506,3 +506,25 @@ def test_draw_counts_paths():
     frac = np.mean(draws == OVERFLOW_COUNT)
     assert np.all(np.isin(draws, [1, OVERFLOW_COUNT]))
     assert abs(frac - 0.5) < 3.0 * math.sqrt(0.25 / 2000)
+
+
+def test_generic_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypatch):
+    # 33-level outputs whose pairwise row sum lies above their sequential
+    # cumulative total; a last-ulp uniform must still draw a level, not overflow
+    outputs = np.sqrt(np.random.default_rng(7).random((2000, 33))).astype(complex)
+    weights = np.abs(outputs) ** 2
+    outputs = outputs[weights.sum(axis=1) > np.cumsum(weights, axis=1)[:, -1]][:16]
+    assert len(outputs) == 16
+
+    class LastUniform:
+        def uniform(self):
+            return 1.0 - 2.0**-53
+
+    def accept_outputs(state, q, bound, rngs):
+        return np.zeros(len(rngs), dtype=complex), outputs[: len(rngs)], 0, 0.0
+
+    monkeypatch.setattr("cvteleport.sampler._rejection_sample", accept_outputs)
+    monkeypatch.setattr("cvteleport.sampler._shot_generator", lambda key: LastUniform())
+    result = run_shots(SamplerConfig(0, len(outputs), 0.5, coherent_state(0.5, 32)))
+    assert result.overflow == 0
+    assert np.all(result.photon_counts == 32)

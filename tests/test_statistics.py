@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from cvteleport.errors import GridMismatchError, NoCrossingError, TruncationWarning, ZeroNormError
 from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
+    LossGainSplit,
     PhotonDistribution,
     _photon_transfer_matrix,
     _polar_grid,
@@ -67,8 +68,11 @@ def test_photon_statistics_decrease_beyond_one():
 )
 def test_loss_gain_split_values(q, expected):
     split = loss_gain_split(q)
-    assert np.allclose(split.as_tuple(), expected, atol=1e-12)
-    assert np.isclose(sum(split.as_tuple()), 1.0, atol=1e-15)
+    assert np.allclose(split, expected, atol=1e-12)
+    assert np.isclose(sum(split), 1.0, atol=1e-15)
+    if q in (0.0, 0.5):
+        # dyadic values: the closed form hits them exactly
+        assert split == expected
 
 
 def test_loss_gain_matches_series_terms():
@@ -112,7 +116,7 @@ def test_distribution_guards():
     with pytest.raises(ValueError):
         PhotonDistribution(probabilities=np.array([-0.5, 1.5]), residual=0.0)
     dist = PhotonDistribution(probabilities=np.array([0.25, 0.25, 0.3, 0.1]), residual=0.1)
-    assert np.isclose(dist.total(), 1.0)
+    assert np.isclose(dist.probabilities.sum() + dist.residual, 1.0)
     split = dist.loss_gain()
     assert np.isclose(split.p_gain, 0.5)
 
@@ -123,6 +127,8 @@ def test_quadrature_statistics_match_closed_form(q):
     for n in range(7):
         closed = photon_statistics_closed_form(q, n)
         assert np.isclose(float(dist.probabilities[n]), closed, atol=1e-6)
+    # the quadrature route returns the closed form's named tuple
+    assert type(dist.loss_gain()) is type(loss_gain_split(q)) is LossGainSplit
 
 
 def test_quadrature_normalizes_its_input():
