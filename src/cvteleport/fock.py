@@ -8,9 +8,12 @@ complex arrays.
 Displacement matrices have one build. ``_radial_magnitudes`` runs the
 two-term associated-Laguerre recurrence once for a whole batch of radii along
 diagonals of fixed ``m - n`` and assembles the prefactors in the log domain
-over the index triangle, so no factorial ratio is ever formed directly.
-``_radial_displacement_stack`` scatters them into the real D(r), in a fresh
-array or in a workspace that a batch loop reuses. A complex
+over the index triangle, so no factorial ratio is ever formed directly. It
+keeps the triangle level-major, one row per triangle entry and one column per
+radius, so every step of the build is a contiguous row operation over the
+whole batch. ``_radial_displacement_stack`` scatters the transposed rows into
+the real D(r), a C-ordered (B, dim, dim) stack, in a fresh array or in a
+workspace that a batch loop reuses. A complex
 alpha = r u enters only through the unit-phase powers u^n of ``_polar``, since
 <m|D(r u)|n> = u^{m-n} <m|D(r)|n>: the transfer products keep them outside a
 real product, and ``displacement_matrix`` puts them on the diagonals of D(r).
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,53 +187,73 @@ def _log_factorials(dim: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=None)
-def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (j, k) with j + k < dim and their 0.5 (ln j! - ln (j+k)!).
+class _Triangle(NamedTuple):
+    """The index triangle j + k < dim of D(r) and the constants its build reuses.
 
-    The pairs run j-major: row j holds k = 0 .. dim-1-j.
+    Entry i is the element <j+k|D(r)|j> on diagonal k below the main one, and
+    its mirror <j|D(r)|j+k> above it; the entries run j-major, so entries
+    of degree j hold k = 0 .. dim-1-j. ``sign`` is (-1)^k as a column.
     """
+
+    rows: np.ndarray  # j + k
+    cols: np.ndarray  # j
+    diagonal: np.ndarray  # k
+    half_log_ratio: np.ndarray  # 0.5 (ln j! - ln (j+k)!)
+    sign: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle(dim: int) -> _Triangle:
+    """Read-only ``_Triangle`` of dimension ``dim``."""
     j, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
     lg = _log_factorials(dim)
-    half_log_ratio = 0.5 * (lg[j] - lg[j + k])
-    for arr in (j, k, half_log_ratio):
+    triangle = _Triangle(
+        rows=j + k,
+        cols=j,
+        diagonal=k,
+        half_log_ratio=0.5 * (lg[j] - lg[j + k]),
+        sign=np.where(k % 2, -1.0, 1.0)[:, None],
+    )
+    for arr in triangle:
         arr.setflags(write=False)
-    return j, k, half_log_ratio
+    return triangle
 
 
 def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
-    """Signed <j+k|D(r)|j> of positive radii r over ``_triangle(dim)``, shape (B, T).
+    """Signed <j+k|D(r)|j> of positive radii r over ``_triangle(dim)``, shape (T, B).
 
-    The element is sqrt(j!/(j+k)!) r^k e^{-r^2/2} L_j^{(k)}(r^2): the stable
-    two-term recurrence in the Laguerre degree j runs once for the whole
-    batch, over the diagonals k < dim - j that degree j still reaches, and
-    multiplies each degree's values straight into its row of the triangle.
-    The prefactor is formed from log-gamma differences, so large cutoffs
-    never overflow, and in the result array itself, so the result is the
-    only (B, T) array the build allocates.
+    Row i is triangle entry i, column b is radius r[b]. The element is
+    sqrt(j!/(j+k)!) r^k e^{-r^2/2} L_j^{(k)}(r^2): the stable two-term
+    recurrence in the Laguerre degree j runs once for the whole batch, over
+    the diagonals k < dim - j that degree j still reaches, and multiplies
+    each degree's values straight into its block of rows. The prefactor is
+    formed from log-gamma differences, so large cutoffs never overflow, and
+    in the result array itself, so the result is the only (T, B) array the
+    build allocates. Level-major rows keep every step contiguous; each
+    element sees the same operations in the same order as in any layout.
     """
     x = r * r
-    _, k, half_log_ratio = _triangle(dim)
-    out = np.multiply(k, np.log(r)[:, None])
-    out += half_log_ratio
-    out -= 0.5 * x[:, None]
+    triangle = _triangle(dim)
+    out = np.multiply(triangle.diagonal[:, None], np.log(r))
+    out += triangle.half_log_ratio[:, None]
+    out -= 0.5 * x
     np.exp(out, out=out)
-    # L_prev, L_cur hold L_{j-1}^{(k)}(x_b), L_j^{(k)}(x_b) for k < dim - j
-    degree = np.arange(dim, dtype=float)
-    L_prev = np.zeros((r.size, dim))
-    L_cur = np.ones((r.size, dim))  # L_0^{(k)} = 1 for every k
+    # L_prev, L_cur hold L_{j-1}^{(k)}(x_b), L_j^{(k)}(x_b) in row k < dim - j
+    degree = np.arange(dim, dtype=float)[:, None]
+    L_prev = np.zeros((dim, r.size))
+    L_cur = np.ones((dim, r.size))  # L_0^{(k)} = 1 for every k
     start = 0
     for j in range(dim):
         width = dim - j
-        out[:, start : start + width] *= L_cur
+        out[start : start + width] *= L_cur
         start += width
         if width == 1:
             break
-        L_next = (2 * j + 1 + degree[: width - 1]) - x[:, None]
-        L_next *= L_cur[:, : width - 1]
-        L_next -= (j + degree[: width - 1]) * L_prev[:, : width - 1]
+        L_next = (2 * j + 1 + degree[: width - 1]) - x
+        L_next *= L_cur[: width - 1]
+        L_next -= (j + degree[: width - 1]) * L_prev[: width - 1]
         L_next /= j + 1
-        L_prev, L_cur = L_cur[:, : width - 1], L_next
+        L_prev, L_cur = L_cur[: width - 1], L_next
     return out
 
 
@@ -258,22 +282,23 @@ def _polar(alphas, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _radial_displacement_stack(radii: np.ndarray, cutoff: int, out=None) -> np.ndarray:
     """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
 
-    The magnitudes of ``_radial_magnitudes`` below the diagonal, (-1)^(n-m)
-    times them above it, and the identity at r = 0. The one scatter of
-    displacement entries. The two scatters cover every entry, so the result
-    needs no zero fill. It is written into ``out[:B]`` when a float buffer
-    of shape (>= B, dim, dim) is given, so that a batch loop reuses one
-    workspace, and into a fresh array otherwise.
+    The level-major magnitudes of ``_radial_magnitudes``, transposed, below
+    the diagonal, (-1)^(n-m) times them above it, and the identity at r = 0:
+    the one scatter of displacement entries, through the cached index and
+    sign arrays of ``_triangle``. The two scatters cover every entry, so the
+    result needs no zero fill. It is written into ``out[:B]`` when a float
+    buffer of shape (>= B, dim, dim) is given, so that a batch loop reuses
+    one workspace, and into a fresh C-ordered array otherwise.
     """
     dim = _as_n_max(cutoff) + 1
     r = np.asarray(radii, dtype=float).reshape(-1)
     zero = r == 0.0
-    j, k, _ = _triangle(dim)
+    triangle = _triangle(dim)
     mag = _radial_magnitudes(np.where(zero, 1.0, r), dim)
     stack = np.empty((r.size, dim, dim)) if out is None else out[: r.size]
-    stack[:, j + k, j] = mag
-    mag *= np.where(k % 2, -1.0, 1.0)
-    stack[:, j, j + k] = mag
+    stack[:, triangle.rows, triangle.cols] = mag.T
+    mag *= triangle.sign
+    stack[:, triangle.cols, triangle.rows] = mag.T
     stack[zero] = np.eye(dim)
     return stack
 
@@ -289,9 +314,9 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """
     dim = _as_n_max(cutoff) + 1
     r, phase = _polar([alpha], dim)
-    j, k, _ = _triangle(dim)
+    triangle = _triangle(dim)
     mat = _radial_displacement_stack(r, cutoff)[0].astype(complex)
-    mat[j + k, j] *= phase[0, k]
-    mat[j, j + k] *= phase[0, k].conj()
+    mat[triangle.rows, triangle.cols] *= phase[0, triangle.diagonal]
+    mat[triangle.cols, triangle.rows] *= phase[0, triangle.diagonal].conj()
     mat.setflags(write=False)
     return mat

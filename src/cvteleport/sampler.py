@@ -18,7 +18,10 @@ obtained by integrating the outcome density; it is inverted by bisection.
 Other inputs go through rejection sampling against an isotropic Gaussian
 envelope whose bound is certified at sample time: a target density above
 the envelope raises, never clips. This path needs numpy's normal sampler,
-so each shot seeds numpy's ``Philox`` directly with its derived key. All
+so each shot keys numpy's ``Philox`` with its derived key, handed over as
+a seed sequence that holds nothing but the key: the generator is the one
+``Philox(key=key)`` builds, but nothing reads OS entropy for a seed that the
+key would override. All
 pending shots advance in lockstep rounds: each draws one candidate from its
 own stream, and the round's candidates apply T_q(beta) to the input in
 batches of ``teleport._batch_size`` real displacements D(r) (at least 32,
@@ -33,12 +36,16 @@ is consumed in the same order as one shot at a time (candidate normals,
 accept uniform, then the count uniform), so records do not depend on the
 batching.
 
-Both paths draw photon counts by one inverse-CDF rule. A run returns columns:
+Both paths draw photon counts by one inverse-CDF rule, against the row's
+cumulative weights plus its mass above the cutoff, which draws overflow:
+zero on the generic path, and on the single-photon path the exact tail of
+the closed-form number law, from Poisson tail probabilities. A run returns columns:
 shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -282,9 +289,37 @@ def _stream_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     return (words >> 11).astype(float) * 2.0**-53
 
 
+@functools.cache
+def _stream_key_class() -> type:
+    """The seed-sequence class of ``_shot_generator``, defined on first use.
+
+    Subclassing numpy's ``ISeedSequence`` imports ``numpy.random``, which
+    nothing but the generic path needs.
+    """
+
+    class StreamKey(np.random.bit_generator.ISeedSequence):
+        """A seed sequence that holds one shot's derived Philox key and nothing else.
+
+        ``Philox`` keys itself with ``generate_state(2, np.uint64)`` of its
+        seed sequence, so this gives the key of ``Philox(key=key)``; that
+        call also builds a default ``SeedSequence`` first, which reads 128
+        bits of OS entropy that the key then overrides.
+        """
+
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return StreamKey
+
+
 def _shot_generator(key: np.ndarray) -> np.random.Generator:
     """numpy generator of one shot: Philox keyed by the shot's derived key."""
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_stream_key_class()(key)))
 
 
 def _invert_radial_cdf(u: np.ndarray, q: float) -> np.ndarray:
@@ -390,7 +425,8 @@ def _rejection_sample(
     returns how many candidate outputs leave a relative tail mass above
     ``TAIL_MASS_THRESHOLD`` at the cutoff, and the worst such mass.
     """
-    sigma = math.sqrt(1.0 / (1.0 - q * q))
+    # the proposal is the envelope: variance 1/(2c) per component, c its rate
+    sigma = math.sqrt(1.0 / (2.0 * _envelope_rate(q)))
     psi = unit_state.amplitudes
     batch = _batch_size(psi.size)
     work = np.empty((min(batch, len(rngs)), psi.size, psi.size))
@@ -433,19 +469,20 @@ def _rejection_sample(
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
-def _draw_counts(weights: np.ndarray, totals: np.ndarray | float, u: np.ndarray) -> np.ndarray:
+def _draw_counts(weights: np.ndarray, tails: np.ndarray | float, u: np.ndarray) -> np.ndarray:
     """Photon counts by inverse CDF, one row of level weights per shot.
 
-    Row i picks level n with probability weights[i, n] / max(totals[i], row
-    sum) from the uniform u[i]; a total above the row sum is the untruncated
-    norm, and the mass missing above the cutoff draws ``OVERFLOW_COUNT``; a
-    total of 0 keeps every draw inside the cutoff. The cumulative sums are
-    taken in place, so ``weights`` is overwritten.
+    Row i draws u[i] * (C_i + tails[i]), with C_i the last entry of its
+    cumulative weights and tails[i] >= 0 its mass above the cutoff: level n
+    with probability weights[i, n] / (C_i + tails[i]), and ``OVERFLOW_COUNT``
+    with the rest. A tail of 0 keeps every draw inside the cutoff, since
+    u < 1 puts u * C_i below C_i. The cumulative sums are taken in place, so
+    ``weights`` is overwritten.
     """
     cdf = np.cumsum(weights, axis=1, out=weights)
     if np.any(cdf[:, -1] == 0.0):
         raise ZeroNormError("cannot sample a photon count from a zero output state")
-    draw = u * np.maximum(totals, cdf[:, -1])
+    draw = u * (cdf[:, -1] + tails)
     counts = np.count_nonzero(cdf <= draw[:, None], axis=1)
     return np.where(counts >= weights.shape[1], OVERFLOW_COUNT, counts)
 
@@ -483,6 +520,64 @@ def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.
     return weights
 
 
+def _poisson_tail(s: np.ndarray, k: int) -> np.ndarray:
+    """P(Poisson(s) >= k) for means s > 0 and an int k >= 1, with no cancellation.
+
+    Below the mean, s < k, it is e^{-s} s^k/k! sum_j s^j k!/(k+j)!, each
+    term s/(k+j) < 1 times the one before. A term's share of the sum grows
+    with s, so the series stops where the largest s in the batch adds less
+    than half an ulp, and every row takes as many terms. Otherwise it is
+    1 - sum_{n<k} e^{-s} s^n/n!, which is at least about 1/2 there.
+    """
+    log_factorials = _log_factorials(k + 1)
+    tail = np.empty_like(s)
+    low = s < k
+    s_low = s[low]
+    s_max = float(s_low.max(initial=0.0))
+    terms, term, total = 0, 1.0, 1.0
+    while term > 2.0**-53 * total:
+        terms += 1
+        term *= s_max / (k + terms)
+        total += term
+    # Horner's rule from the last term: 1 + s/(k+1) (1 + s/(k+2) (...))
+    series = np.ones_like(s_low)
+    for j in range(k + terms, k, -1):
+        series *= s_low
+        series *= 1.0 / j
+        series += 1.0
+    tail[low] = np.exp(k * np.log(s_low) - s_low - log_factorials[k]) * series
+    s_high = s[~low, None]
+    head = np.exp(np.arange(k) * np.log(s_high) - s_high - log_factorials[:k])
+    tail[~low] = 1.0 - head.sum(axis=1)
+    return tail
+
+
+def _single_photon_tail(q: float, betas: np.ndarray, n_max: int) -> np.ndarray:
+    """Mass of |<n|T_q(beta)|1>|^2 above level n_max for every shot at once.
+
+    The weights of ``_single_photon_weight_matrix`` are
+    (a/pi) e^{-at} e^{-s} s^{n-1}/n! (s + qn)^2 with a = 1-q^2, t = |beta|^2
+    and s = (1-q)^2 t, so Poisson moments sum them above N = n_max to
+    (a/pi) e^{-at} [s T(N+1) + 2qs T(N) + q^2 (s T(N-1) + T(N))], with
+    T(k) = P(Poisson(s) >= k). Every term is positive. T(N) and T(N-1) add
+    the Poisson probabilities of N and N-1 to T(N+1). At t = 0 the output
+    is q|1> and the tail is 0.
+    """
+    a = 1.0 - q * q
+    t = np.abs(betas) ** 2
+    pos = t > 0.0
+    s = (1.0 - q) ** 2 * np.where(pos, t, 1.0)
+    log_factorials = _log_factorials(n_max + 1)
+    log_s = np.log(s)
+    above = _poisson_tail(s, n_max + 1)
+    at = above + np.exp(n_max * log_s - s - log_factorials[n_max])
+    below = at + np.exp((n_max - 1) * log_s - s - log_factorials[n_max - 1])
+    tail = s * above + 2.0 * q * s * at + q * q * (s * below + at)
+    tail *= (a / math.pi) * np.exp(-a * t)
+    tail[~pos] = 0.0
+    return tail
+
+
 def _is_single_photon(state: StateVector) -> bool:
     amps = state.amplitudes
     return amps[1] == 1.0 and not np.any(amps[:1]) and not np.any(amps[2:])
@@ -500,7 +595,6 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     betas = np.empty(config.shots, dtype=complex)
     counts = np.empty(config.shots, dtype=np.int64)
     if _is_single_photon(input_state):
-        a = 1.0 - q * q
         n_max = input_state.n_max
         for start in range(0, config.shots, _CHUNK):
             stop = min(start + _CHUNK, config.shots)
@@ -510,8 +604,8 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
             theta = 2.0 * math.pi * u[:, 1]
             betas[start:stop] = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
             weights = _single_photon_weight_matrix(q, betas[start:stop], n_max)
-            totals = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
-            counts[start:stop] = _draw_counts(weights, totals, u[:, 2])
+            tails = _single_photon_tail(q, betas[start:stop], n_max)
+            counts[start:stop] = _draw_counts(weights, tails, u[:, 2])
     elif config.shots:
         state = _as_unit(input_state)
         bound = _envelope_bound(state, q)
@@ -527,7 +621,7 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
             # each stream's next uniform, after its accepted candidate, draws the count
             weights = np.abs(outputs) ** 2
             u = np.array([rng.uniform() for rng in rngs])
-            # a pairwise row sum can exceed the CDF's last entry by an ulp
+            # no tail: this path does not know the output's mass above the cutoff
             counts[start:stop] = _draw_counts(weights, 0.0, u)
         if heavy:
             warnings.warn(

@@ -20,7 +20,7 @@ from .polarization import (
     polarization_budget_numerical,
     polarized_output,
 )
-from .sampler import SamplerConfig, _stream_keys, _stream_uniforms, run_shots
+from .sampler import SamplerConfig, _shot_generator, _stream_keys, _stream_uniforms, run_shots
 from .statistics import (
     conditional_beta_density,
     loss_gain_split,
@@ -274,7 +274,8 @@ def check_monte_carlo() -> CheckResult:
 
 
 def check_stream_derivation() -> CheckResult:
-    """Bulk per-shot keys and uniforms vs the installed numpy's own generators."""
+    """Bulk per-shot keys, uniforms and generic-path generators vs the
+    installed numpy's own generators."""
     mismatched = 0
     for seed in (0, 2**64 + 1):
         keys = _stream_keys(seed, np.arange(256))
@@ -283,7 +284,10 @@ def check_stream_derivation() -> CheckResult:
             seq = np.random.SeedSequence(seed, spawn_key=(i,))
             own = np.random.Generator(np.random.Philox(seq)).uniform(size=3)
             same_key = np.array_equal(keys[i], seq.generate_state(2, np.uint64))
-            mismatched += not (same_key and np.array_equal(uniforms[i], own))
+            keyed = _shot_generator(keys[i]).uniform(size=3)
+            mismatched += not (
+                same_key and np.array_equal(uniforms[i], own) and np.array_equal(keyed, own)
+            )
     return CheckResult(
         "per-shot streams vs numpy Philox",
         mismatched == 0,

@@ -189,6 +189,7 @@ def test_radial_stack_fills_a_reused_workspace():
     n_max = 32
     radii = np.array([0.0, 1e-8, 0.7, 3.0, 5.6, math.sqrt(32.0), 6.0, 0.0])
     fresh = _radial_displacement_stack(radii, n_max)
+    assert fresh.flags.c_contiguous
     for order in "CF":
         work = np.full((48, n_max + 1, n_max + 1), np.nan, order=order)
         stack = _radial_displacement_stack(radii, n_max, out=work)
@@ -209,15 +210,16 @@ def test_radial_stack_fills_a_reused_workspace():
     dim=st.integers(1, 65),
 )
 def test_radial_magnitudes_do_not_depend_on_the_batch(parts, dim):
+    # level-major: one row per triangle entry, one column per radius
     whole = _radial_magnitudes(np.concatenate(parts), dim)
-    assert whole.shape == (sum(map(len, parts)), dim * (dim + 1) // 2)
-    split = np.concatenate([_radial_magnitudes(np.array(part), dim) for part in parts])
+    assert whole.shape == (dim * (dim + 1) // 2, sum(map(len, parts)))
+    split = np.hstack([_radial_magnitudes(np.array(part), dim) for part in parts])
     assert np.array_equal(whole, split)
 
 
 def test_radial_magnitudes_hold_one_triangle_array():
     # the prefactor is formed in the result, so a batch loop that reuses its
-    # D(r) workspace allocates one (B, T) array per batch, not two
+    # D(r) workspace allocates one (T, B) array per batch, not two
     radii, dim = np.linspace(0.05, 6.0, 480), 33
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare, kstest
+from scipy.stats import chisquare, kstest, poisson
 
 from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
 from cvteleport.fock import StateVector, coherent_state, displacement_matrix, number_state
@@ -23,9 +23,12 @@ from cvteleport.sampler import (
     _envelope_bound,
     _envelope_density,
     _invert_radial_cdf,
+    _envelope_rate,
     _is_single_photon,
+    _poisson_tail,
     _rejection_sample,
     _shot_generator,
+    _single_photon_tail,
     _single_photon_weight_matrix,
     _stream_keys,
     _stream_uniforms,
@@ -118,6 +121,28 @@ def test_bulk_streams_match_numpy(seed, start, size):
             assert np.array_equal(mine["key"], theirs["key"])
             assert np.array_equal(mine["counter"], theirs["counter"])
             assert np.array_equal(row, oracle.uniform(size=3))
+
+
+@pytest.mark.parametrize("seed", [*_SEED_EDGES, 2**64 + 12_345])
+def test_shot_generator_draws_like_philox_keyed_directly(seed):
+    # the sampler's draws on one stream: candidate normals, accept uniforms, count uniform
+    for key in _stream_keys(seed, np.array([0, 1, 2**32 - 1])):
+        mine, theirs = _shot_generator(key), np.random.Generator(np.random.Philox(key=key))
+        for _ in range(3):
+            assert np.array_equal(mine.normal(0.0, 1.3, size=2), theirs.normal(0.0, 1.3, size=2))
+            assert mine.uniform() == theirs.uniform()
+
+
+def test_generic_path_reads_no_os_entropy(monkeypatch):
+    # every stream is keyed from the master seed, so no OS entropy is needed
+    config = SamplerConfig(SEED, 20, 0.5, coherent_state(0.5, 32).unit())
+    expected = run_shots(config)
+
+    def no_entropy(bits):
+        raise AssertionError(f"the sampler read {bits} bits of OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    assert run_shots(config) == expected
 
 
 def test_runs_are_reproducible(photon_run):
@@ -247,15 +272,57 @@ def test_single_photon_counts_stay_within_three_weight_arrays():
     u = _stream_uniforms(SEED, 0, _CHUNK)
     t = _invert_radial_cdf(u[:, 0], q)
     betas = np.sqrt(t) * np.exp(2j * math.pi * u[:, 1])
-    a = 1.0 - q * q
-    totals = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
+    tails = _single_photon_tail(q, betas, n_max)
     tracemalloc.start()
     try:
-        _draw_counts(_single_photon_weight_matrix(q, betas, n_max), totals, u[:, 2])
+        _draw_counts(_single_photon_weight_matrix(q, betas, n_max), tails, u[:, 2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * _CHUNK * (n_max + 1) * 8
+
+
+def test_single_photon_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypatch):
+    # rows whose closed-form norm lies so far above their cumulative sum that a
+    # last-ulp uniform times the norm passes the sum; their mass above the
+    # cutoff is below half an ulp of the sum, so every draw must give a level
+    q, n_max = 0.5, 32
+    u = _stream_uniforms(SEED, 0, 4096)
+    t = _invert_radial_cdf(u[:, 0], q)
+    theta = 2.0 * math.pi * u[:, 1]
+    betas = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
+    a = 1.0 - q * q
+    norms = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
+    sums = np.cumsum(_single_photon_weight_matrix(q, betas, n_max), axis=1)[:, -1]
+    top = 1.0 - 2.0**-53
+    rows = np.flatnonzero(top * norms > sums)[:16]
+    assert rows.size == 16
+    assert np.all(sums[rows] + _single_photon_tail(q, betas[rows], n_max) == sums[rows])
+    u = u[rows]
+    u[:, 2] = top
+    monkeypatch.setattr("cvteleport.sampler._stream_uniforms", lambda seed, start, stop: u[start:stop])
+    result = run_shots(SamplerConfig(SEED, rows.size, q))
+    assert result.overflow == 0
+    assert np.array_equal(result.betas, betas[rows])
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.9])
+def test_single_photon_tail_is_the_weight_mass_above_the_cutoff(q):
+    # s = (1-q)^2 |beta|^2 from 1e-6 to 150 takes both branches of every
+    # Poisson tail; level 300 holds all but ~1e-25 of the mass at s = 150
+    t = np.append(np.geomspace(1e-6, 150.0, 200) / (1.0 - q) ** 2, 0.0)
+    betas = np.sqrt(t) * np.exp(0.7j)
+    weights = _single_photon_weight_matrix(q, betas, 300)
+    for n_max in (1, 2, 4, 8, 32):
+        tail = _single_photon_tail(q, betas, n_max)
+        assert tail[-1] == 0.0
+        assert np.allclose(tail, weights[:, n_max + 1 :].sum(axis=1), rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 33, 100])
+def test_poisson_tail_matches_scipy(k):
+    s = np.geomspace(1e-4, 300.0, 500)
+    assert np.allclose(_poisson_tail(s, k), poisson.sf(k - 1, s), rtol=1e-12, atol=1e-300)
 
 
 def _bisection_by_select(u, q):
@@ -413,6 +480,27 @@ def test_envelope_bound_matches_one_radius_at_a_time(q, parts):
     assert _envelope_bound(state, q) == _envelope_bound_one_radius_at_a_time(state, q)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+def test_rejection_proposal_is_the_envelope(q):
+    # the sampler's own normal width: (1/(2 pi sigma^2)) e^{-t/(2 sigma^2)} is the envelope
+    scales = []
+
+    class Recorder:
+        def normal(self, loc, scale, size):
+            scales.append(scale)
+            return np.array([0.3, -0.2])
+
+        def uniform(self):
+            return 0.0
+
+    state = coherent_state(0.5, 32).unit()
+    _rejection_sample(state, q, _envelope_bound(state, q), [Recorder()])
+    (sigma,) = scales
+    t = np.linspace(0.0, 60.0 / _envelope_rate(q), 50)
+    proposal = np.exp(-t / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2)
+    assert np.allclose(proposal, _envelope_density(q, t), rtol=1e-13, atol=0.0)
+
+
 def test_rejection_raises_on_broken_envelope():
     state = coherent_state(0.5, 32).unit()
     with pytest.raises(EnvelopeError):
@@ -500,9 +588,9 @@ def test_draw_counts_paths():
     assert np.all(_draw_counts(weights, 0.0, u) == 1)
     with pytest.raises(ZeroNormError):
         _draw_counts(np.vstack([one, np.zeros(9)]), np.ones(2), np.full(2, 0.5))
-    # declaring extra unseen mass routes draws to the overflow sentinel
+    # a tail as large as the mass inside the cutoff routes half the draws to overflow
     u = _numpy_stream(3, 1).uniform(size=2000)
-    draws = _draw_counts(np.tile(one, (u.size, 1)), np.full(u.size, 2.0), u)
+    draws = _draw_counts(np.tile(one, (u.size, 1)), np.full(u.size, 1.0), u)
     frac = np.mean(draws == OVERFLOW_COUNT)
     assert np.all(np.isin(draws, [1, OVERFLOW_COUNT]))
     assert abs(frac - 0.5) < 3.0 * math.sqrt(0.25 / 2000)
