@@ -35,6 +35,7 @@ from .statistics import (
     conditional_beta_density,
     crossing_radius,
     loss_gain_split,
+    mean_photon_change,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     squeezing_db_to_q,

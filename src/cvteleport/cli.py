@@ -27,6 +27,7 @@ from .fock import _as_n_max, number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
     LossGainSplit,
+    _closed_form_tail,
     _conditional_densities,
     loss_gain_split,
     photon_statistics_closed_form,
@@ -176,7 +177,7 @@ def cmd_photon_stats(args: argparse.Namespace) -> int:
         rows,
         q=args.q,
         cutoff=args.cutoff,
-        residual_closed_form=1.0 - sum(row[1] for row in rows),
+        residual_closed_form=_closed_form_tail(args.q, args.max_n),
         residual_quadrature=dist.residual,
     )
 

@@ -36,11 +36,16 @@ is consumed in the same order as one shot at a time (candidate normals,
 accept uniform, then the count uniform), so records do not depend on the
 batching.
 
-Both paths draw photon counts by one inverse-CDF rule, against the row's
-cumulative weights plus its mass above the cutoff, which draws overflow:
-zero on the generic path, and on the single-photon path the exact tail of
-the closed-form number law, from Poisson tail probabilities. A run returns columns:
-shot i sits at index i of ``ShotRunResult.betas`` and ``.photon_counts``.
+Both paths draw photon counts with one routine, ``_draw_counts``, from two
+sources of level weights, one (B,) array per level and no (B, levels)
+matrix: the columns of the generic path's |output|^2 rows, and on the
+single-photon path ``_single_photon_levels``, which builds each level of the
+closed-form number law from the level before. The draw is an inverse CDF
+against a shot's cumulative weights plus its mass above the cutoff, which
+draws overflow: zero on the generic path, and on the single-photon path the
+exact tail of the closed-form number law, from Poisson tail probabilities.
+A run returns columns: shot i sits at index i of ``ShotRunResult.betas`` and
+``.photon_counts``.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import functools
 import math
 import operator
 import warnings
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,82 +475,93 @@ def _rejection_sample(
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
 
 
-def _draw_counts(weights: np.ndarray, tails: np.ndarray | float, u: np.ndarray) -> np.ndarray:
-    """Photon counts by inverse CDF, one row of level weights per shot.
+def _draw_counts(
+    levels: Callable[[], Iterable[np.ndarray]], tails: np.ndarray | float, u: np.ndarray
+) -> np.ndarray:
+    """Photon counts by inverse CDF, from level weights handed over one level at a time.
 
-    Row i draws u[i] * (C_i + tails[i]), with C_i the last entry of its
-    cumulative weights and tails[i] >= 0 its mass above the cutoff: level n
-    with probability weights[i, n] / (C_i + tails[i]), and ``OVERFLOW_COUNT``
-    with the rest. A tail of 0 keeps every draw inside the cutoff, since
-    u < 1 puts u * C_i below C_i. The cumulative sums are taken in place, so
-    ``weights`` is overwritten.
+    ``levels()`` returns the weights of levels 0, 1, ... of every shot, one
+    (B,) array per level, and is called once per pass: an array's columns on
+    the generic path, ``_single_photon_levels`` on the |1> path. The first
+    pass sums the levels in order into C, and shot i draws
+    u[i] * (C_i + tails[i]), with tails[i] >= 0 its mass above the cutoff:
+    level n with probability w_n / (C_i + tails[i]), and ``OVERFLOW_COUNT``
+    with the rest. The second pass adds the levels again in the same order,
+    so its running sums are the cumulative weights of ``np.cumsum``, and
+    counts the levels whose cumulative weight is at most the draw; it stops
+    once every running sum has passed its draw. A tail of 0 keeps every draw
+    inside the cutoff, since u < 1 puts u * C_i below C_i. Nothing of shape
+    (B, levels) is allocated.
     """
-    cdf = np.cumsum(weights, axis=1, out=weights)
-    if np.any(cdf[:, -1] == 0.0):
+    total = np.zeros_like(u)
+    dim = 0
+    for weights in levels():
+        total += weights
+        dim += 1
+    if np.any(total == 0.0):
         raise ZeroNormError("cannot sample a photon count from a zero output state")
-    draw = u * (cdf[:, -1] + tails)
-    counts = np.count_nonzero(cdf <= draw[:, None], axis=1)
-    return np.where(counts >= weights.shape[1], OVERFLOW_COUNT, counts)
+    # u * (C + tails), in place: C is not read again
+    draw = total
+    draw += tails
+    draw *= u
+    running = np.zeros_like(u)
+    below = np.empty(u.shape, dtype=bool)
+    counts = np.zeros(u.shape, dtype=np.int64)
+    for weights in levels():
+        running += weights
+        np.less_equal(running, draw, out=below)
+        if not below.any():
+            break
+        counts += below
+    counts[counts == dim] = OVERFLOW_COUNT
+    return counts
 
 
-def _single_photon_weight_matrix(q: float, betas: np.ndarray, n_max: int) -> np.ndarray:
-    """|<n|T_q(beta)|1>|^2 for every shot at once, from the closed form.
+def _single_photon_levels(q: float, betas: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
+    """|<n|T_q(beta)|1>|^2 for every shot, one fresh (B,) array per level n = 0 ... n_max.
 
-    Row per shot, column per n: (a/pi) e^{-2(1-q)t} s^{n-1}/n! *
-    (a(1-q)t + q(n - s))^2 with t = |beta|^2, s = (1-q)^2 t. Matches the
-    amplitudes of the displaced two-term closed form exactly. The weights are
-    built in two (B, dim) arrays, in place; rows with t = 0 are built at
-    t = 1 and then set to their own limit.
+    With a = 1-q^2, t = |beta|^2 and s = (1-q)^2 t, the closed form of the
+    displaced two-term output gives w_0 = c s and w_n = c P_n (s + qn)^2,
+    with c = (a/pi) e^{-2(1-q)t} and P_n = s^{n-1}/n!. Each level takes
+    c P_n from the level before, c P_1 = c and c P_n = c P_{n-1} s/n, so a
+    level costs a few flops and no exp. At t = 0, s = 0 leaves (a/pi) q^2 at
+    level 1 and 0 elsewhere.
     """
-    a = 1.0 - q * q
-    t = np.abs(betas) ** 2
-    pos = t > 0.0
-    tp = np.where(pos, t, 1.0)
-    sp = (1.0 - q) ** 2 * tp
-    n = np.arange(n_max + 1, dtype=float)
-    envelope = (a / math.pi) * np.exp(-2.0 * (1.0 - q) * tp)
-    # the squared bracket, a(1-q)t + q(n - s)
-    bracket = np.subtract(n, sp[:, None])
-    bracket *= q
-    bracket += a * (1.0 - q) * tp[:, None]
-    bracket *= bracket
-    # s^{n-1}/n! from its logarithm, times the envelope and the squared bracket
-    weights = np.multiply(n - 1.0, np.log(sp)[:, None])
-    weights -= _log_factorials(n_max + 1)
-    np.exp(weights, out=weights)
-    weights *= envelope[:, None]
-    weights *= bracket
-    weights[:, 0] = envelope * (1.0 - q) ** 2 * tp
-    weights[~pos] = 0.0
-    weights[~pos, 1] = (a / math.pi) * q * q
-    return weights
+    s = np.abs(betas) ** 2  # t until c is built from it
+    power = np.exp(-2.0 * (1.0 - q) * s)
+    power *= (1.0 - q * q) / math.pi
+    s *= (1.0 - q) ** 2
+    yield power * s
+    for n in range(1, n_max + 1):
+        weights = s + q * n
+        weights *= weights
+        weights *= power
+        yield weights
+        power *= s
+        power /= n + 1
 
 
 def _poisson_tail(s: np.ndarray, k: int) -> np.ndarray:
     """P(Poisson(s) >= k) for means s > 0 and an int k >= 1, with no cancellation.
 
     Below the mean, s < k, it is e^{-s} s^k/k! sum_j s^j k!/(k+j)!, each
-    term s/(k+j) < 1 times the one before. A term's share of the sum grows
-    with s, so the series stops where the largest s in the batch adds less
-    than half an ulp, and every row takes as many terms. Otherwise it is
-    1 - sum_{n<k} e^{-s} s^n/n!, which is at least about 1/2 there.
+    term s/(k+j) < 1 times the one before. The series is summed forward from
+    1 until every row's next term is below 2**-53. A term that small is under
+    half an ulp of a sum >= 1 and leaves it unchanged, and so does every
+    later term, so the terms that a larger s in the batch still adds change
+    no other row: a row does not depend on the rest of the batch. Otherwise
+    it is 1 - sum_{n<k} e^{-s} s^n/n!, which is at least about 1/2 there.
     """
     log_factorials = _log_factorials(k + 1)
     tail = np.empty_like(s)
     low = s < k
     s_low = s[low]
-    s_max = float(s_low.max(initial=0.0))
-    terms, term, total = 0, 1.0, 1.0
-    while term > 2.0**-53 * total:
-        terms += 1
-        term *= s_max / (k + terms)
-        total += term
-    # Horner's rule from the last term: 1 + s/(k+1) (1 + s/(k+2) (...))
-    series = np.ones_like(s_low)
-    for j in range(k + terms, k, -1):
-        series *= s_low
-        series *= 1.0 / j
-        series += 1.0
+    term, series = np.ones_like(s_low), np.ones_like(s_low)
+    j = 0
+    while term.max(initial=0.0) >= 2.0**-53:
+        j += 1
+        term *= s_low / (k + j)
+        series += term
     tail[low] = np.exp(k * np.log(s_low) - s_low - log_factorials[k]) * series
     s_high = s[~low, None]
     head = np.exp(np.arange(k) * np.log(s_high) - s_high - log_factorials[:k])
@@ -555,7 +572,7 @@ def _poisson_tail(s: np.ndarray, k: int) -> np.ndarray:
 def _single_photon_tail(q: float, betas: np.ndarray, n_max: int) -> np.ndarray:
     """Mass of |<n|T_q(beta)|1>|^2 above level n_max for every shot at once.
 
-    The weights of ``_single_photon_weight_matrix`` are
+    The weights of ``_single_photon_levels`` are
     (a/pi) e^{-at} e^{-s} s^{n-1}/n! (s + qn)^2 with a = 1-q^2, t = |beta|^2
     and s = (1-q)^2 t, so Poisson moments sum them above N = n_max to
     (a/pi) e^{-at} [s T(N+1) + 2qs T(N) + q^2 (s T(N-1) + T(N))], with
@@ -603,9 +620,9 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
             t = _invert_radial_cdf(u[:, 0], q)
             theta = 2.0 * math.pi * u[:, 1]
             betas[start:stop] = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
-            weights = _single_photon_weight_matrix(q, betas[start:stop], n_max)
+            levels = functools.partial(_single_photon_levels, q, betas[start:stop], n_max)
             tails = _single_photon_tail(q, betas[start:stop], n_max)
-            counts[start:stop] = _draw_counts(weights, tails, u[:, 2])
+            counts[start:stop] = _draw_counts(levels, tails, u[:, 2])
     elif config.shots:
         state = _as_unit(input_state)
         bound = _envelope_bound(state, q)
@@ -622,7 +639,7 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
             weights = np.abs(outputs) ** 2
             u = np.array([rng.uniform() for rng in rngs])
             # no tail: this path does not know the output's mass above the cutoff
-            counts[start:stop] = _draw_counts(weights, 0.0, u)
+            counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u)
         if heavy:
             warnings.warn(
                 f"rejection sampler: {heavy} candidate outputs exceed relative tail mass "

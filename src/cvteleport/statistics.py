@@ -15,6 +15,7 @@ and gain (n>=2) has the closed form (¼(1-q^2), ¼(1+q+q^2+q^3),
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -34,6 +35,7 @@ __all__ = [
     "photon_statistics_quadrature",
     "loss_gain_split",
     "conditional_beta_density",
+    "mean_photon_change",
     "crossing_radius",
     "squeezing_db_to_q",
 ]
@@ -124,6 +126,19 @@ def photon_statistics_closed_form(q: float, n: int) -> float:
     return s * p ** (n + 1) * (1.0 + (s / p) ** 2 * n)
 
 
+def _closed_form_tail(q: float, n_max: int) -> float:
+    """Sum of ``photon_statistics_closed_form(q, n)`` over every n > n_max.
+
+    With p = (1-q)/2, s = (1+q)/2 = 1 - p and N = n_max, the geometric and
+    arithmetico-geometric series sum to p^N (p^2 + s(N + 1 - Np)), which is
+    p^N (p^2 + s(1 + Ns)): every term is positive, so the tail is never
+    negative, as 1 - sum_{n<=N} P_q(n) can be once the sum rounds to 1.
+    """
+    p = 0.5 * (1.0 - q)
+    s = 0.5 * (1.0 + q)
+    return p**n_max * (p * p + s * (1.0 + n_max * s))
+
+
 def loss_gain_split(q: float) -> LossGainSplit:
     """Closed-form split: ¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3); sums to 1."""
     q = _as_q(q)
@@ -190,6 +205,32 @@ def conditional_beta_density(q: float, beta: complex) -> tuple[float, float, flo
     raises ValueError.
     """
     return _conditional_densities(q, beta)[1:]
+
+
+def mean_photon_change(q: float, beta: complex) -> float:
+    """E[n | beta] - 1, the expected change in photon number of a teleported |1> given beta.
+
+    With s = (1-q)^2 |beta|^2 the output number law given beta is
+    proportional to e^{-s} s^{n-1}/n! (s + qn)^2, and its Poisson moments
+    give s((1+q)^2 s + 2q^2 - 1) / ((1+q)^2 s + q^2). For q < 1/sqrt(2) it
+    is negative near the origin, where losing the photon dominates, and
+    changes sign at |beta| = sqrt(1-2q^2)/(1-q^2); for q >= 1/sqrt(2) it is
+    never negative. Averaged over the outcome density it is (1-q)/(1+q).
+    It is evaluated as s (1 - (1-q^2) / ((1+q)^2 s + q^2)), which stays
+    finite wherever s is and grows to inf with |beta|. At q = 0 and
+    beta = 0, where the outcome density vanishes, it returns the limit -1.
+    A non-finite beta raises ValueError.
+    """
+    q = _as_q(q)
+    beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    r = abs(beta)
+    s = (1.0 - q) ** 2 * r * r
+    denominator = (1.0 + q) ** 2 * s + q * q
+    if denominator == 0.0:
+        return -1.0
+    return s * (1.0 - (1.0 - q * q) / denominator)
 
 
 def _conditional_densities(q: float, beta: complex) -> tuple[float, float, float, float]:

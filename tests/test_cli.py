@@ -15,7 +15,12 @@ import cvteleport
 from cvteleport.cli import main, parse_range_spec
 from cvteleport.errors import TruncationWarning
 from cvteleport.polarization import PolarizationOutcomeBudget
-from cvteleport.statistics import LossGainSplit, loss_gain_split, squeezing_db_to_q
+from cvteleport.statistics import (
+    LossGainSplit,
+    _closed_form_tail,
+    loss_gain_split,
+    squeezing_db_to_q,
+)
 from cvteleport.tables import OutputTable
 from cvteleport.verification import run_checks
 
@@ -63,6 +68,15 @@ def test_photon_stats_accounts_for_all_mass(capsys):
     assert abs(closed_total - 1.0) < 1e-9
     assert np.allclose(arr[:, 1], arr[:, 2], atol=1e-6)
     assert table.metadata["cutoff"] == 32
+
+
+def test_photon_stats_missing_mass_is_never_negative(capsys):
+    # near q = 1 the closed-form rows sum to 1 in float64, so 1 - sum is -2.2e-16
+    code, out = run_cli(capsys, "photon-stats", "--q", "0.97", "--max-n", "12")
+    assert code == 0
+    residual = OutputTable.from_csv(out).metadata["residual_closed_form"]
+    assert residual == _closed_form_tail(0.97, 12)
+    assert 1.6e-21 < residual < 1.7e-21
 
 
 def test_loss_gain_sweep(capsys):

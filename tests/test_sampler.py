@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest, poisson
 
 from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
-from cvteleport.fock import StateVector, coherent_state, displacement_matrix, number_state
+from cvteleport.fock import (
+    StateVector,
+    _log_factorials,
+    coherent_state,
+    displacement_matrix,
+    number_state,
+)
 from cvteleport.sampler import (
     _BISECTION_TOL,
     CATEGORIES,
@@ -28,8 +35,8 @@ from cvteleport.sampler import (
     _poisson_tail,
     _rejection_sample,
     _shot_generator,
+    _single_photon_levels,
     _single_photon_tail,
-    _single_photon_weight_matrix,
     _stream_keys,
     _stream_uniforms,
     run_shots,
@@ -242,44 +249,101 @@ def test_overflow_absent_at_moderate_squeezing():
     assert result.overflow == 0
 
 
+def _weight_matrix_oracle(q, betas, n_max):
+    """|<n|T_q(beta)|1>|^2 as a (B, dim) matrix, from exp and log: the level recurrence's oracle.
+
+    Row per shot, column per n: (a/pi) e^{-2(1-q)t} s^{n-1}/n! (a(1-q)t + q(n - s))^2
+    with t = |beta|^2 and s = (1-q)^2 t; rows with t = 0 are built at t = 1 and
+    then set to their own limit.
+    """
+    a = 1.0 - q * q
+    t = np.abs(betas) ** 2
+    pos = t > 0.0
+    tp = np.where(pos, t, 1.0)
+    sp = (1.0 - q) ** 2 * tp
+    n = np.arange(n_max + 1, dtype=float)
+    envelope = (a / math.pi) * np.exp(-2.0 * (1.0 - q) * tp)
+    bracket = (q * (n - sp[:, None]) + a * (1.0 - q) * tp[:, None]) ** 2
+    log_powers = (n - 1.0) * np.log(sp)[:, None] - _log_factorials(n_max + 1)
+    weights = np.exp(log_powers) * envelope[:, None] * bracket
+    weights[:, 0] = envelope * (1.0 - q) ** 2 * tp
+    weights[~pos] = 0.0
+    weights[~pos, 1] = (a / math.pi) * q * q
+    return weights
+
+
+def _cumsum_counts(weights, tails, u):
+    """The inverse-CDF count of each row of a (B, dim) weight matrix, by ``np.cumsum``."""
+    cdf = np.cumsum(weights, axis=1)
+    counts = np.count_nonzero(cdf <= (u * (cdf[:, -1] + tails))[:, None], axis=1)
+    return np.where(counts == weights.shape[1], OVERFLOW_COUNT, counts)
+
+
+def _level_matrix(q, betas, n_max):
+    """The levels of ``_single_photon_levels`` stacked into a (B, dim) matrix."""
+    return np.stack(list(_single_photon_levels(q, betas, n_max)), axis=1)
+
+
+def _chunk_of_outcomes(q, size=_CHUNK):
+    """The first ``size`` uniforms of seed SEED and the outcomes the sampler draws from them."""
+    u = _stream_uniforms(SEED, 0, size)
+    t = _invert_radial_cdf(u[:, 0], q)
+    theta = 2.0 * math.pi * u[:, 1]
+    return u, np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
+
+
 def test_weight_matrix_matches_operator_amplitudes():
     q, n_max = 0.6, 24
     betas = np.array([0.3 + 0.4j, 1.2 - 0.1j, 2.5 + 0j, 0j])
-    weights = _single_photon_weight_matrix(q, betas, n_max)
+    weights = _level_matrix(q, betas, n_max)
     one = number_state(1, n_max)
     for row, beta in enumerate(betas):
         direct = np.abs(teleport_output(one, q, complex(beta)).amplitudes) ** 2
         # the two routes cancel differently near amplitude zeros; agreement
         # is absolute-tight, relative-loose there
         assert np.allclose(weights[row], direct, rtol=1e-7, atol=1e-11)
+    assert np.allclose(weights, _weight_matrix_oracle(q, betas, n_max), rtol=1e-13, atol=0.0)
 
 
 def test_weight_matrix_rows_do_not_depend_on_the_batch():
-    # beta = 0 rows are set to their own limit; the rest must match rows built alone
+    # beta = 0 needs no special case: s = 0 leaves level 1 alone
     q, n_max = 0.6, 32
     betas = np.array([0.3 + 0.4j, 0j, 1.2 - 0.1j, 5.0 + 2.0j, 0j, 1e-3j])
-    weights = _single_photon_weight_matrix(q, betas, n_max)
-    rows = [_single_photon_weight_matrix(q, betas[i : i + 1], n_max)[0] for i in range(betas.size)]
+    weights = _level_matrix(q, betas, n_max)
+    rows = [_level_matrix(q, betas[i : i + 1], n_max)[0] for i in range(betas.size)]
     assert np.array_equal(weights, np.array(rows))
     vacuum = np.zeros(n_max + 1)
-    vacuum[1] = ((1.0 - q * q) / math.pi) * q * q
+    vacuum[1] = (q * q) * ((1.0 - q * q) / math.pi)
     assert np.array_equal(weights[1], vacuum) and np.array_equal(weights[4], vacuum)
 
 
-def test_single_photon_counts_stay_within_three_weight_arrays():
-    # the weights are built in two (chunk, dim) arrays and summed in place
-    q, n_max = 0.5, 32
-    u = _stream_uniforms(SEED, 0, _CHUNK)
-    t = _invert_radial_cdf(u[:, 0], q)
-    betas = np.sqrt(t) * np.exp(2j * math.pi * u[:, 1])
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n_max", [1, 4, 32])
+def test_single_photon_counts_match_the_weight_matrix_oracle(q, n_max):
+    # one chunk: the level recurrence and the two-pass draw against exp/log
+    # weights and np.cumsum; a count can move only where a draw lies within
+    # a few ulps of a cumulative weight, about 1e-15 per shot
+    u, betas = _chunk_of_outcomes(q)
     tails = _single_photon_tail(q, betas, n_max)
+    levels = functools.partial(_single_photon_levels, q, betas, n_max)
+    counts = _draw_counts(levels, tails, u[:, 2])
+    oracle = _cumsum_counts(_weight_matrix_oracle(q, betas, n_max), tails, u[:, 2])
+    assert np.array_equal(counts, oracle)
+
+
+def test_single_photon_counts_stay_within_a_few_chunk_arrays():
+    # the levels come one at a time: nothing of shape (chunk, dim) is built
+    q, n_max = 0.5, 32
+    u, betas = _chunk_of_outcomes(q)
+    tails = _single_photon_tail(q, betas, n_max)
+    levels = functools.partial(_single_photon_levels, q, betas, n_max)
     tracemalloc.start()
     try:
-        _draw_counts(_single_photon_weight_matrix(q, betas, n_max), tails, u[:, 2])
+        _draw_counts(levels, tails, u[:, 2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * _CHUNK * (n_max + 1) * 8
+    assert peak <= 10 * _CHUNK * 8
 
 
 def test_single_photon_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypatch):
@@ -293,7 +357,8 @@ def test_single_photon_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypat
     betas = np.sqrt(t) * (np.cos(theta) + 1j * np.sin(theta))
     a = 1.0 - q * q
     norms = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
-    sums = np.cumsum(_single_photon_weight_matrix(q, betas, n_max), axis=1)[:, -1]
+    # the sum _draw_counts takes: the levels added in order
+    sums = np.cumsum(_level_matrix(q, betas, n_max), axis=1)[:, -1]
     top = 1.0 - 2.0**-53
     rows = np.flatnonzero(top * norms > sums)[:16]
     assert rows.size == 16
@@ -312,7 +377,7 @@ def test_single_photon_tail_is_the_weight_mass_above_the_cutoff(q):
     # Poisson tail; level 300 holds all but ~1e-25 of the mass at s = 150
     t = np.append(np.geomspace(1e-6, 150.0, 200) / (1.0 - q) ** 2, 0.0)
     betas = np.sqrt(t) * np.exp(0.7j)
-    weights = _single_photon_weight_matrix(q, betas, 300)
+    weights = _level_matrix(q, betas, 300)
     for n_max in (1, 2, 4, 8, 32):
         tail = _single_photon_tail(q, betas, n_max)
         assert tail[-1] == 0.0
@@ -323,6 +388,14 @@ def test_single_photon_tail_is_the_weight_mass_above_the_cutoff(q):
 def test_poisson_tail_matches_scipy(k):
     s = np.geomspace(1e-4, 300.0, 500)
     assert np.allclose(_poisson_tail(s, k), poisson.sf(k - 1, s), rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("k", [1, 5, 33, 100])
+def test_poisson_tail_rows_do_not_depend_on_the_batch(k):
+    # means on both sides of k: each row must equal the row computed alone
+    s = np.random.default_rng(k).uniform(1e-6, 1.2 * k, 2000)
+    alone = [_poisson_tail(s[i : i + 1], k)[0] for i in range(s.size)]
+    assert np.array_equal(_poisson_tail(s, k), alone)
 
 
 def _bisection_by_select(u, q):
@@ -543,9 +616,9 @@ def _one_shot_at_a_time(state, q, bound, seed, shots):
             cap = bound * float(_envelope_density(q, abs(beta) ** 2))
             if rng.uniform() * cap <= output.norm_sq():
                 break
-        weights = np.abs(output.amplitudes[None, :]) ** 2
+        weights = np.abs(output.amplitudes[:, None]) ** 2
         betas.append(beta)
-        counts.append(_draw_counts(weights, 0.0, rng.uniform(size=1))[0])
+        counts.append(_draw_counts(lambda: weights, 0.0, rng.uniform(size=1))[0])
     return ShotRunResult(seed, betas, counts)
 
 
@@ -585,15 +658,30 @@ def test_draw_counts_paths():
     one = np.abs(number_state(1, 8).amplitudes) ** 2
     u = np.append(_numpy_stream(3, 0).uniform(size=63), 0.0)
     weights = np.tile(one, (u.size, 1))
-    assert np.all(_draw_counts(weights, 0.0, u) == 1)
+    assert np.all(_draw_counts(lambda: weights.T, 0.0, u) == 1)
+    zero_row = np.vstack([one, np.zeros(9)])
     with pytest.raises(ZeroNormError):
-        _draw_counts(np.vstack([one, np.zeros(9)]), np.ones(2), np.full(2, 0.5))
+        _draw_counts(lambda: zero_row.T, np.ones(2), np.full(2, 0.5))
     # a tail as large as the mass inside the cutoff routes half the draws to overflow
     u = _numpy_stream(3, 1).uniform(size=2000)
-    draws = _draw_counts(np.tile(one, (u.size, 1)), np.full(u.size, 1.0), u)
+    weights = np.tile(one, (u.size, 1))
+    draws = _draw_counts(lambda: weights.T, np.full(u.size, 1.0), u)
     frac = np.mean(draws == OVERFLOW_COUNT)
     assert np.all(np.isin(draws, [1, OVERFLOW_COUNT]))
     assert abs(frac - 0.5) < 3.0 * math.sqrt(0.25 / 2000)
+
+
+@pytest.mark.parametrize("tail", [0.0, 0.05])
+def test_draw_counts_of_matrix_columns_match_cumsum(tail):
+    # the generic path: sequential adds over the columns are np.cumsum, bit for bit
+    rng = np.random.default_rng(11)
+    weights = rng.random((500, 33)) ** 8
+    weights[:, 20:] = 0.0
+    u = rng.random(500)
+    u[:3] = (0.0, 1.0 - 2.0**-53, 0.5)
+    tails = np.full(500, tail)
+    counts = _draw_counts(lambda: weights.T, tails, u)
+    assert np.array_equal(counts, _cumsum_counts(weights, tails, u))
 
 
 def test_generic_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from cvteleport.errors import GridMismatchError, NoCrossingError, TruncationWarning, ZeroNormError
@@ -11,15 +12,18 @@ from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
     LossGainSplit,
     PhotonDistribution,
+    _closed_form_tail,
     _photon_transfer_matrix,
     _polar_grid,
     conditional_beta_density,
     crossing_radius,
     loss_gain_split,
+    mean_photon_change,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
     squeezing_db_to_q,
 )
+from cvteleport.sampler import _single_photon_levels
 from cvteleport.teleport import single_photon_beta_density, transfer_operator
 
 
@@ -56,6 +60,16 @@ def test_photon_statistics_decrease_beyond_one():
     for q in (0.1, 0.5, 0.9):
         values = [photon_statistics_closed_form(q, n) for n in range(1, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.97, 0.99, 0.999])
+@pytest.mark.parametrize("n_max", [0, 1, 12, 32])
+def test_closed_form_tail_is_the_series_above_the_cutoff(q, n_max):
+    # a direct sum of the next 4,000 terms; 1 - sum gives -2.2e-16 at q = 0.97, n_max = 12
+    tail = _closed_form_tail(q, n_max)
+    terms = [photon_statistics_closed_form(q, n) for n in range(n_max + 1, n_max + 4001)]
+    assert tail >= 0.0
+    assert math.isclose(tail, math.fsum(terms), rel_tol=1e-14, abs_tol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -205,6 +219,60 @@ def test_conditional_densities_sum_to_total():
         total = single_photon_beta_density(0.5, beta)
         parts = sum(conditional_beta_density(0.5, beta))
         assert np.isclose(parts, total, atol=1e-15)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.7, 0.9])
+def test_mean_photon_change_is_the_mean_of_the_number_law(q):
+    # sum n w_n / sum w_n - 1 over the closed-form levels, which hold all
+    # but a negligible share of the mass below level 300 here
+    betas = np.linspace(0.01, 4.0, 40) * np.exp(0.3j)
+    if q > 0.0:
+        betas = np.append(betas, 0j)
+    weights = np.stack(list(_single_photon_levels(q, betas, 300)), axis=1)
+    direct = weights @ np.arange(301.0) / weights.sum(axis=1) - 1.0
+    closed = [mean_photon_change(q, complex(beta)) for beta in betas]
+    assert np.allclose(closed, direct, rtol=1e-13, atol=1e-13)
+
+
+def test_mean_photon_change_sign():
+    # below 1/sqrt(2) it changes sign once, at sqrt(1-2q^2)/(1-q^2)
+    for q in (0.0, 0.3, 0.5, 0.7):
+        root = math.sqrt(1.0 - 2.0 * q * q) / (1.0 - q * q)
+        inner = [mean_photon_change(q, complex(r)) for r in np.linspace(0.01, 0.999, 50) * root]
+        outer = [mean_photon_change(q, complex(r)) for r in np.linspace(1.001, 8.0, 50) * root]
+        assert max(inner) < 0.0 < min(outer)
+        assert abs(mean_photon_change(q, complex(root))) < 1e-15
+    # inside the loss/gain crossing of the conditional densities
+    assert math.isclose(math.sqrt(0.5) / 0.75, 0.9428090415820634) and 0.9428 < crossing_radius(0.5)
+    # at and above 1/sqrt(2) it is never negative
+    for q in (math.sqrt(0.5), 0.72, 0.9, 0.99):
+        changes = [mean_photon_change(q, complex(r)) for r in np.linspace(0.0, 8.0, 200)]
+        assert min(changes) >= 0.0
+    assert mean_photon_change(0.5, 0j) == 0.0
+    assert mean_photon_change(0.0, 0j) == -1.0
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.9])
+def test_mean_photon_change_averages_to_the_added_noise(q):
+    # over the outcome density, (1-q)/(1+q): the added noise photons of the channel
+    # pi times the outcome density, a e^{-at} (a^2 t + q^2), against t = |beta|^2
+    a = 1.0 - q * q
+
+    def integrand(t):
+        density = a * math.exp(-a * t) * (a * a * t + q * q)
+        return density * mean_photon_change(q, complex(math.sqrt(t)))
+
+    average, _ = quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert math.isclose(average, (1.0 - q) / (1.0 + q), rel_tol=1e-10, abs_tol=1e-12)
+
+
+def test_mean_photon_change_at_large_beta_and_non_finite_beta():
+    # far out the change approaches s - (1-q^2)/(1+q)^2, s = (1-q)^2 |beta|^2
+    s = 0.25 * 1e300
+    assert math.isclose(mean_photon_change(0.5, 1e150), s - 0.75 / 2.25, rel_tol=1e-15)
+    assert mean_photon_change(0.5, 1e200) == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        mean_photon_change(0.5, complex(math.nan, 0.0))
 
 
 def test_crossing_radius_value_and_independent_root():
