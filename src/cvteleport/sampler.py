@@ -99,7 +99,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 
@@ -263,14 +263,20 @@ def _stream_keys(master_seed: int, indices) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> 32
+def _mulhilo(m: np.uint64 | np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x of uint64
+    operands, elementwise, from 32-bit halves.
+
+    Every operand is uint64, so no numpy version promotes a uint64 scalar
+    m against a Python int.
+    """
+    low, half = np.uint64(_MASK32), np.uint64(32)
+    m_lo, m_hi = m & low, m >> half
+    x_lo, x_hi = x & low, x >> half
     lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    carry = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
-    hi = m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32)
-    return hi, np.uint64(m) * x
+    carry = (lo_lo >> half) + (lo_hi & low) + (hi_lo & low)
+    hi = m_hi * x_hi + (lo_hi >> half) + (hi_lo >> half) + (carry >> half)
+    return hi, m * x
 
 
 def _stream_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:

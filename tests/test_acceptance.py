@@ -19,6 +19,7 @@ from cvteleport.verification import (
     check_displacement_unitary,
     check_hermiticity,
     check_loss_gain_identities,
+    check_mean_photon_change,
     check_monte_carlo,
     check_ordering_invariants,
     check_path_equivalence,
@@ -34,7 +35,7 @@ from cvteleport.verification import (
 CRITERIA = {
     1: (check_path_equivalence,),
     2: (check_density_closed_form, check_closed_form_output),
-    3: (check_photon_stats_quadrature, check_loss_gain_identities),
+    3: (check_photon_stats_quadrature, check_loss_gain_identities, check_mean_photon_change),
     4: (check_conditional_integrals,),
     5: (check_polarization_quadrature, check_polarization_identities, check_two_mode_factorization),
     6: (check_vacuum_success,),

@@ -607,13 +607,16 @@ def test_generic_path_warns_on_tail_mass():
 def _one_shot_at_a_time(state, q, bound, seed, shots):
     """The generic path as a plain loop: one stream, one T_q build per candidate."""
     sigma = math.sqrt(1.0 / (1.0 - q * q))
+    # the envelope density (c/pi) e^{-c|beta|^2} written out, in the sampler's
+    # operation order, so that an error in the sampler's rate shows here
+    c = 0.5 * (1.0 - q * q)
     betas, counts = [], []
     for i in range(shots):
         rng = _numpy_stream(seed, i)
         while True:
             beta = complex(*rng.normal(0.0, sigma, size=2))
             output = teleport_output(state, q, beta)
-            cap = bound * float(_envelope_density(q, abs(beta) ** 2))
+            cap = bound * float((c / math.pi) * np.exp(-c * abs(beta) ** 2))
             if rng.uniform() * cap <= output.norm_sq():
                 break
         weights = np.abs(output.amplitudes[:, None]) ** 2

@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 import math
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cvteleport.tables import _BLOCK_ROWS, OutputTable, _integral
+from cvteleport.fock import number_state
+from cvteleport.sampler import SamplerConfig, run_shots
+from cvteleport.tables import _BLOCK_ROWS, OutputTable, _whole
 
 
 def sample_table():
@@ -133,7 +136,6 @@ def _csv_body(table):
 
 
 _AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 2.0**53, 1 / 3]
-# written with %d; the three after it keep %.17g
 _INTEGRAL = [0.0, -1.0, 2.0, 2.0**53 - 1, -(2.0**53 - 1), 1e15]
 _PAST_2_53 = [0.0, 1.0, 2.0**53, 3.0, 4.0, 5.0]
 _NEGATIVE_ZERO = [0.0, -0.0, 3.0]
@@ -142,6 +144,46 @@ _INTEGRAL_NAN = [0.0, 1.0, math.nan, 3.0, 4.0, 5.0]
 
 def _column(values):
     return np.array(values).reshape(-1, 1)
+
+
+def _random_bits(n):
+    """n float64 cells of uniformly random bit patterns: every sign, exponent
+    and mantissa, subnormals, signalling and quiet NaNs included."""
+    bits = np.random.default_rng(20261020).integers(0, 2**64, size=n, dtype=np.uint64)
+    return bits.view(np.float64).reshape(-1, 4)
+
+
+def _neighbours():
+    """Each 10**k, k = -6..18, and 2**53, with their neighbours up to 3 ulps
+    away, both signs: where the decimal exponent and fixed notation begin and end."""
+    centres = np.array([10.0**k for k in range(-6, 19)] + [2.0**53])
+    cells = [centres]
+    for direction in (np.inf, 0.0):
+        near = centres
+        for _ in range(3):
+            near = np.nextafter(near, direction)
+            cells.append(near)
+    cells = np.concatenate(cells)
+    return np.concatenate([cells, -cells]).reshape(-1, 2)
+
+
+def _ties():
+    """Cells halfway between two 17-digit decimals, so '%.17g' rounds half to
+    even: odd a / 2**(17 - k) in [10**k, 10**(k + 1)) has exactly 18
+    significant digits, the last a 5."""
+    rng = np.random.default_rng(5)
+    cells = []
+    for k in range(-4, 16):
+        scale = 2.0 ** (17 - k)
+        # a < 2**53, so that a / scale is exact
+        low, high = math.ceil(10.0**k * scale), min(math.floor(10.0 ** (k + 1) * scale), 2**53)
+        a = rng.integers(low // 2, high // 2, size=40) * 2 + 1
+        cells.append(a / scale)
+    return np.concatenate(cells).reshape(-1, 4)
+
+
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+_SPECIAL += [2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310, -1e-320]
 
 
 @pytest.mark.parametrize(
@@ -157,6 +199,10 @@ def _column(values):
         np.empty((0, 3)),
         np.empty((4, 0)),
         np.empty((0, 0)),
+        _random_bits(100_000),
+        _neighbours(),
+        _ties(),
+        _column(_SPECIAL),
     ],
     ids=[
         "awkward",
@@ -169,6 +215,10 @@ def _column(values):
         "zero-rows",
         "zero-columns",
         "empty",
+        "random-bits",
+        "powers-of-ten-neighbours",
+        "ties",
+        "special",
     ],
 )
 def test_csv_body_matches_savetxt(rows):
@@ -187,10 +237,30 @@ def test_csv_body_matches_savetxt_across_blocks(n_rows):
     assert OutputTable.from_csv(table.to_csv()) == table
 
 
-def test_integral_columns_are_the_exact_whole_numbers():
-    assert _integral(np.array(_INTEGRAL))
-    for values in (_PAST_2_53, _NEGATIVE_ZERO, _INTEGRAL_NAN, [1.0, math.inf], [0.5]):
-        assert not _integral(np.array(values))
+def test_ties_are_halfway_between_17_digit_decimals():
+    for x in _ties().ravel():
+        digits = decimal.Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+
+
+@pytest.mark.parametrize("q", [0.0, 0.9])
+def test_sampled_table_body_matches_savetxt(q):
+    # the columns of `cvteleport sample`; each run has a few beta parts below 1e-4
+    config = SamplerConfig(master_seed=3, shots=20_000, q=q, input_state=number_state(1, 32))
+    result = run_shots(config)
+    betas, counts = result.betas, result.photon_counts
+    rows = np.column_stack(
+        (np.arange(20_000), betas.real, betas.imag, counts, result.category_codes)
+    )
+    table = OutputTable(columns=["shot", "x", "y", "n", "category"], rows=rows)
+    assert _csv_body(table) == _savetxt_body(rows)
+
+
+def test_whole_cells_are_the_whole_numbers_below_1e17():
+    whole = _INTEGRAL + [-0.0, 2.0**53, 1e16 + 2.0, 1e17 - 16.0, -(1e17 - 16.0)]
+    other = [0.5, -1e-300, 1e17, 2.0**60, math.nan, math.inf, -math.inf]
+    assert _whole(np.array(whole)).all()
+    assert not _whole(np.array(other)).any()
 
 
 _WHOLE = st.one_of(
