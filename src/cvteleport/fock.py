@@ -192,7 +192,9 @@ class _Triangle(NamedTuple):
 
     Entry i is the element <j+k|D(r)|j> on diagonal k below the main one, and
     its mirror <j|D(r)|j+k> above it; the entries run j-major, so entries
-    of degree j hold k = 0 .. dim-1-j. ``sign`` is (-1)^k as a column.
+    of degree j hold k = 0 .. dim-1-j. ``sign`` is (-1)^k, and ``ascent``
+    and ``lag`` are 2j+1+k and j+k, the coefficients of the Laguerre step
+    out of degree j, each as a float column over the entries.
     """
 
     rows: np.ndarray  # j + k
@@ -200,6 +202,8 @@ class _Triangle(NamedTuple):
     diagonal: np.ndarray  # k
     half_log_ratio: np.ndarray  # 0.5 (ln j! - ln (j+k)!)
     sign: np.ndarray
+    ascent: np.ndarray  # 2j + 1 + k
+    lag: np.ndarray  # j + k
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,6 +217,8 @@ def _triangle(dim: int) -> _Triangle:
         diagonal=k,
         half_log_ratio=0.5 * (lg[j] - lg[j + k]),
         sign=np.where(k % 2, -1.0, 1.0)[:, None],
+        ascent=(2 * j + 1 + k).astype(float)[:, None],
+        lag=(j + k).astype(float)[:, None],
     )
     for arr in triangle:
         arr.setflags(write=False)
@@ -238,22 +244,28 @@ def _radial_magnitudes(r: np.ndarray, dim: int) -> np.ndarray:
     out += triangle.half_log_ratio[:, None]
     out -= 0.5 * x
     np.exp(out, out=out)
-    # L_prev, L_cur hold L_{j-1}^{(k)}(x_b), L_j^{(k)}(x_b) in row k < dim - j
-    degree = np.arange(dim, dtype=float)[:, None]
+    # L_prev, L_cur hold L_{j-1}^{(k)}(x_b), L_j^{(k)}(x_b) in row k < dim - j;
+    # the step writes L_next and (j+k) L_prev into buffers allocated once
     L_prev = np.zeros((dim, r.size))
     L_cur = np.ones((dim, r.size))  # L_0^{(k)} = 1 for every k
+    L_next = np.empty((dim, r.size))
+    work = np.empty((dim, r.size))
     start = 0
     for j in range(dim):
         width = dim - j
-        out[start : start + width] *= L_cur
-        start += width
+        out[start : start + width] *= L_cur[:width]
         if width == 1:
             break
-        L_next = (2 * j + 1 + degree[: width - 1]) - x
-        L_next *= L_cur[: width - 1]
-        L_next -= (j + degree[: width - 1]) * L_prev[: width - 1]
-        L_next /= j + 1
-        L_prev, L_cur = L_cur[: width - 1], L_next
+        # rows k < width - 1 step to degree j + 1, with the coefficients of their entries
+        n = width - 1
+        rows = slice(start, start + n)
+        start += width
+        lagged = np.multiply(triangle.lag[rows], L_prev[:n], out=work[:n])
+        step = np.subtract(triangle.ascent[rows], x, out=L_next[:n])
+        step *= L_cur[:n]
+        step -= lagged
+        step /= j + 1
+        L_prev, L_cur, L_next = L_cur, L_next, L_prev
     return out
 
 

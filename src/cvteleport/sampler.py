@@ -21,11 +21,11 @@ the envelope raises, never clips. This path needs numpy's normal sampler,
 so each shot keys numpy's ``Philox`` with its derived key, handed over as
 a seed sequence that holds nothing but the key: the generator is the one
 ``Philox(key=key)`` builds, but nothing reads OS entropy for a seed that the
-key would override. All
-pending shots advance in lockstep rounds: each draws one candidate from its
-own stream, and the round's candidates apply T_q(beta) to the input in
-batches of ``teleport._batch_size`` real displacements D(r) (at least 32,
-and 480 at cutoff 32) through ``teleport._transfer_apply``, which keeps the
+key would override. All pending shots advance in lockstep rounds: each
+draws one candidate and its accept uniform from its own stream, in one pass
+over the streams, and the round's candidates apply T_q(beta) to the input
+in batches of ``teleport._batch_size`` real displacements D(r) (at least
+32, and 128 at cutoff 32) through ``teleport._transfer_apply``, which keeps the
 unit phases of beta outside the real product and builds no T_q matrix. The
 envelope bound takes its radii in batches of the same size. Each of the two
 loops allocates one displacement workspace of a batch and builds every
@@ -34,7 +34,8 @@ candidate's output has the target density as its squared norm, and the
 accepted output is the state the photon count is drawn from. Each stream
 is consumed in the same order as one shot at a time (candidate normals,
 accept uniform, then the count uniform), so records do not depend on the
-batching.
+batching. Uniforms come from ``Generator.random()``, which equals
+``uniform()`` bit for bit (0.0 + 1.0 x) at a fraction of its call cost.
 
 Both paths draw photon counts with one routine, ``_draw_counts``, from two
 sources of level weights, one (B,) array per level and no (B, levels)
@@ -428,10 +429,10 @@ def _rejection_sample(
     """Accepted beta of every shot and its output T_q(beta)|psi>, one row each.
 
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
-    candidate, and the round's candidates apply T_q to psi in batches of
-    ``teleport._batch_size`` real displacements; then each pending shot
-    draws its accept uniform, so a shot's stream sees the same draws as it
-    would alone. The proposal makes (1-q^2)|beta|^2 a chi-square variable
+    candidate and then its accept uniform, in one pass over the streams, so
+    a shot's stream sees the same draws as it would alone; the round's
+    candidates apply T_q to psi in batches of ``teleport._batch_size`` real
+    displacements. The proposal makes (1-q^2)|beta|^2 a chi-square variable
     with two degrees of freedom, so a candidate reaches the far tail where
     the density underflows (exponent 690) with probability e^-345. Also
     returns how many candidate outputs leave a relative tail mass above
@@ -447,7 +448,13 @@ def _rejection_sample(
     heavy, worst_tail = 0, 0.0
     pending = np.arange(len(rngs))
     for _ in range(_MAX_REJECTION_DRAWS):
-        normals = np.array([rngs[i].normal(0.0, sigma, size=2) for i in pending])
+        # one pass over the streams: each draws its candidate, then its accept uniform
+        normals = np.empty((pending.size, 2))
+        uniforms = np.empty(pending.size)
+        for row, i in enumerate(pending.tolist()):
+            rng = rngs[i]
+            normals[row] = rng.normal(0.0, sigma, size=2)
+            uniforms[row] = rng.random()
         candidates = normals.view(complex).ravel()
         stack = np.concatenate(
             [
@@ -471,7 +478,6 @@ def _rejection_sample(
                 f"density {targets[i]:.6e} exceeds envelope cap {caps[i]:.6e} "
                 f"at beta={candidates[i]:.4f}"
             )
-        uniforms = np.array([rngs[i].uniform() for i in pending])
         accept = uniforms * caps <= targets
         betas[pending[accept]] = candidates[accept]
         outputs[pending[accept]] = stack[accept]
@@ -643,7 +649,7 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
             heavy, worst_tail = heavy + chunk_heavy, max(worst_tail, chunk_worst)
             # each stream's next uniform, after its accepted candidate, draws the count
             weights = np.abs(outputs) ** 2
-            u = np.array([rng.uniform() for rng in rngs])
+            u = np.array([rng.random() for rng in rngs])
             # no tail: this path does not know the output's mass above the cutoff
             counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u)
         if heavy:

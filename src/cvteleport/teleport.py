@@ -59,13 +59,15 @@ _SQUARABLE_RADIUS = 1e150
 # truncation diagnostic.
 _EPR_DEFECT_THRESHOLD = 1e-8
 
-# bytes of one (B, dim, dim) batch of real displacement or T_q matrices
-_BATCH_BYTES = 4 << 20
+# bytes of one (B, dim, dim) batch of real displacement or T_q matrices: 1.25 MiB,
+# so a batch and its build's arrays stay near the size of a core's L2 cache
+_BATCH_BYTES = 5 << 18
 
 
 def _batch_size(dim: int) -> int:
     """Real (dim, dim) matrices per batch: as many whole blocks of 32 as
-    ``_BATCH_BYTES`` holds, at least one block (480 at cutoff 32)."""
+    ``_BATCH_BYTES`` holds, at least one block. At cutoff 32 that is 128,
+    the whole radial grid of ``statistics._photon_transfer_matrix``."""
     return 32 * max(1, _BATCH_BYTES // (32 * 8 * dim * dim))
 
 

@@ -1,0 +1,191 @@
+"""Apply a fixed list of one-line mutants to the package and see which tier-1 kills.
+
+Each mutant replaces one exact piece of text in one file of ``src/cvteleport``.
+The probe copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to
+a temporary directory, runs the tier-1 suite there once unchanged (it must
+pass), and then once per mutant on a fresh copy, with ``tests/test_golden.py``
+ignored, so that only physics and property tests count, not recorded digests.
+It prints one line per mutant:
+
+- ``killed``: some test failed, and the line counts them and names the first three;
+- ``survived``: every test passed, so nothing outside the goldens sees it;
+- ``equivalent``: the mutant leaves the sampled law or the value unchanged,
+  for the reason printed; tier-1 may still fail on it (seed-pinned tests
+  see the changed draws), and the line says which tests did.
+
+The exit status is 1 when a mutant that is not equivalent survives, or when
+a mutant's text no longer appears exactly once in its file. Not part of
+tier-1 or CI: it runs the whole suite once per mutant, about five minutes
+on two cores.
+
+    python tests/mutation_probe.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/cvteleport
+    old: str
+    new: str
+    equivalent: str | None = None  # why the law is unchanged, for an equivalent mutant
+
+
+MUTANTS = (
+    Mutant(
+        "loss-weight",
+        "sampler.py",
+        "    yield power * s\n",
+        "    yield 1.1 * power * s\n",
+    ),
+    Mutant(
+        "radial-cdf",
+        "sampler.py",
+        "np.multiply(a * a, mid, out=b)",
+        "np.multiply(a, mid, out=b)",
+    ),
+    Mutant(
+        "half-plane-angle",
+        "sampler.py",
+        "theta = 2.0 * math.pi * u[:, 1]",
+        "theta = math.pi * u[:, 1]",
+    ),
+    Mutant(
+        "proposal-width",
+        "sampler.py",
+        "sigma = math.sqrt(1.0 / (2.0 * _envelope_rate(q)))",
+        "sigma = math.sqrt(0.8 / (2.0 * _envelope_rate(q)))",
+    ),
+    Mutant(
+        "counts-shifted",
+        "sampler.py",
+        "counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u)",
+        "counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u) + 1",
+    ),
+    Mutant(
+        "transfer-level-1",
+        "teleport.py",
+        "pairs *= (q ** np.arange(dim))[:, None]",
+        "pairs *= (q ** np.arange(dim) * np.where(np.arange(dim) == 1, 1.05, 1.0))[:, None]",
+    ),
+    Mutant(
+        "acceptance-factor",
+        "sampler.py",
+        "accept = uniforms * caps <= targets",
+        "accept = uniforms * caps <= 0.9 * targets",
+        equivalent="accepting with 0.9 of the ratio scales every candidate alike, "
+        "so the accepted law is unchanged and only the draws differ",
+    ),
+    Mutant(
+        "safety-factor",
+        "sampler.py",
+        "_ENVELOPE_SAFETY = 1.5",
+        "_ENVELOPE_SAFETY = 1.0001",
+        equivalent="the majorant of moduli already bounds the density, so the cap "
+        "stays above it and the accepted law is unchanged; only the draws differ",
+    ),
+    Mutant(
+        "envelope-rate",
+        "sampler.py",
+        "return 0.5 * (1.0 - q * q)",
+        "return 0.49 * (1.0 - q * q)",
+    ),
+    Mutant(
+        "mean-photon-change",
+        "statistics.py",
+        "denominator = (1.0 + q) ** 2 * s + q * q",
+        "denominator = (1.0 + q) ** 2 * s + q",
+    ),
+    Mutant(
+        "laguerre-lag",
+        "fock.py",
+        "lag=(j + k).astype(float)[:, None]",
+        "lag=(j + k + 1).astype(float)[:, None]",
+    ),
+    Mutant(
+        "uniform-before-normals",
+        "sampler.py",
+        "            normals[row] = rng.normal(0.0, sigma, size=2)\n"
+        "            uniforms[row] = rng.random()\n",
+        "            uniforms[row] = rng.random()\n"
+        "            normals[row] = rng.normal(0.0, sigma, size=2)\n",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _run_tier1(tree: Path) -> tuple[bool, str]:
+    """Tier-1 without the goldens: (passed, how many tests failed and which)."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    argv += ["--ignore=tests/test_golden.py"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH="src")
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return True, ""
+    failures = list(dict.fromkeys(re.findall(r"^(?:FAILED|ERROR) \S+::(\w+)", proc.stdout, re.M)))
+    if failures:
+        more = ", ..." if len(failures) > 3 else ""
+        return False, f"{len(failures)} failing: {', '.join(failures[:3])}{more}"
+    tail = proc.stdout.strip().splitlines() or proc.stderr.strip().splitlines() or ["?"]
+    return False, f"exit {proc.returncode}: {tail[-1]}"
+
+
+def _probe(mutant: Mutant, scratch: Path) -> tuple[str, str]:
+    tree = scratch / mutant.name
+    _copy_tree(tree)
+    path = tree / "src" / "cvteleport" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return "stale", f"its text appears {text.count(mutant.old)} times in {mutant.module}"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    passed, failure = _run_tier1(tree)
+    shutil.rmtree(tree)
+    if mutant.equivalent:
+        seen = "tier-1 passes" if passed else failure
+        return "equivalent", f"{mutant.equivalent} ({seen})"
+    return ("survived", "every tier-1 test passes") if passed else ("killed", failure)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="cvteleport-mutants-") as tmp:
+        scratch = Path(tmp)
+        _copy_tree(scratch / "baseline")
+        passed, failure = _run_tier1(scratch / "baseline")
+        if not passed:
+            print(f"unmutated tier-1 fails ({failure}); no mutant can be judged", file=sys.stderr)
+            return 2
+        bad = 0
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            status, detail = _probe(mutant, scratch)
+            bad += status in ("survived", "stale")
+            elapsed = time.perf_counter() - start
+            print(f"{mutant.name:<24} {status:<10} {elapsed:5.1f} s  {detail}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -140,6 +140,17 @@ def test_shot_generator_draws_like_philox_keyed_directly(seed):
             assert mine.uniform() == theirs.uniform()
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 + 12_345])
+def test_random_draws_the_bits_of_uniform(seed):
+    # two generators on one key stay in step when one calls random() where
+    # the other calls uniform(), between the candidate normals of each round
+    for key in _stream_keys(seed, np.array([0, 7, 2**32 - 1])):
+        mine, theirs = _shot_generator(key), _shot_generator(key)
+        for _ in range(50):
+            assert np.array_equal(mine.normal(0.0, 1.3, size=2), theirs.normal(0.0, 1.3, size=2))
+            assert mine.random().hex() == theirs.uniform().hex()
+
+
 def test_generic_path_reads_no_os_entropy(monkeypatch):
     # every stream is keyed from the master seed, so no OS entropy is needed
     config = SamplerConfig(SEED, 20, 0.5, coherent_state(0.5, 32).unit())
@@ -563,7 +574,7 @@ def test_rejection_proposal_is_the_envelope(q):
             scales.append(scale)
             return np.array([0.3, -0.2])
 
-        def uniform(self):
+        def random(self):
             return 0.0
 
     state = coherent_state(0.5, 32).unit()
@@ -602,6 +613,21 @@ def test_generic_path_warns_on_tail_mass():
         assert len(caught) == 1
         assert issubclass(caught[0].category, TruncationWarning)
         assert "relative tail mass" in str(caught[0].message)
+
+
+@pytest.mark.filterwarnings("ignore::cvteleport.errors.TruncationWarning")
+def test_generic_run_peak_stays_near_one_displacement_batch():
+    # the benchmark's generic run: each loop holds one 1.1 MB batch of D(r)
+    # and its (T, B) magnitudes, near the size of a core's L2 cache
+    config = SamplerConfig(0, 500, 0.5, coherent_state(0.5, 32).unit())
+    run_shots(config)  # warm: the index triangle and stream-key class are cached
+    tracemalloc.start()
+    try:
+        run_shots(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 def _one_shot_at_a_time(state, q, bound, seed, shots):
@@ -696,7 +722,7 @@ def test_generic_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypatch):
     assert len(outputs) == 16
 
     class LastUniform:
-        def uniform(self):
+        def random(self):
             return 1.0 - 2.0**-53
 
     def accept_outputs(state, q, bound, rngs):

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from cvteleport.errors import GridMismatchError, NoCrossingError, TruncationWarning, ZeroNormError
 from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
+    _RADIAL_NODES,
     LossGainSplit,
     PhotonDistribution,
     _closed_form_tail,
@@ -24,7 +25,7 @@ from cvteleport.statistics import (
     squeezing_db_to_q,
 )
 from cvteleport.sampler import _single_photon_levels
-from cvteleport.teleport import single_photon_beta_density, transfer_operator
+from cvteleport.teleport import _batch_size, single_photon_beta_density, transfer_operator
 
 
 @pytest.mark.parametrize(
@@ -124,6 +125,12 @@ def test_transfer_matrix_does_not_depend_on_the_batch(cutoff, q):
     # the batched sum agrees with one operator per radius to rounding
     batched = _photon_transfer_matrix(q, cutoff)
     assert np.max(np.abs(batched - _per_radius_transfer_matrix(q, cutoff))) <= 1e-14
+
+
+def test_default_cutoff_grid_is_one_batch():
+    # the whole radial grid at cutoff 32 is summed in one product, so the
+    # loss-gain quadrature golden (cutoff 32) holds only while it stays one batch
+    assert _batch_size(33) == 128 >= _RADIAL_NODES
 
 
 def test_distribution_guards():
