@@ -32,10 +32,9 @@ from .statistics import (
     loss_gain_split,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
-    single_photon_beta_density,
 )
 from .tables import OutputTable
-from .teleport import _as_q
+from .teleport import _as_q, _beta_density
 from .verification import CHECK_LEVELS, run_checks
 
 __all__ = ["main", "build_parser", "parse_range_spec"]
@@ -157,12 +156,9 @@ def _write_table(args: argparse.Namespace, columns: list[str], rows, **metadata)
 
 def cmd_beta_density(args: argparse.Namespace) -> int:
     axis = parse_range_spec(args.range)
-    rows = []
-    for x in axis:
-        for y in axis:
-            rows.append([float(x), float(y), single_photon_beta_density(args.q, complex(x, y))])
-    columns = ["x_minus", "y_plus", "density"]
-    return _write_table(args, columns, rows, q=args.q, range=args.range)
+    x, y = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
+    rows = np.column_stack((x, y, _beta_density(args.q, x + 1j * y)))
+    return _write_table(args, ["x_minus", "y_plus", "density"], rows, q=args.q, range=args.range)
 
 
 def cmd_photon_stats(args: argparse.Namespace) -> int:
@@ -226,11 +222,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_conditional(args: argparse.Namespace) -> int:
-    rows = []
-    for r in parse_range_spec(args.radial_range):
-        beta = complex(float(r))
-        total, p0, p1, p_ge2 = _conditional_densities(args.q, beta)
-        rows.append([float(r), total, p1, p0, p_ge2])
+    radii = parse_range_spec(args.radial_range)
+    total, p0, p1, p_ge2 = _conditional_densities(args.q, radii)
+    rows = np.column_stack((radii, total, p1, p0, p_ge2))
     columns = ["beta_abs", "total", "p_one", "p_zero", "p_ge2"]
     return _write_table(args, columns, rows, q=args.q, radial_range=args.radial_range)
 

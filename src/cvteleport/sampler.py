@@ -40,11 +40,11 @@ batching. Uniforms come from ``Generator.random()``, which equals
 Both paths draw photon counts with one routine, ``_draw_counts``, from two
 sources of level weights, one (B,) array per level and no (B, levels)
 matrix: the columns of the generic path's |output|^2 rows, and on the
-single-photon path ``_single_photon_levels``, which builds each level of the
-closed-form number law from the level before. The draw is an inverse CDF
-against a shot's cumulative weights plus its mass above the cutoff, which
-draws overflow: zero on the generic path, and on the single-photon path the
-exact tail of the closed-form number law, from Poisson tail probabilities.
+single-photon path ``statistics._single_photon_levels``, which builds each
+level of the closed-form number law from the level before. The draw is an
+inverse CDF against a shot's cumulative weights plus its mass above the
+cutoff, which draws overflow: zero on the generic path, and on the
+single-photon path ``statistics._single_photon_tail``, the law's exact tail.
 A run returns columns: shot i sits at index i of ``ShotRunResult.betas`` and
 ``.photon_counts``.
 """
@@ -55,7 +55,7 @@ import functools
 import math
 import operator
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +65,10 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
-    _log_factorials,
     _radial_displacement_stack,
     number_state,
 )
+from .statistics import _single_photon_levels, _single_photon_tail
 from .teleport import _as_q, _batch_size, _transfer_apply
 
 __all__ = [
@@ -527,84 +527,6 @@ def _draw_counts(
         counts += below
     counts[counts == dim] = OVERFLOW_COUNT
     return counts
-
-
-def _single_photon_levels(q: float, betas: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
-    """|<n|T_q(beta)|1>|^2 for every shot, one fresh (B,) array per level n = 0 ... n_max.
-
-    With a = 1-q^2, t = |beta|^2 and s = (1-q)^2 t, the closed form of the
-    displaced two-term output gives w_0 = c s and w_n = c P_n (s + qn)^2,
-    with c = (a/pi) e^{-2(1-q)t} and P_n = s^{n-1}/n!. Each level takes
-    c P_n from the level before, c P_1 = c and c P_n = c P_{n-1} s/n, so a
-    level costs a few flops and no exp. At t = 0, s = 0 leaves (a/pi) q^2 at
-    level 1 and 0 elsewhere.
-    """
-    s = np.abs(betas) ** 2  # t until c is built from it
-    power = np.exp(-2.0 * (1.0 - q) * s)
-    power *= (1.0 - q * q) / math.pi
-    s *= (1.0 - q) ** 2
-    yield power * s
-    for n in range(1, n_max + 1):
-        weights = s + q * n
-        weights *= weights
-        weights *= power
-        yield weights
-        power *= s
-        power /= n + 1
-
-
-def _poisson_tail(s: np.ndarray, k: int) -> np.ndarray:
-    """P(Poisson(s) >= k) for means s > 0 and an int k >= 1, with no cancellation.
-
-    Below the mean, s < k, it is e^{-s} s^k/k! sum_j s^j k!/(k+j)!, each
-    term s/(k+j) < 1 times the one before. The series is summed forward from
-    1 until every row's next term is below 2**-53. A term that small is under
-    half an ulp of a sum >= 1 and leaves it unchanged, and so does every
-    later term, so the terms that a larger s in the batch still adds change
-    no other row: a row does not depend on the rest of the batch. Otherwise
-    it is 1 - sum_{n<k} e^{-s} s^n/n!, which is at least about 1/2 there.
-    """
-    log_factorials = _log_factorials(k + 1)
-    tail = np.empty_like(s)
-    low = s < k
-    s_low = s[low]
-    term, series = np.ones_like(s_low), np.ones_like(s_low)
-    j = 0
-    while term.max(initial=0.0) >= 2.0**-53:
-        j += 1
-        term *= s_low / (k + j)
-        series += term
-    tail[low] = np.exp(k * np.log(s_low) - s_low - log_factorials[k]) * series
-    s_high = s[~low, None]
-    head = np.exp(np.arange(k) * np.log(s_high) - s_high - log_factorials[:k])
-    tail[~low] = 1.0 - head.sum(axis=1)
-    return tail
-
-
-def _single_photon_tail(q: float, betas: np.ndarray, n_max: int) -> np.ndarray:
-    """Mass of |<n|T_q(beta)|1>|^2 above level n_max for every shot at once.
-
-    The weights of ``_single_photon_levels`` are
-    (a/pi) e^{-at} e^{-s} s^{n-1}/n! (s + qn)^2 with a = 1-q^2, t = |beta|^2
-    and s = (1-q)^2 t, so Poisson moments sum them above N = n_max to
-    (a/pi) e^{-at} [s T(N+1) + 2qs T(N) + q^2 (s T(N-1) + T(N))], with
-    T(k) = P(Poisson(s) >= k). Every term is positive. T(N) and T(N-1) add
-    the Poisson probabilities of N and N-1 to T(N+1). At t = 0 the output
-    is q|1> and the tail is 0.
-    """
-    a = 1.0 - q * q
-    t = np.abs(betas) ** 2
-    pos = t > 0.0
-    s = (1.0 - q) ** 2 * np.where(pos, t, 1.0)
-    log_factorials = _log_factorials(n_max + 1)
-    log_s = np.log(s)
-    above = _poisson_tail(s, n_max + 1)
-    at = above + np.exp(n_max * log_s - s - log_factorials[n_max])
-    below = at + np.exp((n_max - 1) * log_s - s - log_factorials[n_max - 1])
-    tail = s * above + 2.0 * q * s * at + q * q * (s * below + at)
-    tail *= (a / math.pi) * np.exp(-a * t)
-    tail[~pos] = 0.0
-    return tail
 
 
 def _is_single_photon(state: StateVector) -> bool:

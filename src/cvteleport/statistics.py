@@ -11,6 +11,9 @@ exceeds 1e-14 (q above about 0.9915) it raises ``GridMismatchError``
 instead of truncating silently. The split into loss (n=0), success (n=1)
 and gain (n>=2) has the closed form (¼(1-q^2), ¼(1+q+q^2+q^3),
 ¼(2-q-q^3)).
+
+The number law of a teleported |1> given beta lives here once, its levels and
+its exact tail: the sampler draws counts from it, and the conditional densities split it.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ import cmath
 import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError
-from .fock import StateVector, _as_n_max, _as_unit
-from .teleport import _as_q, _batch_size, _transfer_stack, single_photon_beta_density
+from .fock import StateVector, _as_n_max, _as_unit, _log_factorials
+from .teleport import _as_q, _batch_size, _beta_density, _transfer_stack
 
 __all__ = [
     "PhotonDistribution",
@@ -199,12 +203,12 @@ def conditional_beta_density(q: float, beta: complex) -> tuple[float, float, flo
     """Joint densities (P_q(0, beta), P_q(1, beta), P_q(n>=2, beta)) for the
     single-photon input: photon lost, exact transfer, photon gain.
 
-    The first two are closed forms sharing the envelope e^{-2(1-q)|beta|^2};
-    the gain term is the remainder against the total density, clamped only
-    for negative values smaller than 1e-12 in magnitude. A non-finite beta
-    raises ValueError.
+    They are ``_conditional_densities`` at one beta: levels 0 and 1 of the
+    output number law and its exact mass above level 1, none negative. A
+    non-finite beta raises ValueError.
     """
-    return _conditional_densities(q, beta)[1:]
+    parts = _conditional_densities(_as_q(q), np.array([complex(beta)]))[1:]
+    return tuple(float(p[0]) for p in parts)
 
 
 def mean_photon_change(q: float, beta: complex) -> float:
@@ -233,24 +237,96 @@ def mean_photon_change(q: float, beta: complex) -> float:
     return s * (1.0 - (1.0 - q * q) / denominator)
 
 
-def _conditional_densities(q: float, beta: complex) -> tuple[float, float, float, float]:
-    """(total, p0, p1, p_ge2): the conditional densities with the total
-    density they split, from one evaluation of it."""
-    q = _as_q(q)
-    beta = complex(beta)
-    total = single_photon_beta_density(q, beta)
-    if total == 0.0:
-        # the three parts are non-negative and sum to the total
-        return total, 0.0, 0.0, 0.0
+def _single_photon_levels(q: float, betas: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
+    """|<n|T_q(beta)|1>|^2 for every shot, one fresh (B,) array per level n = 0 ... n_max.
+
+    With a = 1-q^2, t = |beta|^2 and s = (1-q)^2 t, the closed form of the
+    displaced two-term output gives w_0 = c s and w_n = c P_n (s + qn)^2,
+    with c = (a/pi) e^{-2(1-q)t} and P_n = s^{n-1}/n!. Each level takes
+    c P_n from the level before, c P_1 = c and c P_n = c P_{n-1} s/n, so a
+    level costs a few flops and no exp. At t = 0, s = 0 leaves (a/pi) q^2 at
+    level 1 and 0 elsewhere.
+    """
+    s = np.abs(betas) ** 2  # t until c is built from it
+    power = np.exp(-2.0 * (1.0 - q) * s)
+    power *= (1.0 - q * q) / math.pi
+    s *= (1.0 - q) ** 2
+    yield power * s
+    for n in range(1, n_max + 1):
+        weights = s + q * n
+        weights *= weights
+        weights *= power
+        yield weights
+        power *= s
+        power /= n + 1
+
+
+def _poisson_tail(s: np.ndarray, k: int) -> np.ndarray:
+    """P(Poisson(s) >= k) for means s > 0 and an int k >= 1, with no cancellation.
+
+    Below the mean, s < k, it is e^{-s} s^k/k! sum_j s^j k!/(k+j)!, each
+    term s/(k+j) < 1 times the one before. The series is summed forward from
+    1 until every row's next term is below 2**-53. A term that small is under
+    half an ulp of a sum >= 1 and leaves it unchanged, and so does every
+    later term, so the terms that a larger s in the batch still adds change
+    no other row: a row does not depend on the rest of the batch. Otherwise
+    it is 1 - sum_{n<k} e^{-s} s^n/n!, which is at least about 1/2 there.
+    """
+    log_factorials = _log_factorials(k + 1)
+    tail = np.empty_like(s)
+    low = s < k
+    s_low = s[low]
+    term, series = np.ones_like(s_low), np.ones_like(s_low)
+    j = 0
+    while term.max(initial=0.0) >= 2.0**-53:
+        j += 1
+        term *= s_low / (k + j)
+        series += term
+    tail[low] = np.exp(k * np.log(s_low) - s_low - log_factorials[k]) * series
+    s_high = s[~low, None]
+    head = np.exp(np.arange(k) * np.log(s_high) - s_high - log_factorials[:k])
+    tail[~low] = 1.0 - head.sum(axis=1)
+    return tail
+
+
+def _single_photon_tail(q: float, betas: np.ndarray, n_max: int) -> np.ndarray:
+    """Mass of |<n|T_q(beta)|1>|^2 above level n_max for every shot at once.
+
+    The weights of ``_single_photon_levels`` are
+    (a/pi) e^{-at} e^{-s} s^{n-1}/n! (s + qn)^2 with a = 1-q^2, t = |beta|^2
+    and s = (1-q)^2 t, so Poisson moments sum them above N = n_max to
+    (a/pi) e^{-at} [s T(N+1) + 2qs T(N) + q^2 (s T(N-1) + T(N))], with
+    T(k) = P(Poisson(s) >= k). Every term is positive. T(N) and T(N-1) add
+    the Poisson probabilities of N and N-1 to T(N+1). At s = 0 the tail is 0:
+    at t = 0 the output is q|1>, and a subnormal t that rounds s to 0 leaves less.
+    """
     a = 1.0 - q * q
-    t = abs(beta) ** 2
-    envelope = (a / math.pi) * math.exp(-2.0 * (1.0 - q) * t)
-    p0 = envelope * (1.0 - q) ** 2 * t
-    p1 = envelope * (q + (1.0 - q) ** 2 * t) ** 2
-    rest = total - p0 - p1
-    if rest < -1e-12:
-        raise ValueError(f"gain density {rest:.3e} below the clamp threshold")
-    return total, p0, p1, max(rest, 0.0)
+    t = np.abs(betas) ** 2
+    s = (1.0 - q) ** 2 * t
+    pos = s > 0.0
+    s[~pos] = 1.0
+    log_factorials = _log_factorials(n_max + 1)
+    log_s = np.log(s)
+    above = _poisson_tail(s, n_max + 1)
+    at = above + np.exp(n_max * log_s - s - log_factorials[n_max])
+    below = at + np.exp((n_max - 1) * log_s - s - log_factorials[n_max - 1])
+    tail = s * above + 2.0 * q * s * at + q * q * (s * below + at)
+    tail *= (a / math.pi) * np.exp(-a * t)
+    tail[~pos] = 0.0
+    return tail
+
+
+def _conditional_densities(q: float, betas) -> tuple[np.ndarray, ...]:
+    """(total, p0, p1, p_ge2) for a 1-D array of finite betas, each of shape (B,):
+    ``teleport._beta_density``, levels 0 and 1 of ``_single_photon_levels``
+    and ``_single_photon_tail`` above level 1, a sum of positive terms. Where
+    the total is 0, with its one warning per call, so are the parts."""
+    total = _beta_density(q, betas)
+    live = total > 0.0
+    parts = np.zeros((3, total.size))
+    parts[:2, live] = list(_single_photon_levels(q, betas[live], 1))
+    parts[2, live] = _single_photon_tail(q, betas[live], 1)
+    return (total, *parts)
 
 
 def crossing_radius(q: float) -> float:

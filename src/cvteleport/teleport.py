@@ -17,11 +17,13 @@ applies it that way. For a single-photon input the output has a closed form
 over beta is
 
     P_q(beta) = ((1-q^2)/pi) e^{-(1-q^2)|beta|^2} ((1-q^2)^2 |beta|^2 + q^2).
+
+``_beta_density`` evaluates it over a batch of beta in one call, for the
+public function at one beta and for whole CLI grids alike.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 
@@ -48,11 +50,9 @@ __all__ = [
     "DENSITY_UNDERFLOW_EXPONENT",
 ]
 
-# e^{-(1-q^2)|beta|^2} < 1e-300 marks the density as an exact 0 (see
-# single_photon_beta_density); 300*ln(10) in the exponent.
+# e^{-(1-q^2)|beta|^2} < 1e-300 makes the density an exact 0: 300*ln(10) in the exponent
 DENSITY_UNDERFLOW_EXPONENT = 300.0 * math.log(10.0)
-# |beta| whose square stays finite; every q < 1 has 1-q^2 > 1e-17, so past it
-# (1-q^2)|beta|^2 exceeds the exponent above and the density is 0 anyway
+# a larger |beta| is squared as this one, where (1-q^2)|beta|^2 passes the exponent at any q < 1
 _SQUARABLE_RADIUS = 1e150
 
 # EPR norm defect q^{2(n_max+1)} above which projection paths emit a
@@ -205,28 +205,36 @@ def single_photon_output_closed_form(
     return StateVector(pref * (disp @ core))
 
 
-def single_photon_beta_density(q: float, beta: complex) -> float:
-    """Outcome density for the single-photon input, evaluated in closed form.
-
-    A non-finite beta raises ValueError. Where e^{-(1-q^2)|beta|^2} < 1e-300
-    the density is an exact 0 with a TruncationWarning, not a subnormal; a
-    |beta| too large to square takes that branch before it is squared.
-    """
-    q = _as_q(q)
-    beta = complex(beta)
-    if not cmath.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
+def _beta_density(q: float, betas) -> np.ndarray:
+    """The single-photon outcome density (a/pi) e^{-at} (a^2 t + q^2), a = 1-q^2,
+    at a 1-D batch of finite betas, with |beta| from ``np.hypot``, which rounds
+    like ``abs`` of a complex. Where e^{-at} < 1e-300 it is an exact 0, with one
+    TruncationWarning per call; a |beta| past ``_SQUARABLE_RADIUS`` is squared
+    as that radius, which zeroes it. A non-finite beta raises ValueError."""
+    betas = np.asarray(betas, dtype=complex).reshape(-1)
+    if not np.isfinite(betas).all():
+        raise ValueError(f"beta must be finite, got {betas[~np.isfinite(betas)][0]!r}")
     a = 1.0 - q * q
-    r = abs(beta)
-    if r > _SQUARABLE_RADIUS or a * r**2 > DENSITY_UNDERFLOW_EXPONENT:
+    r = np.hypot(betas.real, betas.imag)
+    t = np.minimum(r, _SQUARABLE_RADIUS) ** 2
+    density = (a / math.pi) * np.exp(-a * t) * (a * a * t + q * q)
+    under = a * t > DENSITY_UNDERFLOW_EXPONENT
+    if under.any():
+        density[under] = 0.0
         warnings.warn(
-            f"beta density underflows at |beta| = {r:.4g} for q = {q:g}; returning 0",
+            f"beta density underflows at {np.count_nonzero(under)} of {under.size} points, "
+            f"from |beta| = {r[under].min():.4g} for q = {q:g}; returning 0 there",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of the public function or the table command
         )
-        return 0.0
-    t = r**2
-    return (a / math.pi) * math.exp(-a * t) * (a * a * t + q * q)
+    return density
+
+
+def single_photon_beta_density(q: float, beta: complex) -> float:
+    """Outcome density for the single-photon input in closed form: ``_beta_density``
+    at one beta, so a non-finite beta raises ValueError, and where
+    e^{-(1-q^2)|beta|^2} < 1e-300 it is an exact 0 with a TruncationWarning."""
+    return float(_beta_density(_as_q(q), [complex(beta)])[0])
 
 
 def end_to_end_projection(

@@ -12,13 +12,28 @@ the package:
   element is a sum over k <= min(n, m) and has no cutoff;
 - the photon-transfer matrix M[n, m] from unit-gain teleportation as a pure
   loss of transmissivity eta = 1/G followed by an amplifier of gain
-  G = 2/(1+q) (Garcia-Patron et al., PRL 108, 110505 (2012)).
+  G = 2/(1+q) (Garcia-Patron et al., PRL 108, 110505 (2012));
+- the conditional densities of the |1> input at |beta|: levels 0 and 1 as
+  |<n|T_q(beta)|1>|^2 from the sum above, and the gain as the total density
+  minus both, the total being <1|T_q(beta)^2|1> through
+  T_q(beta)^2 = ((1-q^2)/pi) / sqrt((1-q^4)/pi) T_{q^2}(beta), so no
+  number-law closed form of the package enters.
 
-Needs mpmath, which the package does not depend on. Run it by hand and paste
-its output over the literals:
+Needs mpmath, which the package does not depend on (it is in the ``test``
+extra). Run it by hand and paste its output over the literals:
 
     python tests/make_reference_values.py
+
+With ``--check`` it prints nothing on success and exits 1 when a literal of
+``test_reference_values.py`` differs from what it would print.
 """
+
+import argparse
+import ast
+import contextlib
+import io
+import sys
+from pathlib import Path
 
 import mpmath as mp
 
@@ -27,6 +42,10 @@ mp.mp.dps = 40
 QS = ("0.0", "0.3", "0.5")
 BETAS = ((0.3, -0.2), (-1.2, 0.7), (2.0, 0.5))
 SIZE = 4
+# (q, |beta|) of the conditional densities, as the floats the tests pass
+CONDITIONAL_QS = (0.5, 0.9)
+CONDITIONAL_RADII = (0.02, 0.5, 2.0, 6.0)
+TESTS = Path(__file__).with_name("test_reference_values.py")
 
 
 def displacement_entry(alpha, m: int, n: int):
@@ -64,7 +83,15 @@ def loss_gain_entry(q, n: int, m: int):
     )
 
 
-def main() -> None:
+def conditional_entry(q, r):
+    """(p0, p1, p_ge2) of the |1> input at a real beta = r."""
+    p0, p1 = (abs(transfer_entry(q, r, n, 1)) ** 2 for n in (0, 1))
+    squared = (1 - q * q) / mp.pi / mp.sqrt((1 - q**4) / mp.pi)
+    total = squared * transfer_entry(q * q, r, 1, 1).real
+    return p0, p1, total - p0 - p1
+
+
+def print_literals() -> None:
     # the floats as written, so the tests feed the kernels the same beta
     betas = [(complex(re, im), mp.mpc(mp.mpf(re), mp.mpf(im))) for re, im in BETAS]
     print("DISPLACEMENT = {")
@@ -90,7 +117,46 @@ def main() -> None:
             print(f"        [{row}],")
         print("    ],")
     print("}")
+    print("CONDITIONAL = {")
+    for q in CONDITIONAL_QS:
+        for r in CONDITIONAL_RADII:
+            row = ", ".join(repr(float(p)) for p in conditional_entry(mp.mpf(q), mp.mpf(r)))
+            print(f"    ({q!r}, {r!r}): [{row}],")
+    print("}")
+
+
+def literals(source: str, names=None) -> dict:
+    """The module-level literals assigned in ``source``, by name."""
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and (names is None or node.targets[0].id in names)
+    }
+
+
+def check() -> int:
+    """1 when a literal of the tests differs from the generator's output."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        print_literals()
+    expected = literals(text.getvalue())
+    actual = literals(TESTS.read_text(encoding="utf-8"), expected)
+    stale = [name for name, value in expected.items() if actual.get(name) != value]
+    for name in stale:
+        print(f"{TESTS.name}: {name} differs from the generator's output", file=sys.stderr)
+    return 1 if stale else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare the test literals")
+    if parser.parse_args().check:
+        return check()
+    print_literals()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

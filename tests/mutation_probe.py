@@ -48,9 +48,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "loss-weight",
-        "sampler.py",
+        "statistics.py",
         "    yield power * s\n",
         "    yield 1.1 * power * s\n",
+    ),
+    Mutant(
+        "single-photon-tail",
+        "statistics.py",
+        "below = at + np.exp((n_max - 1) * log_s",
+        "below = above + np.exp((n_max - 1) * log_s",
     ),
     Mutant(
         "radial-cdf",

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,12 @@ from cvteleport.polarization import PolarizationOutcomeBudget
 from cvteleport.statistics import (
     LossGainSplit,
     _closed_form_tail,
+    conditional_beta_density,
     loss_gain_split,
     squeezing_db_to_q,
 )
 from cvteleport.tables import OutputTable
+from cvteleport.teleport import single_photon_beta_density
 from cvteleport.verification import run_checks
 
 
@@ -176,12 +179,37 @@ def test_conditional_columns_sum(capsys):
 
 
 def test_conditional_evaluates_the_density_once_per_row(capsys):
-    # both radii lie past the underflow radius, so each density evaluation warns
+    # both radii lie past the underflow radius; the table evaluates the
+    # density once for all its rows, so it warns once
     with pytest.warns(TruncationWarning) as record:
         code, out = run_cli(capsys, "conditional", "--q", "0.5", "--radial-range", "40:41:1")
     assert code == 0
     assert OutputTable.from_csv(out).rows[:, 1].tolist() == [0.0, 0.0]
-    assert len(record) == 2
+    assert len(record) == 1
+    assert "at 2 of 2 points" in str(record[0].message)
+
+
+def test_density_tables_equal_the_public_functions_bit_for_bit(capsys):
+    # each table evaluates its whole grid in one call, and every row is the
+    # public function at that point
+    code, out = run_cli(capsys, "beta-density", "--range=-6:6:0.05")
+    rows = OutputTable.from_csv(out).rows
+    assert code == 0 and rows.shape == (241 * 241, 3)
+    expected = [single_photon_beta_density(0.5, complex(x, y)) for x, y in rows[:, :2]]
+    assert rows[:, 2].tolist() == expected
+    # the radii cross the underflow radius, 30.35 at q = 0.5
+    with pytest.warns(TruncationWarning):
+        code, out = run_cli(capsys, "conditional", "--radial-range", "0:60:0.02")
+    rows = OutputTable.from_csv(out).rows
+    assert code == 0 and rows.shape == (3001, 5) and rows[-1, 1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        expected = [
+            [single_photon_beta_density(0.5, r), p1, p0, p_ge2]
+            for r in rows[:, 0]
+            for p0, p1, p_ge2 in [conditional_beta_density(0.5, r)]
+        ]
+    assert rows[:, 1:].tolist() == expected
 
 
 def test_densities_past_the_squarable_radius_exit_zero(capsys):

@@ -32,16 +32,19 @@ from cvteleport.sampler import (
     _invert_radial_cdf,
     _envelope_rate,
     _is_single_photon,
-    _poisson_tail,
     _rejection_sample,
     _shot_generator,
-    _single_photon_levels,
-    _single_photon_tail,
     _stream_keys,
     _stream_uniforms,
     run_shots,
 )
-from cvteleport.statistics import loss_gain_split, squeezing_db_to_q
+from cvteleport.statistics import (
+    _poisson_tail,
+    _single_photon_levels,
+    _single_photon_tail,
+    loss_gain_split,
+    squeezing_db_to_q,
+)
 from cvteleport.teleport import _batch_size, _transfer_apply, teleport_output
 
 SEED = 20260815

@@ -16,6 +16,8 @@ from cvteleport.statistics import (
     _closed_form_tail,
     _photon_transfer_matrix,
     _polar_grid,
+    _single_photon_levels,
+    _single_photon_tail,
     conditional_beta_density,
     crossing_radius,
     loss_gain_split,
@@ -24,7 +26,6 @@ from cvteleport.statistics import (
     photon_statistics_quadrature,
     squeezing_db_to_q,
 )
-from cvteleport.sampler import _single_photon_levels
 from cvteleport.teleport import _batch_size, single_photon_beta_density, transfer_operator
 
 
@@ -218,6 +219,17 @@ def test_conditional_densities_at_origin():
         p0, p1, p_ge2 = conditional_beta_density(q, 0j)
         assert p0 == 0.0 and p_ge2 == 0.0
         assert np.isclose(p1, (1.0 - q * q) / math.pi * q * q, atol=1e-15)
+
+
+@pytest.mark.parametrize("beta_abs", [2.3e-162, 3e-162])
+def test_gain_density_where_s_rounds_to_zero(beta_abs):
+    # t = |beta|^2 is a positive subnormal and s = (1-q)^2 t rounds to 0, where
+    # log(s) would raise a divide-by-zero warning; the tail is 0 there
+    betas = np.array([beta_abs, 1j * beta_abs])
+    assert np.all(np.abs(betas) ** 2 > 0.0) and not np.any(0.25 * np.abs(betas) ** 2)
+    assert _single_photon_tail(0.5, betas, 1).tolist() == [0.0, 0.0]
+    p0, p1, p_ge2 = conditional_beta_density(0.5, beta_abs)
+    assert p0 == 0.0 and p_ge2 == 0.0 and p1 == single_photon_beta_density(0.5, beta_abs)
 
 
 def test_conditional_densities_sum_to_total():
