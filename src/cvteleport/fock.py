@@ -311,7 +311,8 @@ def _radial_displacement_stack(radii: np.ndarray, cutoff: int, out=None) -> np.n
     stack[:, triangle.rows, triangle.cols] = mag.T
     mag *= triangle.sign
     stack[:, triangle.cols, triangle.rows] = mag.T
-    stack[zero] = np.eye(dim)
+    if zero.any():
+        stack[zero] = np.eye(dim)
     return stack
 
 

@@ -24,17 +24,17 @@ a seed sequence that holds nothing but the key: the generator is the one
 key would override. All pending shots advance in lockstep rounds: each
 draws one candidate and its accept uniform from its own stream, in one pass
 over the streams, and the round's candidates apply T_q(beta) to the input
-in batches of ``teleport._batch_size`` real displacements D(r) (at least
-32, and 128 at cutoff 32) through ``teleport._transfer_apply``, which keeps the
-unit phases of beta outside the real product and builds no T_q matrix. The
-envelope bound takes its radii in batches of the same size. Each of the two
-loops allocates one displacement workspace of a batch and builds every
-batch's D(r) in it, so no batch asks the allocator for fresh pages. A
-candidate's output has the target density as its squared norm, and the
-accepted output is the state the photon count is drawn from. Each stream
-is consumed in the same order as one shot at a time (candidate normals,
-accept uniform, then the count uniform), so records do not depend on the
-batching. Uniforms come from ``Generator.random()``, which equals
+in one call of ``teleport._transfer_apply``, which works in normal order
+from the powers of (1-q) beta and builds neither a T_q matrix nor a
+displacement. The envelope bound takes its radii in batches of
+``teleport._batch_size`` real displacements D(r) (at least 32, and 128 at
+cutoff 32), all built in one workspace, so no batch asks the allocator for
+fresh pages. A candidate's output has the target density as its squared
+norm, and the accepted output is the state the photon count is drawn from.
+Each stream is consumed in the same order as one shot at a time (candidate
+normals, accept uniform, then the count uniform), and a candidate's output
+does not depend on the others in its round, so records do not depend on
+the batching. Uniforms come from ``Generator.random()``, which equals
 ``uniform()`` bit for bit (0.0 + 1.0 x) at a fraction of its call cost.
 
 Both paths draw photon counts with one routine, ``_draw_counts``, from two
@@ -431,18 +431,17 @@ def _rejection_sample(
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
     candidate and then its accept uniform, in one pass over the streams, so
     a shot's stream sees the same draws as it would alone; the round's
-    candidates apply T_q to psi in batches of ``teleport._batch_size`` real
-    displacements. The proposal makes (1-q^2)|beta|^2 a chi-square variable
-    with two degrees of freedom, so a candidate reaches the far tail where
-    the density underflows (exponent 690) with probability e^-345. Also
-    returns how many candidate outputs leave a relative tail mass above
-    ``TAIL_MASS_THRESHOLD`` at the cutoff, and the worst such mass.
+    candidates apply T_q to psi in one ``_transfer_apply`` call, whose rows
+    do not depend on the batch. The proposal makes (1-q^2)|beta|^2 a
+    chi-square variable with two degrees of freedom, so a candidate reaches
+    the far tail where the density underflows (exponent 690) with
+    probability e^-345. Also returns how many candidate outputs leave a
+    relative tail mass above ``TAIL_MASS_THRESHOLD`` at the cutoff, and the
+    worst such mass.
     """
     # the proposal is the envelope: variance 1/(2c) per component, c its rate
     sigma = math.sqrt(1.0 / (2.0 * _envelope_rate(q)))
     psi = unit_state.amplitudes
-    batch = _batch_size(psi.size)
-    work = np.empty((min(batch, len(rngs)), psi.size, psi.size))
     betas = np.empty(len(rngs), dtype=complex)
     outputs = np.empty((len(rngs), psi.size), dtype=complex)
     heavy, worst_tail = 0, 0.0
@@ -456,12 +455,7 @@ def _rejection_sample(
             normals[row] = rng.normal(0.0, sigma, size=2)
             uniforms[row] = rng.random()
         candidates = normals.view(complex).ravel()
-        stack = np.concatenate(
-            [
-                _transfer_apply(q, candidates[start : start + batch], psi, work)
-                for start in range(0, pending.size, batch)
-            ]
-        )
+        stack = _transfer_apply(q, candidates, psi)
         targets = np.sum(np.abs(stack) ** 2, axis=1)
         tails = np.divide(
             np.abs(stack[:, -1]) ** 2, targets, out=np.zeros_like(targets), where=targets > 0.0

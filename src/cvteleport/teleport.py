@@ -12,9 +12,11 @@ operator
 which is hermitian and, at beta = 0, exactly diagonal. With beta = r u,
 r >= 0 and |u| = 1, it is the real T_q(r) between unit phases,
 T_q(beta)[n, m] = u^n T_q(r)[n, m] conj(u)^m, and every route here builds or
-applies it that way. For a single-photon input the output has a closed form
-(a displaced two-term superposition) and the measurement-outcome density
-over beta is
+applies it that way: ``_transfer_stack`` builds T_q(r) from the real
+displacement D(r), while ``_transfer_apply`` applies T_q(beta) in normal
+order, from the powers of (1-q) beta alone. For a single-photon input the
+output has a closed form (a displaced two-term superposition) and the
+measurement-outcome density over beta is
 
     P_q(beta) = ((1-q^2)/pi) e^{-(1-q^2)|beta|^2} ((1-q^2)^2 |beta|^2 + q^2).
 
@@ -24,16 +26,19 @@ public function at one beta and for whole CLI grids alike.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TruncationWarning
 from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_n_max,
+    _log_factorials,
     _polar,
     _radial_displacement_stack,
     displacement_matrix,
@@ -120,7 +125,9 @@ def transfer_operator(
     rounding only, as its two off-diagonal halves come from separate sums
     that may differ in the last bits (``verify`` bounds the defect at 1e-12).
     At beta = 0 the matrix is exactly diagonal with entries
-    sqrt((1-q^2)/pi) q^n.
+    sqrt((1-q^2)/pi) q^n. Until T_q(r) moves to normal order, this D-form
+    still truncates its middle sum: diag(q^n) stops at the cutoff, so the
+    matrix is wrong once |beta|^2 nears it, where ``_transfer_apply`` is not.
     """
     q = _as_q(q)
     dim = _as_n_max(cutoff) + 1
@@ -139,26 +146,77 @@ def _transfer_stack(q: float, radii, cutoff: int) -> np.ndarray:
     return out
 
 
-def _transfer_apply(q: float, betas, psi: np.ndarray, work=None) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _binomial_roots(dim: int) -> np.ndarray:
+    """sqrt(C(k+d, d)) = sqrt((k+d)! / (k! d!)) at [k, d] where k + d < dim and 0
+    past that triangle, a read-only symmetric (dim, dim) table from
+    ``fock._log_factorials``. Its entries stay below 2^((k+d)/2), so it is
+    finite up to dim = 2000, where sqrt((k+d)!) alone overflows past 300."""
+    k, d = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) < dim)
+    lg = _log_factorials(dim)
+    table = np.zeros((dim, dim))
+    table[k, d] = np.exp(0.5 * (lg[k + d] - lg[k] - lg[d]))
+    table.setflags(write=False)
+    return table
+
+
+def _normal_order_powers(q: float, radii: np.ndarray, dim: int) -> np.ndarray:
+    """s^d / sqrt(d!) e^{-(1-q) r^2 / 2}, s = (1-q) r, for d < dim over a 1-D batch
+    of radii r >= 0, level-major: shape (dim, B).
+
+    Times u^d these are the powers of c = (1-q) beta in the normal order of
+    T_q(beta) = pref e^{-(1-q)|beta|^2} e^{c a^dag} q^{n} e^{conj(c) a}
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), where c^d / d! meets
+    level k through sqrt((k+d)!/k!) = ``_binomial_roots`` * sqrt(d!), and each
+    exponential takes one half of the Gaussian. Formed in the log domain; at
+    s = 0 only d = 0 survives, which a mask sets, as 0 log 0 is not a number.
+    """
+    s = (1.0 - q) * radii
+    zero = s == 0.0
+    log_powers = np.multiply.outer(np.arange(dim), np.log(np.where(zero, 1.0, s)))
+    log_powers -= 0.5 * _log_factorials(dim)[:, None]
+    log_powers -= 0.5 * s * radii
+    powers = np.exp(log_powers, out=log_powers)
+    powers[1:, zero] = 0.0
+    return powers
+
+
+def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:
     """T_q(beta) psi for a 1-D batch of betas, shape (B, dim), without building T_q.
 
-    With beta = r u and R = diag(u^n) from ``fock._polar``, T_q(beta) psi =
-    pref R D(r) W D(r)^T R^dagger psi: two real matrix products on the real
-    D(r) between the unit phases. Equal to ``transfer_operator`` applied to
-    psi up to rounding, not bit for bit. D(r) is built in ``work`` when a
-    workspace is given (see ``fock._radial_displacement_stack``); the result
-    does not depend on it.
+    In normal order, with Q_d u^d the powers of ``_normal_order_powers`` and
+    S = ``_binomial_roots``: e^{conj(c) a} psi is sum_d Q_d conj(u)^d
+    S[k, d] psi_{k+d}, one product of each beta's row with the Hankel matrix
+    of psi; q^{n} scales level k; and e^{c a^dag} sums Q_d S[n-d, d] over d,
+    between the unit phases u^n of ``fock._polar``. Each level of the result
+    is exact at psi's cutoff, as every sum runs over levels of psi alone.
+    Each row sees the same operations in the same order in any batch.
     """
     pref = math.sqrt((1.0 - q * q) / math.pi)
     dim = psi.shape[-1]
     r, phase = _polar(betas, dim)
-    disp = _radial_displacement_stack(r, dim - 1, out=work)
-    # the complex vectors as (B, dim, 2) real pairs, so both products stay real
-    pairs = (phase.conj() * psi).view(float).reshape(r.size, dim, 2)
-    pairs = disp.transpose(0, 2, 1) @ pairs
-    pairs *= (q ** np.arange(dim))[:, None]
-    out = (disp @ pairs).view(complex).reshape(r.size, dim)
-    return pref * phase * out
+    powers = _normal_order_powers(q, r, dim)
+    roots = _binomial_roots(dim)
+    hankel = roots * sliding_window_view(np.concatenate([psi, np.zeros(dim - 1)]), dim)
+    # a (1, dim) @ (dim, dim) product per beta, so that no row depends on the batch
+    out = (np.conj(powers.T * phase)[:, None, :] @ hankel.T).reshape(r.size, dim)
+    out *= q ** np.arange(dim)
+    out *= phase.conj()
+    # level-major real and imaginary planes, shape (dim, 2, B), so that each
+    # step of the sum over d is one contiguous block
+    lowered = np.empty((dim, 2, r.size))
+    lowered[:, 0], lowered[:, 1] = out.real.T, out.imag.T
+    raised = np.zeros_like(lowered)
+    term = np.empty_like(lowered)
+    for d in range(dim):
+        rows = dim - d
+        np.multiply(lowered[:rows], powers[d], out=term[:rows])
+        term[:rows] *= roots[d, :rows, None, None]
+        raised[d:] += term[:rows]
+    out.real, out.imag = raised[:, 0].T, raised[:, 1].T
+    out *= phase
+    out *= pref
+    return out
 
 
 def teleport_output(
@@ -248,7 +306,8 @@ def end_to_end_projection(
     contracts the conjugated measurement eigenstate over modes A and R, and
     applies the receiver displacement D_B(beta), all at the input's cutoff.
     Exists as the independent cross-check of the transfer-operator route;
-    the two agree to rounding at any shared cutoff.
+    the two agree to rounding wherever the resource and D(beta) fit the
+    cutoff, as this route truncates both and the transfer route is exact.
     """
     qv = _as_q(q)
     betac = complex(beta)

@@ -85,8 +85,8 @@ MUTANTS = (
     Mutant(
         "transfer-level-1",
         "teleport.py",
-        "pairs *= (q ** np.arange(dim))[:, None]",
-        "pairs *= (q ** np.arange(dim) * np.where(np.arange(dim) == 1, 1.05, 1.0))[:, None]",
+        "out *= q ** np.arange(dim)",
+        "out *= q ** np.arange(dim) * np.where(np.arange(dim) == 1, 1.05, 1.0)",
     ),
     Mutant(
         "acceptance-factor",

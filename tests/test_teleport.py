@@ -111,6 +111,15 @@ def test_transfer_stack_rows_are_hermitian(q, betas, n_max):
 
 _WIDE_BETA_PART = st.floats(-5.0, 5.0, allow_subnormal=False)
 
+# levels the reference D-form keeps above psi's cutoff: the levels its middle
+# sum then drops lie far beyond the reach of D(r) from level 48 at r <= 7.1
+_REFERENCE_LEVELS = 200
+
+
+def _reference_apply(q, beta, psi):
+    n_max = psi.size - 1
+    return transfer_operator(q, beta, n_max + _REFERENCE_LEVELS)[: n_max + 1, : n_max + 1] @ psi
+
 
 @settings(max_examples=40, deadline=None)
 @seed(1857)
@@ -121,13 +130,24 @@ _WIDE_BETA_PART = st.floats(-5.0, 5.0, allow_subnormal=False)
     psi_seed=st.integers(0, 2**32 - 1),
 )
 def test_transfer_apply_matches_operator(q, betas, n_max, psi_seed):
+    # the normal-order product against the leading block of the D-form at a
+    # cutoff far above psi's, so that the two routes stay independent
     psi = [1.0, 1j] @ np.random.default_rng(psi_seed).normal(size=(2, n_max + 1))
     batch = [*betas, 0j, 1e-8j, 7.0, -7j, 7.0 * np.exp(2.5j)]
     applied = _transfer_apply(q, batch, psi)
     assert applied.shape == (len(batch), n_max + 1)
     for row, beta in zip(applied, batch):
-        expected = transfer_operator(q, beta, n_max) @ psi
+        expected = _reference_apply(q, beta, psi)
         assert np.linalg.norm(row - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_transfer_apply_is_exact_past_the_truncated_middle_sum():
+    # D(7) carries |8> far above cutoff 8, where the D-form at that cutoff
+    # drops q^n: it misses here by 0.96 of the norm
+    psi = [1.0, 1j] @ np.random.default_rng(8).normal(size=(2, 9))
+    applied = _transfer_apply(0.5, [7.0], psi)[0]
+    expected = _reference_apply(0.5, 7.0, psi)
+    assert np.linalg.norm(applied - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @settings(max_examples=10, deadline=None)
@@ -140,17 +160,6 @@ def test_transfer_apply_does_not_depend_on_the_batch(q, n_max, beta_seed):
     psi = [1.0, 1j] @ rng.normal(size=(2, n_max + 1))
     blocks = [_transfer_apply(q, betas[start : start + 32], psi) for start in range(0, 300, 32)]
     assert np.array_equal(_transfer_apply(q, betas, psi), np.concatenate(blocks))
-
-
-def test_transfer_apply_reuses_a_workspace():
-    # a short batch after a full one sees a workspace holding stale D(r)
-    q, n_max = 0.5, 32
-    rng = np.random.default_rng(1969)
-    psi = [1.0, 1j] @ rng.normal(size=(2, n_max + 1))
-    work = np.empty((480, n_max + 1, n_max + 1))
-    for size in (480, 20):
-        betas = [1.0, 1j] @ rng.normal(0.0, 2.0, size=(2, size))
-        assert np.array_equal(_transfer_apply(q, betas, psi, work), _transfer_apply(q, betas, psi))
 
 
 def test_displacement_commutation_with_raising_operator():
