@@ -12,8 +12,7 @@ over the index triangle, so no factorial ratio is ever formed directly. It
 keeps the triangle level-major, one row per triangle entry and one column per
 radius, so every step of the build is a contiguous row operation over the
 whole batch. ``_radial_displacement_stack`` scatters the transposed rows into
-the real D(r), a C-ordered (B, dim, dim) stack, in a fresh array or in a
-workspace that a batch loop reuses. A complex
+the real D(r), a C-ordered (B, dim, dim) stack. A complex
 alpha = r u enters only through the unit-phase powers u^n of ``_polar``, since
 <m|D(r u)|n> = u^{m-n} <m|D(r)|n>: the transfer products keep them outside a
 real product, and ``displacement_matrix`` puts them on the diagonals of D(r).
@@ -291,23 +290,21 @@ def _polar(alphas, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return r, phase
 
 
-def _radial_displacement_stack(radii: np.ndarray, cutoff: int, out=None) -> np.ndarray:
+def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
     """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
 
     The level-major magnitudes of ``_radial_magnitudes``, transposed, below
     the diagonal, (-1)^(n-m) times them above it, and the identity at r = 0:
     the one scatter of displacement entries, through the cached index and
     sign arrays of ``_triangle``. The two scatters cover every entry, so the
-    result needs no zero fill. It is written into ``out[:B]`` when a float
-    buffer of shape (>= B, dim, dim) is given, so that a batch loop reuses
-    one workspace, and into a fresh C-ordered array otherwise.
+    fresh C-ordered result needs no zero fill.
     """
     dim = _as_n_max(cutoff) + 1
     r = np.asarray(radii, dtype=float).reshape(-1)
     zero = r == 0.0
     triangle = _triangle(dim)
     mag = _radial_magnitudes(np.where(zero, 1.0, r), dim)
-    stack = np.empty((r.size, dim, dim)) if out is None else out[: r.size]
+    stack = np.empty((r.size, dim, dim))
     stack[:, triangle.rows, triangle.cols] = mag.T
     mag *= triangle.sign
     stack[:, triangle.cols, triangle.rows] = mag.T

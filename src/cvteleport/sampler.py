@@ -26,10 +26,10 @@ draws one candidate and its accept uniform from its own stream, in one pass
 over the streams, and the round's candidates apply T_q(beta) to the input
 in one call of ``teleport._transfer_apply``, which works in normal order
 from the powers of (1-q) beta and builds neither a T_q matrix nor a
-displacement. The envelope bound takes its radii in batches of
-``teleport._batch_size`` real displacements D(r) (at least 32, and 128 at
-cutoff 32), all built in one workspace, so no batch asks the allocator for
-fresh pages. A candidate's output has the target density as its squared
+displacement. The envelope bound builds the real displacement D(r) only at
+the radii of its grid whose certified normal-order bound can still reach
+the maximum, ``teleport._batch_size`` of them at a time (at least 32, and
+128 at cutoff 32). A candidate's output has the target density as its squared
 norm, and the accepted output is the state the photon count is drawn from.
 Each stream is consumed in the same order as one shot at a time (candidate
 normals, accept uniform, then the count uniform), and a candidate's output
@@ -65,11 +65,12 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
+    _log_factorials,
     _radial_displacement_stack,
     number_state,
 )
 from .statistics import _single_photon_levels, _single_photon_tail
-from .teleport import _as_q, _batch_size, _transfer_apply
+from .teleport import _as_q, _batch_size, _binomial_hankel, _binomial_roots, _transfer_apply
 
 __all__ = [
     "MAX_SHOTS",
@@ -88,6 +89,12 @@ CATEGORIES = ("loss", "success", "gain")
 
 _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
+# the envelope bound's radial grid, the runs of it that share one certified
+# bound, and the factor by which a run's bound must miss the running maximum
+# for its radii to go unbuilt (see ``_envelope_bound``)
+_ENVELOPE_GRID = 2048
+_ENVELOPE_INTERVAL = 8
+_ENVELOPE_MARGIN = 1000.0
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
 # shot indices must fit one 32-bit spawn-key word
@@ -392,6 +399,89 @@ def _envelope_density(q: float, t):
     return (c / math.pi) * np.exp(-c * t)
 
 
+def _log_interval_bounds(moduli: np.ndarray, weights: np.ndarray, q: float, radii) -> np.ndarray:
+    """ln of an upper bound on the majorant/envelope ratio over each run of
+    ``_ENVELOPE_INTERVAL`` consecutive radii, shape (S,) for S runs.
+
+    In normal order (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)),
+    D(alpha) = e^{-|alpha|^2/2} e^{alpha a^dag} e^{-conj(alpha) a}, so taking
+    moduli term by term gives |<n|D(r)|m>| <= e^{-r^2/2} (E E^T)[n, m] with
+    E[k+d, k] = r^d / sqrt(d!) sqrt(C(k+d, d)), from ``fock._log_factorials``
+    and ``teleport._binomial_roots``. Every term is positive and grows with r,
+    so on [r0, r1] the column (|D(r)| m)_n is at most
+    e^{-r0^2/2} (E(r1) E(r1)^T m)_n, and at most sum m, as no |D_nm| exceeds 1.
+    The weighted sum of squares is divided by the envelope at r1, its lowest
+    point on the run. E^T m is one product of the Hankel matrix of m with the
+    powers, and E v a sum over d; both are level-major, (dim, S).
+
+    Each run's powers are scaled by the largest, whose logarithm rejoins the
+    Gaussian in the log domain, so nothing overflows below cutoff 1,000; a
+    run whose bound is not finite even so gets +inf and is built.
+    Powers below e^-745 of a run's largest underflow to 0, and with them
+    terms that small against the run's largest.
+    """
+    dim = moduli.size
+    runs = radii.reshape(-1, _ENVELOPE_INTERVAL)
+    r0, r1 = runs[:, 0], runs[:, -1]
+    log_powers = np.multiply.outer(np.arange(dim), np.log(r1))
+    log_powers -= 0.5 * _log_factorials(dim)[:, None]
+    scale = np.max(log_powers, axis=0)
+    powers = np.exp(log_powers - scale)
+    roots = _binomial_roots(dim)
+    lowered = _binomial_hankel(moduli) @ powers
+    raised = np.zeros_like(lowered)
+    term = np.empty_like(lowered)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(dim):
+            rows = dim - d
+            np.multiply(lowered[:rows], roots[d, :rows, None], out=term[:rows])
+            term[:rows] *= powers[d]
+            raised[d:] += term[:rows]
+    # "!= 0" rather than "> 0", so that a NaN stays NaN and ends at +inf
+    log_cols = np.log(raised, out=np.full_like(raised, -np.inf), where=raised != 0.0)
+    log_cols += 2.0 * scale - 0.5 * r0 * r0
+    np.minimum(log_cols, math.log(moduli.sum()), out=log_cols)
+    # ln sum_n w_n cols_n^2, shifted by its largest term
+    log_terms = 2.0 * log_cols
+    log_terms += np.log(weights, out=np.full_like(weights, -np.inf), where=weights > 0.0)[:, None]
+    top = np.max(log_terms, axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    total = np.sum(np.exp(log_terms - shift), axis=0)
+    log_sums = np.log(total, out=np.full_like(total, -np.inf), where=total != 0.0) + shift
+    # (a/pi) / ((c/pi) e^{-c r1^2}), with a = 2c
+    log_bounds = math.log(2.0) + _envelope_rate(q) * r1 * r1 + log_sums
+    log_bounds[np.isnan(log_bounds)] = np.inf
+    return log_bounds
+
+
+def _majorant_ratios(
+    radii: np.ndarray, moduli: np.ndarray, weights: np.ndarray, q: float
+) -> np.ndarray:
+    """Majorant/envelope ratio at each of a 1-D batch of radii, from the real D(r).
+
+    The majorant is (a/pi) sum_n w_n (|D(r)| m)_n^2, with one 1-D dot per
+    radius, so a ratio does not depend on its batch. A radius the build
+    cannot hold (the Laguerre recurrence overflows at very large radii, or
+    the envelope underflows) gives a ratio that is not finite, which raises
+    ``EnvelopeError`` naming the radius and the cutoff, with no warning.
+    """
+    a = 1.0 - q * q
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        disp = _radial_displacement_stack(radii, moduli.size - 1)
+        cols = np.abs(disp, out=disp) @ moduli
+        # a batched product would round each sum differently
+        dots = np.fromiter(map(weights.dot, cols * cols), float, count=len(cols))
+        ratios = (a / math.pi) * dots / _envelope_density(q, radii * radii)
+    broken = np.flatnonzero(~np.isfinite(ratios))
+    if broken.size:
+        i = broken[0]
+        raise EnvelopeError(
+            f"envelope ratio is {ratios[i]} at radius {radii[i]:.6g} at cutoff "
+            f"{moduli.size - 1}: the displacement cannot be built there"
+        )
+    return ratios
+
+
 def _envelope_bound(input_state: StateVector, q: float) -> float:
     """Certified M with density(beta) <= M * envelope(beta) for all beta.
 
@@ -402,24 +492,38 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     dense radial grid reaching past the polynomial/exponential turnover,
     then padded by a safety factor; sampling re-checks the bound per
     candidate anyway.
+
+    Only radii whose ratio can still reach the maximum are built. The grid
+    is cut into runs of ``_ENVELOPE_INTERVAL`` radii, each with the certified
+    bound of ``_log_interval_bounds``, and walked in increasing radius; the
+    runs whose bound times ``_ENVELOPE_MARGIN`` reaches the running maximum
+    are built, ``teleport._batch_size`` radii at a time. A ratio does not
+    depend on its batch, so the result is the maximum over the whole grid,
+    bit for bit. The margin covers the rounding of both sides: in exact
+    arithmetic the built ratio is the same sum of normal-order terms whose
+    moduli the bound adds, so each side's rounding error is some dim ulps
+    of the bound, while the closest a built ratio has come to its run's
+    bound is a factor of 1.3, over 99 inputs up to cutoff 200. A factor of
+    1,000 still builds only 248 of the 2,048 radii for a coherent input at
+    cutoff 32.
     """
-    a = 1.0 - q * q
     n_max = input_state.n_max
     weights = q ** (2.0 * np.arange(n_max + 1))
     moduli_in = np.abs(input_state.amplitudes)
-    t_hi = (4.0 * (n_max + 1) + 120.0) / a
-    radii = np.sqrt(np.linspace(0.0, t_hi, 2048))
-    batch = _batch_size(n_max + 1)
-    work = np.empty((min(batch, radii.size), n_max + 1, n_max + 1))
+    t_hi = (4.0 * (n_max + 1) + 120.0) / (1.0 - q * q)
+    radii = np.sqrt(np.linspace(0.0, t_hi, _ENVELOPE_GRID))
+    runs = radii.reshape(-1, _ENVELOPE_INTERVAL)
+    log_bounds = _log_interval_bounds(moduli_in, weights, q, radii).tolist()
+    runs_per_batch = _batch_size(n_max + 1) // _ENVELOPE_INTERVAL
     ratio_max = 0.0
-    for start in range(0, radii.size, batch):
-        block = radii[start : start + batch]
-        disp = _radial_displacement_stack(block, n_max, out=work)
-        cols = np.abs(disp, out=disp) @ moduli_in
-        # one 1-D dot per radius: a batched product rounds the sum differently
-        dots = np.fromiter(map(weights.dot, cols * cols), float, count=len(cols))
-        majorants = (a / math.pi) * dots
-        ratio_max = max(ratio_max, float(np.max(majorants / _envelope_density(q, block * block))))
+    chosen = []
+    for i, log_bound in enumerate(log_bounds):
+        if ratio_max == 0.0 or log_bound >= math.log(ratio_max / _ENVELOPE_MARGIN):
+            chosen.append(i)
+        if chosen and (len(chosen) == runs_per_batch or i == len(log_bounds) - 1):
+            ratios = _majorant_ratios(runs[chosen].ravel(), moduli_in, weights, q)
+            ratio_max = max(ratio_max, float(np.max(ratios)))
+            chosen = []
     return _ENVELOPE_SAFETY * ratio_max
 
 

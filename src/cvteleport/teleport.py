@@ -160,6 +160,15 @@ def _binomial_roots(dim: int) -> np.ndarray:
     return table
 
 
+def _binomial_hankel(vector: np.ndarray) -> np.ndarray:
+    """H[k, d] = sqrt(C(k+d, d)) v_{k+d}, and 0 past the last level of v: a row of
+    powers Q_d times H^T is sum_d Q_d sqrt(C(k+d, d)) v_{k+d}, a lowering in normal
+    order. Shape (dim, dim) for a vector v of dim levels."""
+    dim = vector.shape[-1]
+    window = sliding_window_view(np.concatenate([vector, np.zeros(dim - 1)]), dim)
+    return _binomial_roots(dim) * window
+
+
 def _normal_order_powers(q: float, radii: np.ndarray, dim: int) -> np.ndarray:
     """s^d / sqrt(d!) e^{-(1-q) r^2 / 2}, s = (1-q) r, for d < dim over a 1-D batch
     of radii r >= 0, level-major: shape (dim, B).
@@ -197,7 +206,7 @@ def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:
     r, phase = _polar(betas, dim)
     powers = _normal_order_powers(q, r, dim)
     roots = _binomial_roots(dim)
-    hankel = roots * sliding_window_view(np.concatenate([psi, np.zeros(dim - 1)]), dim)
+    hankel = _binomial_hankel(psi)
     # a (1, dim) @ (dim, dim) product per beta, so that no row depends on the batch
     out = (np.conj(powers.T * phase)[:, None, :] @ hankel.T).reshape(r.size, dim)
     out *= q ** np.arange(dim)

@@ -123,6 +123,12 @@ MUTANTS = (
         "lag=(j + k + 1).astype(float)[:, None]",
     ),
     Mutant(
+        "envelope-prune",
+        "sampler.py",
+        "log_cols += 2.0 * scale - 0.5 * r0 * r0",
+        "log_cols += 2.0 * scale - 0.5 * r1 * r1",
+    ),
+    Mutant(
         "uniform-before-normals",
         "sampler.py",
         "            normals[row] = rng.normal(0.0, sigma, size=2)\n"

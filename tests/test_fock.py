@@ -182,23 +182,6 @@ def test_radial_stack_is_the_real_part_of_the_complex_build(radii, n_max):
         assert np.array_equal(row, full.real)
 
 
-def test_radial_stack_fills_a_reused_workspace():
-    # NaN marks every entry the build would fail to write; r^2 near 32 sits
-    # at the cutoff, and the rows past the batch must stay untouched
-    # (a Fortran-ordered buffer too, whose rows are not contiguous)
-    n_max = 32
-    radii = np.array([0.0, 1e-8, 0.7, 3.0, 5.6, math.sqrt(32.0), 6.0, 0.0])
-    fresh = _radial_displacement_stack(radii, n_max)
-    assert fresh.flags.c_contiguous
-    for order in "CF":
-        work = np.full((48, n_max + 1, n_max + 1), np.nan, order=order)
-        stack = _radial_displacement_stack(radii, n_max, out=work)
-        assert np.shares_memory(stack, work)
-        assert np.array_equal(stack, fresh)
-        assert np.array_equal(np.signbit(stack), np.signbit(fresh))
-        assert np.isnan(work[radii.size :]).all()
-
-
 @settings(max_examples=40, deadline=None)
 @seed(1857)
 @given(
@@ -218,8 +201,8 @@ def test_radial_magnitudes_do_not_depend_on_the_batch(parts, dim):
 
 
 def test_radial_magnitudes_hold_one_triangle_array():
-    # the prefactor is formed in the result, so a batch loop that reuses its
-    # D(r) workspace allocates one (T, B) array per batch, not two
+    # the prefactor is formed in the result, so a build allocates one
+    # (T, B) array, not two
     radii, dim = np.linspace(0.05, 6.0, 480), 33
     tracemalloc.start()
     try:

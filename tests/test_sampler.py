@@ -13,6 +13,7 @@ from cvteleport.errors import EnvelopeError, TruncationWarning, ZeroNormError
 from cvteleport.fock import (
     StateVector,
     _log_factorials,
+    _radial_displacement_stack,
     coherent_state,
     displacement_matrix,
     number_state,
@@ -25,6 +26,7 @@ from cvteleport.sampler import (
     ShotRecord,
     ShotRunResult,
     _CHUNK,
+    _ENVELOPE_INTERVAL,
     _ENVELOPE_SAFETY,
     _draw_counts,
     _envelope_bound,
@@ -32,6 +34,7 @@ from cvteleport.sampler import (
     _invert_radial_cdf,
     _envelope_rate,
     _is_single_photon,
+    _log_interval_bounds,
     _rejection_sample,
     _shot_generator,
     _stream_keys,
@@ -45,7 +48,7 @@ from cvteleport.statistics import (
     loss_gain_split,
     squeezing_db_to_q,
 )
-from cvteleport.teleport import _batch_size, _transfer_apply, teleport_output
+from cvteleport.teleport import _transfer_apply, teleport_output
 
 SEED = 20260815
 # seeds at the 32-bit word edges of numpy's seed-sequence entropy
@@ -467,10 +470,7 @@ def _single_photon_gate(result, q):
     radial = kstest(1.0 - np.exp(-a * t) * (1.0 + a * a * t), "uniform").pvalue
     angle = kstest((np.angle(betas) / (2.0 * math.pi)) % 1.0, "uniform").pvalue
     one = number_state(1, 32).amplitudes
-    step = _batch_size(one.size)
-    law = np.concatenate(
-        [np.abs(_transfer_apply(q, betas[i : i + step], one)) ** 2 for i in range(0, betas.size, step)]
-    )
+    law = np.abs(_transfer_apply(q, betas, one)) ** 2
     law /= ((a / math.pi) * np.exp(-a * t) * (a * a * t + q * q))[:, None]
     cdf = np.cumsum(law, axis=1)
     law = np.column_stack([law, np.maximum(1.0 - cdf[:, -1], 0.0)])
@@ -539,14 +539,22 @@ def test_envelope_bound_certifies_density_ratio():
             assert target <= cap * (1.0 + 1e-9)
 
 
-def _envelope_bound_one_radius_at_a_time(state, q):
-    """The envelope bound as a plain loop: one complex displacement per radius."""
+def _envelope_grid(state, q):
+    """The envelope's 2,048 radii, its level weights q^{2n} and the input's moduli."""
     a = 1.0 - q * q
     n_max = state.n_max
-    weights = q ** (2.0 * np.arange(n_max + 1))
-    moduli_in = np.abs(state.amplitudes)
+    radii = np.sqrt(np.linspace(0.0, (4.0 * (n_max + 1) + 120.0) / a, 2048))
+    return radii, q ** (2.0 * np.arange(n_max + 1)), np.abs(state.amplitudes)
+
+
+def _envelope_bound_one_radius_at_a_time(state, q):
+    """The envelope bound as a plain loop over the whole grid: one complex
+    displacement per radius."""
+    a = 1.0 - q * q
+    n_max = state.n_max
+    radii, weights, moduli_in = _envelope_grid(state, q)
     ratio_max = 0.0
-    for r in np.sqrt(np.linspace(0.0, (4.0 * (n_max + 1) + 120.0) / a, 2048)):
+    for r in radii:
         col = np.abs(displacement_matrix(-r, n_max)) @ moduli_in
         majorant = (a / math.pi) * float(weights @ (col * col))
         ratio_max = max(ratio_max, majorant / float(_envelope_density(q, r * r)))
@@ -559,12 +567,86 @@ def _envelope_bound_one_radius_at_a_time(state, q):
     q=st.floats(0.0, 0.95),
     parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=17),
 )
+# maxima far from beta = 0, where the pruned walk builds the runs up to the maximum
+@example(q=0.0, parts=[(0.0, 0.0)] * 12 + [(1.0, 0.0)])
+@example(q=0.5, parts=[(x, 0.0) for x in coherent_state(2.0, 32).amplitudes.real.tolist()])
 def test_envelope_bound_matches_one_radius_at_a_time(q, parts):
-    # cutoffs 1..16; the bulk bound must keep every bit of the per-radius loop
+    # cutoffs 1..16 and the two examples; the pruned bound must keep every
+    # bit of the loop over the whole grid
     amplitudes = np.array([complex(x, y) for x, y in parts])
     assume(np.vdot(amplitudes, amplitudes).real > 1e-6)
     state = StateVector(amplitudes).unit()
     assert _envelope_bound(state, q) == _envelope_bound_one_radius_at_a_time(state, q)
+
+
+def _random_state(n_max):
+    rng = np.random.default_rng(n_max)
+    return StateVector(rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)).unit()
+
+
+@pytest.mark.parametrize(
+    "state, q",
+    [
+        (coherent_state(0.5, 32).unit(), 0.5),  # the benchmark's input
+        (number_state(4, 32), 0.5),
+        (coherent_state(2.0, 32).unit(), 0.5),
+        (number_state(12, 12), 0.0),
+        (_random_state(12), 0.3),
+        (_random_state(48), 0.95),
+    ],
+    ids=["coherent0.5", "number4", "coherent2", "number12-q0", "random13", "random49-q0.95"],
+)
+def test_interval_bounds_cover_every_grid_ratio(state, q):
+    # every radius of the grid built exactly, against the certified bound of
+    # its run; the closest approach measured is 0.28 in the log
+    a = 1.0 - q * q
+    radii, weights, moduli_in = _envelope_grid(state, q)
+    cols = np.concatenate(
+        [
+            np.abs(_radial_displacement_stack(radii[i : i + 256], state.n_max)) @ moduli_in
+            for i in range(0, radii.size, 256)
+        ]
+    )
+    ratios = (a / math.pi) * ((cols * cols) @ weights) / _envelope_density(q, radii * radii)
+    log_ratios = np.log(ratios, out=np.full_like(ratios, -np.inf), where=ratios > 0.0)
+    log_bounds = _log_interval_bounds(moduli_in, weights, q, radii)
+    assert np.isfinite(log_bounds).all()
+    assert np.all(log_ratios.reshape(-1, _ENVELOPE_INTERVAL) <= log_bounds[:, None])
+
+
+def test_envelope_bound_skips_radii_the_kernel_cannot_build():
+    # the grid of |1> at cutoff 200 and q = 0.99 reaches r = 215, where the
+    # Laguerre recurrence overflows; the maximum sits at beta = 0, where the
+    # ratio is 2 q^2, and the runs past it are never built (no RuntimeWarning)
+    q = 0.99
+    assert _envelope_bound(number_state(1, 200), q) == pytest.approx(
+        _ENVELOPE_SAFETY * 2.0 * q * q, rel=1e-12
+    )
+
+
+def test_envelope_bound_refuses_a_non_finite_ratio(monkeypatch):
+    def broken_stack(radii, cutoff):
+        stack = _radial_displacement_stack(radii, cutoff)
+        stack[radii == radii.max(), 0, 0] = np.nan
+        return stack
+
+    monkeypatch.setattr("cvteleport.sampler._radial_displacement_stack", broken_stack)
+    with pytest.raises(EnvelopeError, match=r"ratio is nan at radius \S+ at cutoff 32"):
+        _envelope_bound(coherent_state(0.5, 32).unit(), 0.5)
+
+
+def test_envelope_bound_at_cutoff_400_is_refused_without_a_warning():
+    # at cutoff 400 and q = 0.999 the grid's first run spans r = 0 to 54; it
+    # holds the maximum, at beta = 0, so it is built, and its fifth radius,
+    # r = 41, is past where the Laguerre recurrence stays finite at this
+    # cutoff; the bound cannot be held, so it raises, and neither the run
+    # bounds nor the build warn
+    q = 0.999
+    state = number_state(1, 400)
+    radii, weights, moduli_in = _envelope_grid(state, q)
+    assert not np.isnan(_log_interval_bounds(moduli_in, weights, q, radii)).any()
+    with pytest.raises(EnvelopeError, match="at cutoff 400"):
+        _envelope_bound(state, q)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
@@ -620,9 +702,11 @@ def test_generic_path_warns_on_tail_mass():
 
 @pytest.mark.filterwarnings("ignore::cvteleport.errors.TruncationWarning")
 def test_generic_run_peak_stays_near_one_displacement_batch():
-    # the benchmark's generic run: the envelope loop holds one 1.1 MB batch
-    # of D(r) and its (T, B) magnitudes, near the size of a core's L2 cache,
-    # and a rejection round a few (B, dim) arrays; 2.15 MiB measured
+    # the benchmark's generic run: the envelope builds one 1.1 MB batch of
+    # D(r) at a time (two for this input, the runs its bound cannot prune)
+    # with its (T, B) magnitudes, near the size of a core's L2 cache, after
+    # (dim, 256) arrays for the run bounds; a rejection round holds a few
+    # (B, dim) arrays; 2.15 MiB measured
     config = SamplerConfig(0, 500, 0.5, coherent_state(0.5, 32).unit())
     run_shots(config)  # warm: the index triangle and stream-key class are cached
     tracemalloc.start()
