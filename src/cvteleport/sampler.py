@@ -23,19 +23,22 @@ a seed sequence that holds nothing but the key: the generator is the one
 ``Philox(key=key)`` builds, but nothing reads OS entropy for a seed that the
 key would override. All pending shots advance in lockstep rounds: each
 draws one candidate and its accept uniform from its own stream, in one pass
-over the streams, and the round's candidates apply T_q(beta) to the input
-in one call of ``teleport._transfer_apply``, which works in normal order
-from the powers of (1-q) beta and builds neither a T_q matrix nor a
-displacement. The envelope bound builds the real displacement D(r) only at
-the radii of its grid whose certified normal-order bound can still reach
-the maximum, ``teleport._batch_size`` of them at a time (at least 32, and
-128 at cutoff 32). A candidate's output has the target density as its squared
-norm, and the accepted output is the state the photon count is drawn from.
-Each stream is consumed in the same order as one shot at a time (candidate
-normals, accept uniform, then the count uniform), and a candidate's output
-does not depend on the others in its round, so records do not depend on
-the batching. Uniforms come from ``Generator.random()``, which equals
-``uniform()`` bit for bit (0.0 + 1.0 x) at a fraction of its call cost.
+over the streams, and the round's candidates get the exact outcome density
+p(beta) = ||T_q(beta) psi||^2 in one call of ``teleport._outcome_density``,
+the lowering half of T_q(beta)^2 in normal order, which forms no output
+state and is exact at the input's cutoff. Once every shot of a chunk is
+accepted, one call of ``teleport._transfer_apply`` applies T_q(beta) to the
+input at the accepted betas; it too works in normal order from the powers
+of (1-q) beta and builds neither a T_q matrix nor a displacement. The
+envelope bound builds the real displacement D(r) only at the radii of its
+grid whose certified normal-order bound can still reach the maximum,
+``teleport._batch_size`` of them at a time (at least 32, and 128 at
+cutoff 32). Each stream is consumed in the same order as one shot at a
+time (candidate normals, accept uniform, then the count uniform), and a
+candidate's density and output do not depend on the others in its batch,
+so records do not depend on the batching. Uniforms come from
+``Generator.random()``, which equals ``uniform()`` bit for bit
+(0.0 + 1.0 x) at a fraction of its call cost.
 
 Both paths draw photon counts with one routine, ``_draw_counts``, from two
 sources of level weights, one (B,) array per level and no (B, levels)
@@ -43,8 +46,11 @@ matrix: the columns of the generic path's |output|^2 rows, and on the
 single-photon path ``statistics._single_photon_levels``, which builds each
 level of the closed-form number law from the level before. The draw is an
 inverse CDF against a shot's cumulative weights plus its mass above the
-cutoff, which draws overflow: zero on the generic path, and on the
+cutoff, which draws overflow: on the generic path ``_missing_mass``, the
+exact density less the truncated output's squared norm, and on the
 single-photon path ``statistics._single_photon_tail``, the law's exact tail.
+A generic run whose expected overflow share passes ``TAIL_MASS_THRESHOLD``
+says so in one ``TruncationWarning``, with the share it observed.
 A run returns columns: shot i sits at index i of ``ShotRunResult.betas`` and
 ``.photon_counts``.
 """
@@ -70,7 +76,14 @@ from .fock import (
     number_state,
 )
 from .statistics import _single_photon_levels, _single_photon_tail
-from .teleport import _as_q, _batch_size, _binomial_hankel, _binomial_roots, _transfer_apply
+from .teleport import (
+    _as_q,
+    _batch_size,
+    _binomial_hankel,
+    _binomial_roots,
+    _outcome_density,
+    _transfer_apply,
+)
 
 __all__ = [
     "MAX_SHOTS",
@@ -96,6 +109,8 @@ _ENVELOPE_GRID = 2048
 _ENVELOPE_INTERVAL = 8
 _ENVELOPE_MARGIN = 1000.0
 _MAX_REJECTION_DRAWS = 100_000
+# a row's mass above the cutoff at most this many dim eps of its density is rounding
+_MISSING_MASS_FLOOR = 4.0
 _CHUNK = 16_384
 # shot indices must fit one 32-bit spawn-key word
 MAX_SHOTS = 2**32
@@ -483,15 +498,20 @@ def _majorant_ratios(
 
 
 def _envelope_bound(input_state: StateVector, q: float) -> float:
-    """Certified M with density(beta) <= M * envelope(beta) for all beta.
+    """M with density(beta) <= M * envelope(beta), certified for the density
+    whose middle sum stops at the cutoff.
 
-    The truncated density is (a/pi) sum_n q^{2n} |<n|D(-beta)|psi>|^2 and
+    That density is (a/pi) sum_{n <= n_max} q^{2n} |<n|D(-beta)|psi>|^2 and
     every |<n|D|m>| depends only on |beta|, so a majorant built from moduli
-    of real displacement columns bounds the density at each radius
-    regardless of angle. The ratio against the envelope is maximized over a
-    dense radial grid reaching past the polynomial/exponential turnover,
-    then padded by a safety factor; sampling re-checks the bound per
-    candidate anyway.
+    of real displacement columns bounds it at each radius regardless of
+    angle. The ratio against the envelope is maximized over a dense radial
+    grid reaching past the polynomial/exponential turnover, then padded by a
+    safety factor. The rejection rounds accept on the exact density
+    p(beta), whose sum runs past the cutoff, so the cap does not certify p:
+    each candidate is checked against it, and one above it raises
+    ``EnvelopeError``. On 300 random inputs (cutoffs 1-12, q up to 0.99,
+    half of them heavy on the top level), each at 2,000 proposal draws and
+    on a radial grid, p stayed below 0.69 of the cap.
 
     Only radii whose ratio can still reach the maximum are built. The grid
     is cut into runs of ``_ENVELOPE_INTERVAL`` radii, each with the certified
@@ -529,26 +549,28 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
 
 def _rejection_sample(
     unit_state: StateVector, q: float, bound: float, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Accepted beta of every shot and its output T_q(beta)|psi>, one row each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted beta of every shot and its exact outcome density p(beta).
 
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
     candidate and then its accept uniform, in one pass over the streams, so
     a shot's stream sees the same draws as it would alone; the round's
-    candidates apply T_q to psi in one ``_transfer_apply`` call, whose rows
-    do not depend on the batch. The proposal makes (1-q^2)|beta|^2 a
-    chi-square variable with two degrees of freedom, so a candidate reaches
-    the far tail where the density underflows (exponent 690) with
-    probability e^-345. Also returns how many candidate outputs leave a
-    relative tail mass above ``TAIL_MASS_THRESHOLD`` at the cutoff, and the
-    worst such mass.
+    candidates get their densities from one ``teleport._outcome_density``
+    call on the Hankel matrix of psi, built once per call, whose rows do not
+    depend on the batch, and no output state is formed. The target is p(beta)
+    itself, not the squared norm of the truncated output, so mass above the
+    cutoff is accepted where it lies. The envelope's majorant bounds the
+    density with its middle sum truncated at the cutoff, not p(beta), so a
+    candidate whose density passes its cap raises ``EnvelopeError`` rather
+    than being clipped. The proposal makes (1-q^2)|beta|^2 a chi-square
+    variable with two degrees of freedom, so a candidate reaches the far
+    tail where the density underflows (exponent 690) with probability e^-345.
     """
     # the proposal is the envelope: variance 1/(2c) per component, c its rate
     sigma = math.sqrt(1.0 / (2.0 * _envelope_rate(q)))
-    psi = unit_state.amplitudes
+    hankel = _binomial_hankel(unit_state.amplitudes)
     betas = np.empty(len(rngs), dtype=complex)
-    outputs = np.empty((len(rngs), psi.size), dtype=complex)
-    heavy, worst_tail = 0, 0.0
+    densities = np.empty(len(rngs))
     pending = np.arange(len(rngs))
     for _ in range(_MAX_REJECTION_DRAWS):
         # one pass over the streams: each draws its candidate, then its accept uniform
@@ -559,14 +581,7 @@ def _rejection_sample(
             normals[row] = rng.normal(0.0, sigma, size=2)
             uniforms[row] = rng.random()
         candidates = normals.view(complex).ravel()
-        stack = _transfer_apply(q, candidates, psi)
-        targets = np.sum(np.abs(stack) ** 2, axis=1)
-        tails = np.divide(
-            np.abs(stack[:, -1]) ** 2, targets, out=np.zeros_like(targets), where=targets > 0.0
-        )
-        over = tails > TAIL_MASS_THRESHOLD
-        heavy += int(np.count_nonzero(over))
-        worst_tail = max(worst_tail, float(np.max(tails, initial=0.0, where=over)))
+        targets = _outcome_density(q, candidates, hankel)
         # hypot rounds like abs() of a Python complex
         caps = bound * _envelope_density(q, np.hypot(normals[:, 0], normals[:, 1]) ** 2)
         broken = np.flatnonzero(targets > caps * (1.0 + 1e-12))
@@ -578,11 +593,30 @@ def _rejection_sample(
             )
         accept = uniforms * caps <= targets
         betas[pending[accept]] = candidates[accept]
-        outputs[pending[accept]] = stack[accept]
+        densities[pending[accept]] = targets[accept]
         pending = pending[~accept]
         if not pending.size:
-            return betas, outputs, heavy, worst_tail
+            return betas, densities
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
+
+
+def _missing_mass(weights: np.ndarray, densities: np.ndarray) -> np.ndarray:
+    """Each row's mass above the cutoff: p - C, where p is the row's exact density
+    and C the sequential running total of its level weights, the one
+    ``_draw_counts`` forms (``np.cumsum`` rounds its adds alike), shape (B,).
+
+    p and C are two roundings of the same sum when the cutoff holds all the
+    mass; on 300 random inputs padded far inside their cutoffs they differed
+    by at most 0.53 dim eps p. So a difference
+    of at most ``_MISSING_MASS_FLOOR`` dim eps p counts as zero, and a shot
+    whose cutoff holds all its mass never draws overflow, even at the
+    last-ulp uniform.
+    """
+    total = np.cumsum(weights, axis=1)[:, -1]
+    missing = densities - total
+    floor = _MISSING_MASS_FLOOR * weights.shape[1] * np.finfo(float).eps * densities
+    missing[missing <= floor] = 0.0
+    return missing
 
 
 def _draw_counts(
@@ -658,24 +692,27 @@ def run_shots(config: SamplerConfig) -> ShotRunResult:
     elif config.shots:
         state = _as_unit(input_state)
         bound = _envelope_bound(state, q)
-        heavy, worst_tail = 0, 0.0
+        expected = 0.0
         for start in range(0, config.shots, _CHUNK):
             stop = min(start + _CHUNK, config.shots)
             keys = _stream_keys(config.master_seed, np.arange(start, stop))
             rngs = [_shot_generator(key) for key in keys]
-            betas[start:stop], outputs, chunk_heavy, chunk_worst = _rejection_sample(
-                state, q, bound, rngs
-            )
-            heavy, worst_tail = heavy + chunk_heavy, max(worst_tail, chunk_worst)
+            betas[start:stop], densities = _rejection_sample(state, q, bound, rngs)
+            # the accepted outputs, in one call whose rows do not depend on the batch
+            weights = np.abs(_transfer_apply(q, betas[start:stop], state.amplitudes)) ** 2
+            tails = _missing_mass(weights, densities)
+            # a tail is positive only where the density is
+            expected += float(np.sum(tails[tails > 0.0] / densities[tails > 0.0]))
             # each stream's next uniform, after its accepted candidate, draws the count
-            weights = np.abs(outputs) ** 2
             u = np.array([rng.random() for rng in rngs])
-            # no tail: this path does not know the output's mass above the cutoff
-            counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u)
-        if heavy:
+            counts[start:stop] = _draw_counts(lambda: weights.T, tails, u)
+        expected /= config.shots
+        if expected > TAIL_MASS_THRESHOLD:
+            observed = np.count_nonzero(counts == OVERFLOW_COUNT) / config.shots
             warnings.warn(
-                f"rejection sampler: {heavy} candidate outputs exceed relative tail mass "
-                f"{TAIL_MASS_THRESHOLD:g} (worst {worst_tail:.3e}); increase n_max",
+                f"rejection sampler: expected overflow share {expected:.4g} exceeds "
+                f"{TAIL_MASS_THRESHOLD:g} at n_max={state.n_max} (observed {observed:.4g} "
+                f"of {config.shots} shots); increase n_max",
                 TruncationWarning,
                 stacklevel=2,
             )

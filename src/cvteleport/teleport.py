@@ -14,7 +14,9 @@ r >= 0 and |u| = 1, it is the real T_q(r) between unit phases,
 T_q(beta)[n, m] = u^n T_q(r)[n, m] conj(u)^m, and every route here builds or
 applies it that way: ``_transfer_stack`` builds T_q(r) from the real
 displacement D(r), while ``_transfer_apply`` applies T_q(beta) in normal
-order, from the powers of (1-q) beta alone. For a single-photon input the
+order, from the powers of (1-q) beta alone, and ``_outcome_density`` takes
+the squared norm ||T_q(beta) psi||^2, with no cutoff on the output, from the
+lowering half of T_q(beta)^2. For a single-photon input the
 output has a closed form (a displaced two-term superposition) and the
 measurement-outcome density over beta is
 
@@ -228,6 +230,35 @@ def _transfer_apply(q: float, betas, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _outcome_density(q: float, betas, hankel: np.ndarray) -> np.ndarray:
+    """The exact outcome density p(beta) = ||T_q(beta) psi||^2 over a 1-D batch of
+    betas, shape (B,), from ``hankel`` = ``_binomial_hankel(psi)``, with no
+    cutoff on the output.
+
+    T_q(beta) is hermitian, and T_q(beta)^2 = ((1-q^2)/pi) / sqrt((1-q^4)/pi)
+    T_{q^2}(beta), so in normal order, with c' = (1-q^2) beta,
+
+        p(beta) = ((1-q^2)/pi) e^{-(1-q^2)|beta|^2} sum_k q^{2k} |(e^{conj(c') a} psi)_k|^2,
+
+    the lowering half alone: one product of each beta's powers of
+    ``_normal_order_powers(q^2, ...)``, whose Gaussian squares to the one above,
+    with the Hankel matrix, then a weighted sum along the levels. Every sum
+    runs over levels of psi, so p is exact at psi's cutoff; the squared norm
+    of the truncated output ``_transfer_apply`` is at most p, short of it by
+    the output's mass above the cutoff. Each row sees the same operations in
+    the same order in any batch. Its rounding error is some ulps of the same
+    sum over moduli, which exceeds p where the terms cancel, far from where
+    psi's mass lands: 2.9e-13 relative for coherent 0.5 at |beta| = 6, q = 0.
+    """
+    dim = hankel.shape[-1]
+    r, phase = _polar(betas, dim)
+    powers = _normal_order_powers(q * q, r, dim)
+    # a (1, dim) @ (dim, dim) product per beta, so that no row depends on the batch
+    lowered = (np.conj(powers.T * phase)[:, None, :] @ hankel.T).reshape(r.size, dim)
+    weights = q ** (2.0 * np.arange(dim))
+    return ((1.0 - q * q) / math.pi) * np.sum(weights * np.abs(lowered) ** 2, axis=-1)
+
+
 def teleport_output(
     input_state: StateVector,
     q: float,
@@ -236,8 +267,10 @@ def teleport_output(
     """Unnormalized conditional output T_q(beta) |input>, by the kernel the
     sampler applies (``_transfer_apply``).
 
-    The squared norm of the result is the outcome density at beta. A
-    relative tail mass above ``TAIL_MASS_THRESHOLD`` emits a TruncationWarning.
+    The squared norm of the result is the truncated outcome density: the
+    density at beta less the output's mass above the input's cutoff, which
+    ``_outcome_density`` includes. A relative tail mass above
+    ``TAIL_MASS_THRESHOLD`` emits a TruncationWarning.
     """
     out = StateVector(_transfer_apply(_as_q(q), [beta], input_state.amplitudes)[0])
     if out.tail_mass() > TAIL_MASS_THRESHOLD:

@@ -30,6 +30,8 @@ from .statistics import (
 )
 from .teleport import (
     _beta_density,
+    _binomial_hankel,
+    _outcome_density,
     _transfer_apply,
     end_to_end_projection,
     single_photon_output_closed_form,
@@ -94,6 +96,27 @@ def check_density_closed_form() -> CheckResult:
         closed = _beta_density(q, radii)
         worst = max(worst, float(np.max(np.abs(numeric - closed) / closed)))
     return CheckResult("outcome density closed form", worst < 1e-9, 1e-9, worst)
+
+
+def check_exact_outcome_density() -> CheckResult:
+    """The exact density the rejection sampler accepts on, ``_outcome_density``,
+    vs the |1> closed form and the coherent one, (a/pi) e^{-a|beta - alpha|^2}
+    with a = 1-q^2, relative, at |beta| <= 6."""
+    worst = 0.0
+    angles = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 13))
+    betas = np.ravel(np.linspace(0.0, 6.0, 25)[:, None] * angles)
+    alpha = 0.5
+    photon = _binomial_hankel(number_state(1, 8).amplitudes)
+    coherent = _binomial_hankel(coherent_state(alpha, 40).amplitudes)
+    for q in (0.2, 0.5, 0.9):
+        a = 1.0 - q * q
+        for hankel, closed in (
+            (photon, _beta_density(q, betas)),
+            (coherent, (a / math.pi) * np.exp(-a * np.abs(betas - alpha) ** 2)),
+        ):
+            exact = _outcome_density(q, betas, hankel)
+            worst = max(worst, float(np.max(np.abs(exact - closed) / closed)))
+    return CheckResult("exact outcome density closed forms", worst < 1e-12, 1e-12, worst)
 
 
 def check_hermiticity() -> CheckResult:
@@ -333,6 +356,7 @@ _FAST_CHECKS = [
 
 _FULL_CHECKS = _FAST_CHECKS + [
     check_density_closed_form,
+    check_exact_outcome_density,
     check_photon_stats_quadrature,
     check_mean_photon_change,
     check_conditional_integrals,

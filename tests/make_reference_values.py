@@ -17,7 +17,10 @@ the package:
   |<n|T_q(beta)|1>|^2 from the sum above, and the gain as the total density
   minus both, the total being <1|T_q(beta)^2|1> through
   T_q(beta)^2 = ((1-q^2)/pi) / sqrt((1-q^4)/pi) T_{q^2}(beta), so no
-  number-law closed form of the package enters.
+  number-law closed form of the package enters;
+- the outcome density p(beta) = <psi|T_q(beta)^2|psi> of |4> and of
+  (|0>+|1>)/sqrt(2), through the same T_{q^2} identity, as a double sum of
+  normal-order entries over the levels of psi.
 
 Needs mpmath, which the package does not depend on (it is in the ``test``
 extra). Run it by hand and paste its output over the literals:
@@ -45,6 +48,13 @@ SIZE = 4
 # (q, |beta|) of the conditional densities, as the floats the tests pass
 CONDITIONAL_QS = (0.5, 0.9)
 CONDITIONAL_RADII = (0.02, 0.5, 2.0, 6.0)
+# inputs, q and beta of the outcome densities; amplitudes as exact mpmath numbers
+DENSITY_INPUTS = {
+    "number4": {4: mp.mpf(1)},
+    "vacuum_plus_one": {0: 1 / mp.sqrt(2), 1: 1 / mp.sqrt(2)},
+}
+DENSITY_QS = (0.5, 0.9)
+DENSITY_BETAS = ((0.3, -0.2), (-1.2, 0.7), (2.5, 1.5))
 TESTS = Path(__file__).with_name("test_reference_values.py")
 
 
@@ -91,6 +101,16 @@ def conditional_entry(q, r):
     return p0, p1, total - p0 - p1
 
 
+def outcome_density(q, beta, amplitudes: dict):
+    """<psi|T_q(beta)^2|psi> for psi = sum_n amplitudes[n] |n>."""
+    squared = (1 - q * q) / mp.pi / mp.sqrt((1 - q**4) / mp.pi)
+    return squared * mp.fsum(
+        mp.conj(amplitudes[n]) * amplitudes[m] * transfer_entry(q * q, beta, n, m)
+        for n in amplitudes
+        for m in amplitudes
+    ).real
+
+
 def print_literals() -> None:
     # the floats as written, so the tests feed the kernels the same beta
     betas = [(complex(re, im), mp.mpc(mp.mpf(re), mp.mpf(im))) for re, im in BETAS]
@@ -122,6 +142,13 @@ def print_literals() -> None:
         for r in CONDITIONAL_RADII:
             row = ", ".join(repr(float(p)) for p in conditional_entry(mp.mpf(q), mp.mpf(r)))
             print(f"    ({q!r}, {r!r}): [{row}],")
+    print("}")
+    print("OUTCOME_DENSITY = {")
+    for name, amplitudes in DENSITY_INPUTS.items():
+        for q in DENSITY_QS:
+            for re, im in DENSITY_BETAS:
+                value = outcome_density(mp.mpf(q), mp.mpc(mp.mpf(re), mp.mpf(im)), amplitudes)
+                print(f"    ({name!r}, {q!r}, {complex(re, im)!r}): {float(value)!r},")
     print("}")
 
 

@@ -79,14 +79,26 @@ MUTANTS = (
     Mutant(
         "counts-shifted",
         "sampler.py",
-        "counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u)",
-        "counts[start:stop] = _draw_counts(lambda: weights.T, 0.0, u) + 1",
+        "counts[start:stop] = _draw_counts(lambda: weights.T, tails, u)",
+        "counts[start:stop] = _draw_counts(lambda: weights.T, tails, u) + 1",
     ),
     Mutant(
         "transfer-level-1",
         "teleport.py",
         "out *= q ** np.arange(dim)",
         "out *= q ** np.arange(dim) * np.where(np.arange(dim) == 1, 1.05, 1.0)",
+    ),
+    Mutant(
+        "density-weights",
+        "teleport.py",
+        "weights = q ** (2.0 * np.arange(dim))",
+        "weights = q ** np.arange(dim)",
+    ),
+    Mutant(
+        "missing-mass-zero",
+        "sampler.py",
+        "missing[missing <= floor] = 0.0",
+        "missing[:] = 0.0",
     ),
     Mutant(
         "acceptance-factor",
@@ -101,8 +113,9 @@ MUTANTS = (
         "sampler.py",
         "_ENVELOPE_SAFETY = 1.5",
         "_ENVELOPE_SAFETY = 1.0001",
-        equivalent="the majorant of moduli already bounds the density, so the cap "
-        "stays above it and the accepted law is unchanged; only the draws differ",
+        equivalent="where the cap stays above the exact density the accepted law is "
+        "unchanged and only the draws differ; where it does not, the candidate raises "
+        "EnvelopeError, a refusal, not a wrong law",
     ),
     Mutant(
         "envelope-rate",

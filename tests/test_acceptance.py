@@ -17,6 +17,7 @@ from cvteleport.verification import (
     check_density_closed_form,
     check_diagonal_at_zero,
     check_displacement_unitary,
+    check_exact_outcome_density,
     check_hermiticity,
     check_loss_gain_identities,
     check_mean_photon_change,
@@ -34,7 +35,7 @@ from cvteleport.verification import (
 # criterion -> the checks that judge it
 CRITERIA = {
     1: (check_path_equivalence,),
-    2: (check_density_closed_form, check_closed_form_output),
+    2: (check_density_closed_form, check_exact_outcome_density, check_closed_form_output),
     3: (check_photon_stats_quadrature, check_loss_gain_identities, check_mean_photon_change),
     4: (check_conditional_integrals,),
     5: (check_polarization_quadrature, check_polarization_identities, check_two_mode_factorization),

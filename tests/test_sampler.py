@@ -48,7 +48,12 @@ from cvteleport.statistics import (
     loss_gain_split,
     squeezing_db_to_q,
 )
-from cvteleport.teleport import _transfer_apply, teleport_output
+from cvteleport.teleport import (
+    _binomial_hankel,
+    _outcome_density,
+    _transfer_apply,
+    teleport_output,
+)
 
 SEED = 20260815
 # seeds at the 32-bit word edges of numpy's seed-sequence entropy
@@ -496,6 +501,94 @@ def test_single_photon_gate_rejects_the_wrong_squeezing():
     assert radial < 1e-6 and pit < 1e-6
 
 
+def _coherent_gate(result, alpha, q):
+    """p-values of |beta - alpha|^2, arg(beta - alpha) and each count given beta
+    under the law of a coherent input |alpha> at cutoff 32.
+
+    T_q(beta)|alpha> = sqrt(a/pi) e^{-a|beta - alpha|^2/2} e^{i phi}
+    |q alpha + (1-q) beta>, a = 1-q^2: so |beta - alpha|^2 is exponential with
+    rate a, its angle is uniform, and the count given beta is Poisson with mean
+    |q alpha + (1-q) beta|^2, scored by a randomized PIT (Dunn & Smyth 1996)
+    whose overflow level holds the Poisson mass above the cutoff.
+    """
+    a = 1.0 - q * q
+    betas, counts = result.betas, result.photon_counts
+    shifted = betas - alpha
+    radial = kstest(1.0 - np.exp(-a * np.abs(shifted) ** 2), "uniform").pvalue
+    angle = kstest((np.angle(shifted) / (2.0 * math.pi)) % 1.0, "uniform").pvalue
+    mean = np.abs(q * alpha + (1.0 - q) * betas) ** 2
+    over = counts == OVERFLOW_COUNT
+    level = np.where(over, 33, counts)
+    law = np.where(over, poisson.sf(32, mean), poisson.pmf(level, mean))
+    v = np.random.default_rng(2026).uniform(size=betas.size)
+    pit = poisson.cdf(level - 1, mean) + v * law
+    return radial, angle, kstest(pit, "uniform").pvalue
+
+
+def test_coherent_statistical_gate():
+    # 20,000 shots of coherent 0.5 at q = 0.5, seed 7: p < 1e-6 fails a
+    # correct sampler once in a million seeds; the correct law measured
+    # p = 0.12, 0.45 and 0.060 (seed 11: 0.60, 0.31 and 0.87)
+    config = SamplerConfig(7, 20_000, 0.5, coherent_state(0.5, 32).unit())
+    assert min(_coherent_gate(run_shots(config), 0.5, 0.5)) >= 1e-6
+
+
+def test_coherent_gate_rejects_the_wrong_squeezing():
+    # a q = 0.55 run scored against the q = 0.5 law; the angle law is the same
+    # (measured: radius 6.6e-12, count PIT 2.5e-21)
+    config = SamplerConfig(7, 20_000, 0.55, coherent_state(0.5, 32).unit())
+    radial, _, pit = _coherent_gate(run_shots(config), 0.5, 0.5)
+    assert radial < 1e-6 and pit < 1e-6
+
+
+def _exact_overflow_share_of_four_at_q0(n_max):
+    # at q = 0 the output given beta is the coherent state |beta>, weighted by
+    # |<beta|4>|^2 / pi, so the count law is P(n) = C(4+n, n) / 2^(5+n)
+    return 1.0 - sum(math.comb(4 + n, n) / 2.0 ** (5 + n) for n in range(n_max + 1))
+
+
+@pytest.mark.parametrize(
+    "state, q, exact",
+    [
+        (number_state(4, 8), 0.0, _exact_overflow_share_of_four_at_q0(8)),
+        # averaged over beta the channel is phase covariant, so only the
+        # populations (1/2, 1/2) enter; at q = 0.5 the loss-then-gain matrix
+        # has M[0,0] = 3/4, M[1,0] = M[0,1] = 3/16 and M[1,1] = 15/32
+        (StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0)), 0.5, 13.0 / 64.0),
+    ],
+    ids=["number4-cutoff8-q0", "vacuum-plus-one-cutoff1-q0.5"],
+)
+def test_generic_overflow_share_is_the_exact_missing_mass(state, q, exact):
+    # 2,000 shots at seed 0 within 3 sigma of the exact share above the cutoff
+    # (0.13342 and 0.20313); a count drawn against the truncated norm gives 0
+    shots = 2000
+    with pytest.warns(TruncationWarning, match="expected overflow share"):
+        result = run_shots(SamplerConfig(0, shots, q, state))
+    assert abs(result.overflow / shots - exact) < 3.0 * math.sqrt(exact * (1.0 - exact) / shots)
+
+
+def test_exact_density_stays_under_the_envelope_cap():
+    # the cap certifies the density with its middle sum cut at the cutoff, not
+    # p(beta), which the rejection rounds accept on; on 24 random inputs at
+    # cutoffs 1-12 and q up to 0.99, half of them heavy on the top level, p
+    # stays under the cap at proposal draws and on a radial grid (the largest
+    # p/cap measured is 0.67)
+    rng = np.random.default_rng(33)
+    for i in range(24):
+        n_max = int(rng.integers(1, 13))
+        q = float(rng.uniform(0.0, 0.99))
+        amplitudes = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+        amplitudes[-1] *= 1.0 + 9.0 * (i % 2)
+        state = StateVector(amplitudes).unit()
+        c = _envelope_rate(q)
+        draws = [1.0, 1j] @ rng.normal(0.0, math.sqrt(0.5 / c), size=(2, 500))
+        grid = np.sqrt(np.linspace(0.0, 40.0 / c, 200)) * np.exp(0.7j)
+        betas = np.concatenate([draws, grid])
+        p = _outcome_density(q, betas, _binomial_hankel(state.amplitudes))
+        caps = _envelope_bound(state, q) * _envelope_density(q, np.abs(betas) ** 2)
+        assert np.all(p <= caps), (n_max, q)
+
+
 def test_shot_beta_follows_inverse_cdf():
     q = 0.5
     beta = run_shots(SamplerConfig(master_seed=SEED, shots=1, q=q)).records[0].beta
@@ -685,19 +778,25 @@ def test_rejection_gives_up_after_max_draws(monkeypatch):
 
 
 def test_generic_path_warns_on_tail_mass():
-    # some candidate outputs leave 1.454e-07 relative mass at the cutoff edge;
-    # |4> at cutoff 4 leaves mass there on nearly every candidate
-    configs = (
-        SamplerConfig(master_seed=2, shots=500, q=0.5, input_state=coherent_state(0.5, 32).unit()),
-        SamplerConfig(master_seed=0, shots=50, q=0.0, input_state=number_state(4, 4)),
-    )
-    for config in configs:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_shots(config)
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, TruncationWarning)
-        assert "relative tail mass" in str(caught[0].message)
+    # |4> at cutoff 4 and q = 0 leaves half the outcome density above the
+    # cutoff (exact share 0.5); the run warns once, with the expected share,
+    # the mean of missing/p over its 50 shots, and the observed one
+    shots = 50
+    config = SamplerConfig(master_seed=0, shots=shots, q=0.0, input_state=number_state(4, 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_shots(config)
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, TruncationWarning)
+    message = str(caught[0].message)
+    expected = float(message.split("expected overflow share ")[1].split()[0])
+    assert abs(expected - 0.5) < 3.0 * math.sqrt(0.25 / shots)
+    assert f"(observed {result.overflow / shots:.4g} of {shots} shots)" in message
+    # the benchmark's input: a cutoff of 32 holds its accepted outputs, so no warning
+    config = SamplerConfig(master_seed=2, shots=500, q=0.5, input_state=coherent_state(0.5, 32).unit())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_shots(config).overflow == 0
 
 
 @pytest.mark.filterwarnings("ignore::cvteleport.errors.TruncationWarning")
@@ -719,23 +818,30 @@ def test_generic_run_peak_stays_near_one_displacement_batch():
 
 
 def _one_shot_at_a_time(state, q, bound, seed, shots):
-    """The generic path as a plain loop: one stream, one T_q build per candidate."""
+    """The generic path as a plain loop: one stream, one T_q build per candidate.
+
+    The exact density and the mass above the cutoff come from an independent
+    route: the output of psi zero-padded by 60 levels, whose squared norm is
+    the density and whose levels past the cutoff are the missing mass.
+    """
     sigma = math.sqrt(1.0 / (1.0 - q * q))
     # the envelope density (c/pi) e^{-c|beta|^2} written out, in the sampler's
     # operation order, so that an error in the sampler's rate shows here
     c = 0.5 * (1.0 - q * q)
+    padded = StateVector(np.concatenate([state.amplitudes, np.zeros(60)]))
     betas, counts = [], []
     for i in range(shots):
         rng = _numpy_stream(seed, i)
         while True:
             beta = complex(*rng.normal(0.0, sigma, size=2))
-            output = teleport_output(state, q, beta)
+            output = teleport_output(padded, q, beta)
             cap = bound * float((c / math.pi) * np.exp(-c * abs(beta) ** 2))
             if rng.uniform() * cap <= output.norm_sq():
                 break
-        weights = np.abs(output.amplitudes[:, None]) ** 2
+        weights = np.abs(output.amplitudes[: state.n_max + 1, None]) ** 2
+        missing = np.sum(np.abs(output.amplitudes[state.n_max + 1 :]) ** 2)
         betas.append(beta)
-        counts.append(_draw_counts(lambda: weights, 0.0, rng.uniform(size=1))[0])
+        counts.append(_draw_counts(lambda: weights, np.array([missing]), rng.uniform(size=1))[0])
     return ShotRunResult(seed, betas, counts)
 
 
@@ -802,21 +908,24 @@ def test_draw_counts_of_matrix_columns_match_cumsum(tail):
 
 
 def test_generic_counts_stay_inside_a_cutoff_that_holds_all_mass(monkeypatch):
-    # 33-level outputs whose pairwise row sum lies above their sequential
-    # cumulative total; a last-ulp uniform must still draw a level, not overflow
+    # 33-level outputs whose density, their pairwise row sum, lies above their
+    # sequential cumulative total; that rounding is no missing mass, so a
+    # last-ulp uniform must still draw a level, not overflow
     outputs = np.sqrt(np.random.default_rng(7).random((2000, 33))).astype(complex)
     weights = np.abs(outputs) ** 2
     outputs = outputs[weights.sum(axis=1) > np.cumsum(weights, axis=1)[:, -1]][:16]
     assert len(outputs) == 16
+    densities = np.sum(np.abs(outputs) ** 2, axis=1)
 
     class LastUniform:
         def random(self):
             return 1.0 - 2.0**-53
 
-    def accept_outputs(state, q, bound, rngs):
-        return np.zeros(len(rngs), dtype=complex), outputs[: len(rngs)], 0, 0.0
+    def accept_densities(state, q, bound, rngs):
+        return np.zeros(len(rngs), dtype=complex), densities[: len(rngs)]
 
-    monkeypatch.setattr("cvteleport.sampler._rejection_sample", accept_outputs)
+    monkeypatch.setattr("cvteleport.sampler._rejection_sample", accept_densities)
+    monkeypatch.setattr("cvteleport.sampler._transfer_apply", lambda q, betas, psi: outputs)
     monkeypatch.setattr("cvteleport.sampler._shot_generator", lambda key: LastUniform())
     result = run_shots(SamplerConfig(0, len(outputs), 0.5, coherent_state(0.5, 32)))
     assert result.overflow == 0
