@@ -22,7 +22,7 @@ class TruncationError(ValueError):
 
 
 class TruncationWarning(UserWarning):
-    """Non-fatal diagnostic: significant amplitude sits at the cutoff level."""
+    """Non-fatal diagnostic: a significant share of a result lies above the cutoff."""
 
 
 class GridMismatchError(ValueError):

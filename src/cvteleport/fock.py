@@ -2,8 +2,9 @@
 
 Everything in the package works in a photon-number basis truncated at a
 cutoff ``n_max``, a plain int >= 1 (dimension ``n_max + 1``). States are
-complex amplitude vectors; operators are plain read-only (dim, dim)
-complex arrays.
+complex amplitude vectors, which carry no measure of their own truncation:
+the mass above the cutoff is judged where it is known exactly, against
+``TAIL_MASS_THRESHOLD``. Operators are plain read-only (dim, dim) complex arrays.
 
 Displacement matrices have one build. ``_radial_magnitudes`` runs the
 two-term associated-Laguerre recurrence once for a whole batch of radii along
@@ -37,9 +38,8 @@ __all__ = [
     "TAIL_MASS_THRESHOLD",
 ]
 
-# Relative amplitude-squared at the top level above which operations emit a
-# truncation diagnostic. Non-fatal: callers near the cutoff see a warning,
-# not an error.
+# Share of a result's exact mass that may lie above the cutoff: past it,
+# ``coherent_state`` raises and the teleported outputs warn.
 TAIL_MASS_THRESHOLD = 1e-9
 
 
@@ -90,13 +90,6 @@ class StateVector:
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def tail_mass(self) -> float:
-        """Relative |a_{n_max}|^2, the truncation-quality diagnostic."""
-        total = self.norm_sq()
-        if total == 0.0:
-            return 0.0
-        return float(abs(self.amplitudes[-1]) ** 2 / total)
 
     def unit(self) -> "StateVector":
         n2 = self.norm_sq()

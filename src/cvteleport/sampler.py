@@ -23,21 +23,18 @@ a seed sequence that holds nothing but the key: the generator is the one
 ``Philox(key=key)`` builds, but nothing reads OS entropy for a seed that the
 key would override. All pending shots advance in lockstep rounds: each
 draws one candidate and its accept uniform from its own stream, in one pass
-over the streams, and the round's candidates get the exact outcome density
-p(beta) = ||T_q(beta) psi||^2 in one call of ``teleport._outcome_density``,
-the lowering half of T_q(beta)^2 in normal order, which forms no output
-state and is exact at the input's cutoff. Once every shot of a chunk is
-accepted, one call of ``teleport._transfer_apply`` applies T_q(beta) to the
-input at the accepted betas; it too works in normal order from the powers
-of (1-q) beta and builds neither a T_q matrix nor a displacement. The
-envelope bound builds the real displacement D(r) only at the radii of its
-grid whose certified normal-order bound can still reach the maximum,
-``teleport._batch_size`` of them at a time (at least 32, and 128 at
-cutoff 32). Each stream is consumed in the same order as one shot at a
-time (candidate normals, accept uniform, then the count uniform), and a
-candidate's density and output do not depend on the others in its batch,
-so records do not depend on the batching. Uniforms come from
-``Generator.random()``, which equals ``uniform()`` bit for bit
+over the streams. The T_q(beta) algebra is ``teleport``'s, in normal order,
+with no T_q matrix and no displacement: each round's candidates get the
+exact outcome density p(beta) = ||T_q(beta) psi||^2, exact at the input's
+cutoff, from one ``_outcome_density`` call, and each chunk's accepted shots
+their outputs from one ``_transfer_apply`` call. The envelope bound builds
+the real displacement D(r) only at the grid radii whose certified bound,
+from the same normal-order steps, can still reach the maximum,
+``teleport._batch_size`` at a time. Each stream is consumed in the same
+order as one shot at a time (candidate normals, accept uniform, then the
+count uniform), and a candidate's density and output do not depend on the
+others in its batch, so records do not depend on the batching. Uniforms
+come from ``Generator.random()``, which equals ``uniform()`` bit for bit
 (0.0 + 1.0 x) at a fraction of its call cost.
 
 Both paths draw photon counts with one routine, ``_draw_counts``, from two
@@ -46,8 +43,8 @@ matrix: the columns of the generic path's |output|^2 rows, and on the
 single-photon path ``statistics._single_photon_levels``, which builds each
 level of the closed-form number law from the level before. The draw is an
 inverse CDF against a shot's cumulative weights plus its mass above the
-cutoff, which draws overflow: on the generic path ``_missing_mass``, the
-exact density less the truncated output's squared norm, and on the
+cutoff, which draws overflow: on the generic path ``teleport._missing_mass``,
+the exact density less the truncated output's squared norm, and on the
 single-photon path ``statistics._single_photon_tail``, the law's exact tail.
 A generic run whose expected overflow share passes ``TAIL_MASS_THRESHOLD``
 says so in one ``TruncationWarning``, with the share it observed.
@@ -71,7 +68,6 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
-    _log_factorials,
     _radial_displacement_stack,
     number_state,
 )
@@ -80,8 +76,11 @@ from .teleport import (
     _as_q,
     _batch_size,
     _binomial_hankel,
-    _binomial_roots,
+    _log_powers,
+    _lower,
+    _missing_mass,
     _outcome_density,
+    _raise,
     _transfer_apply,
 )
 
@@ -109,8 +108,6 @@ _ENVELOPE_GRID = 2048
 _ENVELOPE_INTERVAL = 8
 _ENVELOPE_MARGIN = 1000.0
 _MAX_REJECTION_DRAWS = 100_000
-# a row's mass above the cutoff at most this many dim eps of its density is rounding
-_MISSING_MASS_FLOOR = 4.0
 _CHUNK = 16_384
 # shot indices must fit one 32-bit spawn-key word
 MAX_SHOTS = 2**32
@@ -421,13 +418,14 @@ def _log_interval_bounds(moduli: np.ndarray, weights: np.ndarray, q: float, radi
     In normal order (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)),
     D(alpha) = e^{-|alpha|^2/2} e^{alpha a^dag} e^{-conj(alpha) a}, so taking
     moduli term by term gives |<n|D(r)|m>| <= e^{-r^2/2} (E E^T)[n, m] with
-    E[k+d, k] = r^d / sqrt(d!) sqrt(C(k+d, d)), from ``fock._log_factorials``
-    and ``teleport._binomial_roots``. Every term is positive and grows with r,
-    so on [r0, r1] the column (|D(r)| m)_n is at most
+    E[k+d, k] = r^d / sqrt(d!) sqrt(C(k+d, d)). Every term is positive and
+    grows with r, so on [r0, r1] the column (|D(r)| m)_n is at most
     e^{-r0^2/2} (E(r1) E(r1)^T m)_n, and at most sum m, as no |D_nm| exceeds 1.
     The weighted sum of squares is divided by the envelope at r1, its lowest
-    point on the run. E^T m is one product of the Hankel matrix of m with the
-    powers, and E v a sum over d; both are level-major, (dim, S).
+    point on the run. E holds the normal-order powers of a real r, so the
+    steps of ``teleport`` build it: the powers of r1 by ``_log_powers``, E^T m
+    by ``_lower`` on the Hankel matrix of m, and E v by ``_raise``. The rest
+    is the envelope's own arithmetic.
 
     Each run's powers are scaled by the largest, whose logarithm rejoins the
     Gaussian in the log domain, so nothing overflows below cutoff 1,000; a
@@ -438,20 +436,11 @@ def _log_interval_bounds(moduli: np.ndarray, weights: np.ndarray, q: float, radi
     dim = moduli.size
     runs = radii.reshape(-1, _ENVELOPE_INTERVAL)
     r0, r1 = runs[:, 0], runs[:, -1]
-    log_powers = np.multiply.outer(np.arange(dim), np.log(r1))
-    log_powers -= 0.5 * _log_factorials(dim)[:, None]
+    log_powers = _log_powers(r1, dim)
     scale = np.max(log_powers, axis=0)
     powers = np.exp(log_powers - scale)
-    roots = _binomial_roots(dim)
-    lowered = _binomial_hankel(moduli) @ powers
-    raised = np.zeros_like(lowered)
-    term = np.empty_like(lowered)
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in range(dim):
-            rows = dim - d
-            np.multiply(lowered[:rows], roots[d, :rows, None], out=term[:rows])
-            term[:rows] *= powers[d]
-            raised[d:] += term[:rows]
+        raised = _raise(_lower(powers, 1.0, _binomial_hankel(moduli)).T, powers)
     # "!= 0" rather than "> 0", so that a NaN stays NaN and ends at +inf
     log_cols = np.log(raised, out=np.full_like(raised, -np.inf), where=raised != 0.0)
     log_cols += 2.0 * scale - 0.5 * r0 * r0
@@ -598,25 +587,6 @@ def _rejection_sample(
         if not pending.size:
             return betas, densities
     raise EnvelopeError(f"no acceptance in {_MAX_REJECTION_DRAWS} draws; bound {bound:.3e}")
-
-
-def _missing_mass(weights: np.ndarray, densities: np.ndarray) -> np.ndarray:
-    """Each row's mass above the cutoff: p - C, where p is the row's exact density
-    and C the sequential running total of its level weights, the one
-    ``_draw_counts`` forms (``np.cumsum`` rounds its adds alike), shape (B,).
-
-    p and C are two roundings of the same sum when the cutoff holds all the
-    mass; on 300 random inputs padded far inside their cutoffs they differed
-    by at most 0.53 dim eps p. So a difference
-    of at most ``_MISSING_MASS_FLOOR`` dim eps p counts as zero, and a shot
-    whose cutoff holds all its mass never draws overflow, even at the
-    last-ulp uniform.
-    """
-    total = np.cumsum(weights, axis=1)[:, -1]
-    missing = densities - total
-    floor = _MISSING_MASS_FLOOR * weights.shape[1] * np.finfo(float).eps * densities
-    missing[missing <= floor] = 0.0
-    return missing
 
 
 def _draw_counts(

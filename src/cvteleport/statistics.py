@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError
 from .fock import StateVector, _as_n_max, _as_unit, _log_factorials
-from .teleport import _as_q, _batch_size, _beta_density, _transfer_stack
+from .teleport import _as_q, _batch_size, _beta_density, _transfer_stack, _zero_underflow
 
 __all__ = [
     "PhotonDistribution",
@@ -320,12 +320,16 @@ def _conditional_densities(q: float, betas) -> tuple[np.ndarray, ...]:
     """(total, p0, p1, p_ge2) for a 1-D array of finite betas, each of shape (B,):
     ``teleport._beta_density``, levels 0 and 1 of ``_single_photon_levels``
     and ``_single_photon_tail`` above level 1, a sum of positive terms. Where
-    the total is 0, with its one warning per call, so are the parts."""
+    the total is 0, with its one warning per call, so are the parts. p0 and
+    p1 carry e^{-2(1-q)|beta|^2}, which passes the same 1e-300 rule first;
+    past it they are exact zeros, not subnormals, with one warning more."""
     total = _beta_density(q, betas)
     live = total > 0.0
     parts = np.zeros((3, total.size))
     parts[:2, live] = list(_single_photon_levels(q, betas[live], 1))
     parts[2, live] = _single_photon_tail(q, betas[live], 1)
+    r = np.where(live, np.abs(betas), 0.0)
+    _zero_underflow("conditional density at levels 0 and 1", parts[:2], 2 * (1 - q) * r * r, r, q)
     return (total, *parts)
 
 

@@ -9,7 +9,10 @@ the package:
 - T_q(beta)[n, m] from the finite normal-order sum
   T_q(beta) = sqrt((1-q^2)/pi) e^{-(1-q)|beta|^2} e^{c a^dag} q^{a^dag a} e^{conj(c) a},
   c = (1-q) beta (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), whose
-  element is a sum over k <= min(n, m) and has no cutoff;
+  element is a sum over k <= min(n, m) and has no cutoff: n, m <= 3 at
+  |beta| <= 2.1 and q <= 0.5, and n, m <= 8 at |beta| = 3 and 8, two phases
+  each, and q = 0.5 and 0.97, where a cutoff-8 block of the displacement form
+  drops most of its middle sum;
 - the photon-transfer matrix M[n, m] from unit-gain teleportation as a pure
   loss of transmissivity eta = 1/G followed by an amplifier of gain
   G = 2/(1+q) (Garcia-Patron et al., PRL 108, 110505 (2012));
@@ -45,6 +48,10 @@ mp.mp.dps = 40
 QS = ("0.0", "0.3", "0.5")
 BETAS = ((0.3, -0.2), (-1.2, 0.7), (2.0, 0.5))
 SIZE = 4
+# q and beta of the n, m <= 8 transfer blocks, as the floats the tests pass
+DEEP_QS = ("0.5", "0.97")
+DEEP_BETAS = ((3.0, 0.0), (-1.8, 2.4), (4.8, -6.4), (-8.0, 0.0))
+DEEP_SIZE = 9
 # (q, |beta|) of the conditional densities, as the floats the tests pass
 CONDITIONAL_QS = (0.5, 0.9)
 CONDITIONAL_RADII = (0.02, 0.5, 2.0, 6.0)
@@ -126,6 +133,18 @@ def print_literals() -> None:
         for key, beta in betas:
             print(f"    ({q_text}, {key!r}): [")
             print_block(lambda n, m: transfer_entry(q, beta, n, m))
+            print("    ],")
+    print("}")
+    print("TRANSFER_DEEP = {")
+    for q_text in DEEP_QS:
+        q = mp.mpf(q_text)
+        for re, im in DEEP_BETAS:
+            beta = mp.mpc(mp.mpf(re), mp.mpf(im))
+            print(f"    ({q_text}, {complex(re, im)!r}): [")
+            for n in range(DEEP_SIZE):
+                row = [repr(complex(transfer_entry(q, beta, n, m))) for m in range(DEEP_SIZE)]
+                lines = [", ".join(row[i : i + 3]) for i in range(0, DEEP_SIZE, 3)]
+                print("        [" + ",\n         ".join(lines) + "],")
             print("    ],")
     print("}")
     print("PHOTON_TRANSFER = {")

@@ -4,7 +4,8 @@ Each mutant replaces one exact piece of text in one file of ``src/cvteleport``.
 The probe copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to
 a temporary directory, runs the tier-1 suite there once unchanged (it must
 pass), and then once per mutant on a fresh copy, with ``tests/test_golden.py``
-ignored, so that only physics and property tests count, not recorded digests.
+ignored, so that only physics and property tests count, not recorded digests,
+and ``tests/test_mutation_probe.py`` too, as it fails on any mutated text.
 It prints one line per mutant:
 
 - ``killed``: some test failed, and the line counts them and names the first three;
@@ -14,9 +15,10 @@ It prints one line per mutant:
   see the changed draws), and the line says which tests did.
 
 The exit status is 1 when a mutant that is not equivalent survives, or when
-a mutant's text no longer appears exactly once in its file. Not part of
-tier-1 or CI: it runs the whole suite once per mutant, about five minutes
-on two cores.
+a mutant's text no longer appears exactly once in its file; tier-1 checks
+the latter up front (``tests/test_mutation_probe.py``). The probe itself is
+not part of tier-1 or CI: it runs the whole suite once per mutant, about
+seven minutes on two cores.
 
     python tests/mutation_probe.py
 """
@@ -96,9 +98,21 @@ MUTANTS = (
     ),
     Mutant(
         "missing-mass-zero",
-        "sampler.py",
+        "teleport.py",
         "missing[missing <= floor] = 0.0",
         "missing[:] = 0.0",
+    ),
+    Mutant(
+        "raise-step",
+        "teleport.py",
+        "        raised[d:] += term[:rows]\n",
+        "        raised[d:] += term[:rows] * (1.0 + 1e-3 * (d == 2))\n",
+    ),
+    Mutant(
+        "output-warning-compare",
+        "teleport.py",
+        "if missing > TAIL_MASS_THRESHOLD * density[0]:",
+        "if missing >= TAIL_MASS_THRESHOLD * density[0]:",
     ),
     Mutant(
         "acceptance-factor",
@@ -165,7 +179,7 @@ def _copy_tree(dest: Path) -> None:
 def _run_tier1(tree: Path) -> tuple[bool, str]:
     """Tier-1 without the goldens: (passed, how many tests failed and which)."""
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    argv += ["--ignore=tests/test_golden.py"]
+    argv += ["--ignore=tests/test_golden.py", "--ignore=tests/test_mutation_probe.py"]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH="src")
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode == 0:

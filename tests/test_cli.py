@@ -189,6 +189,23 @@ def test_conditional_evaluates_the_density_once_per_row(capsys):
     assert "at 2 of 2 points" in str(record[0].message)
 
 
+def test_conditional_table_has_no_subnormal_cells(capsys):
+    # p0 and p1 carry e^{-2(1-q)|beta|^2}, which passes the 1e-300 rule from
+    # |beta| = 26.28 at q = 0.5, before the total does from 30.35: they are
+    # exact zeros there, with a warning that counts them, not subnormals
+    # such as 9.2e-322 at |beta| = 27.26
+    with pytest.warns(TruncationWarning) as record:
+        code, out = run_cli(capsys, "conditional", "--q", "0.5", "--radial-range", "0:60:0.02")
+    assert code == 0 and len(record) == 2
+    assert "levels 0 and 1 underflows at 203 of 3001 points" in str(record[1].message)
+    rows = OutputTable.from_csv(out).rows
+    cells = rows[:, 1:]
+    assert not np.any((cells != 0.0) & (np.abs(cells) < np.finfo(float).tiny))
+    total, parts = rows[:, 1], rows[:, 2:]
+    live = total > 0.0
+    assert np.allclose(parts[live].sum(axis=1), total[live], rtol=1e-12, atol=0.0)
+
+
 def test_density_tables_equal_the_public_functions_bit_for_bit(capsys):
     # each table evaluates its whole grid in one call, and every row is the
     # public function at that point

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -219,6 +221,39 @@ def test_outcome_density_bounds_the_truncated_output():
     padded = np.concatenate([psi, np.zeros(60)])
     deep = np.sum(np.abs(_transfer_apply(0.5, betas, padded)) ** 2, axis=1)
     assert np.allclose(deep, exact, rtol=1e-13, atol=0.0)
+
+
+# (|0> + |1>/2) / sqrt(5/4) at cutoff 1: its top level holds a share 3.9e-30 of
+# the truncated output at the first beta and none at the second, while the
+# exact density puts 99.2% and 0.41% of its mass above the cutoff there
+HALF_PHOTON = StateVector(np.array([1.0, 0.5]) / np.sqrt(1.25))
+
+
+@pytest.mark.parametrize(
+    "beta,share", [(-(2.0 + np.sqrt(2.0)), 0.9918), (-(2.0 - np.sqrt(2.0)), 0.0041)]
+)
+def test_output_warns_on_the_exact_mass_above_the_cutoff(beta, share):
+    with pytest.warns(TruncationWarning, match="above n_max=1") as record:
+        out = teleport_output(HALF_PHOTON, 0.5, beta)
+    assert len(record) == 1 and [w.filename for w in record] == [__file__]
+    exact = _outcome_density(0.5, [beta], _binomial_hankel(HALF_PHOTON.amplitudes))[0]
+    assert abs(1.0 - out.norm_sq() / exact - share) < 1e-4
+
+
+def test_output_is_quiet_where_the_cutoff_holds_the_mass():
+    # the test run turns any TruncationWarning into an error
+    state = coherent_state(0.5, 32)
+    for beta in _beta_grid(4.0, 9):
+        teleport_output(state, 0.5, beta)
+
+
+def test_output_at_zero_density_warns_of_nothing():
+    # T_0(0)|1> = 0: the missing mass and the density are both 0, and they
+    # are compared without a division, so no RuntimeWarning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = teleport_output(number_state(1, 8), 0.0, 0j)
+    assert out.norm_sq() == 0.0
 
 
 def test_displacement_commutation_with_raising_operator():
