@@ -29,13 +29,14 @@ exact outcome density p(beta) = ||T_q(beta) psi||^2, exact at the input's
 cutoff, from one ``_outcome_density`` call, and each chunk's accepted shots
 their outputs from one ``_transfer_apply`` call. The envelope bound builds
 the real displacement D(r) only at the grid radii whose certified bound,
-from the same normal-order steps, can still reach the maximum,
-``teleport._batch_size`` at a time. Each stream is consumed in the same
-order as one shot at a time (candidate normals, accept uniform, then the
-count uniform), and a candidate's density and output do not depend on the
-others in its batch, so records do not depend on the batching. Uniforms
+from the same normal-order steps, can still reach the maximum, best bound
+first, ``teleport._batch_size`` at a time. Each stream is consumed in the
+same order as one shot at a time (candidate normals, accept uniform, then
+the count uniform), and a candidate's density and output do not depend on
+the others in its batch, so records do not depend on the batching. Uniforms
 come from ``Generator.random()``, which equals ``uniform()`` bit for bit
-(0.0 + 1.0 x) at a fraction of its call cost.
+(0.0 + 1.0 x) at a fraction of its call cost, and normals from
+``standard_normal``, scaled as ``normal(0.0, sigma)`` scales the same draws.
 
 Both paths draw photon counts with one routine, ``_draw_counts``, from two
 sources of level weights, one (B,) array per level and no (B, levels)
@@ -103,10 +104,10 @@ _BISECTION_TOL = 1e-12
 _ENVELOPE_SAFETY = 1.5
 # the envelope bound's radial grid, the runs of it that share one certified
 # bound, and the factor by which a run's bound must miss the running maximum
-# for its radii to go unbuilt (see ``_envelope_bound``)
+# for its radii and every later run's to go unbuilt (see ``_envelope_bound``)
 _ENVELOPE_GRID = 2048
 _ENVELOPE_INTERVAL = 8
-_ENVELOPE_MARGIN = 1000.0
+_ENVELOPE_MARGIN = 2.0
 _MAX_REJECTION_DRAWS = 100_000
 _CHUNK = 16_384
 # shot indices must fit one 32-bit spawn-key word
@@ -504,17 +505,18 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
 
     Only radii whose ratio can still reach the maximum are built. The grid
     is cut into runs of ``_ENVELOPE_INTERVAL`` radii, each with the certified
-    bound of ``_log_interval_bounds``, and walked in increasing radius; the
-    runs whose bound times ``_ENVELOPE_MARGIN`` reaches the running maximum
-    are built, ``teleport._batch_size`` radii at a time. A ratio does not
-    depend on its batch, so the result is the maximum over the whole grid,
-    bit for bit. The margin covers the rounding of both sides: in exact
-    arithmetic the built ratio is the same sum of normal-order terms whose
-    moduli the bound adds, so each side's rounding error is some dim ulps
-    of the bound, while the closest a built ratio has come to its run's
-    bound is a factor of 1.3, over 99 inputs up to cutoff 200. A factor of
-    1,000 still builds only 248 of the 2,048 radii for a coherent input at
-    cutoff 32.
+    bound of ``_log_interval_bounds``, and walked in decreasing bound: the
+    top run alone seeds the running maximum, then the others are built
+    ``teleport._batch_size`` radii at a time while a run's bound times
+    ``_ENVELOPE_MARGIN`` reaches it, and the walk stops at the first that
+    does not, since every later bound is smaller. A +inf bound sorts first
+    and is built. A ratio does not depend on its batch, so the result is the
+    maximum over the whole grid, bit for bit. The margin of 2 covers the
+    rounding of both sides: in exact arithmetic the built ratio is the same
+    sum of normal-order terms whose moduli the bound adds, so each side's
+    rounding error is some dim ulps of the bound, while the closest a built
+    ratio has come to its run's bound is a factor of e^-0.24, over 124
+    inputs. A coherent input at cutoff 32 builds 104 of the 2,048 radii.
     """
     n_max = input_state.n_max
     weights = q ** (2.0 * np.arange(n_max + 1))
@@ -522,17 +524,21 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     t_hi = (4.0 * (n_max + 1) + 120.0) / (1.0 - q * q)
     radii = np.sqrt(np.linspace(0.0, t_hi, _ENVELOPE_GRID))
     runs = radii.reshape(-1, _ENVELOPE_INTERVAL)
-    log_bounds = _log_interval_bounds(moduli_in, weights, q, radii).tolist()
+    log_bounds = _log_interval_bounds(moduli_in, weights, q, radii)
+    # best first: a +inf bound sorts ahead of every finite one
+    order = np.argsort(-log_bounds, kind="stable")
     runs_per_batch = _batch_size(n_max + 1) // _ENVELOPE_INTERVAL
-    ratio_max = 0.0
-    chosen = []
-    for i, log_bound in enumerate(log_bounds):
-        if ratio_max == 0.0 or log_bound >= math.log(ratio_max / _ENVELOPE_MARGIN):
-            chosen.append(i)
-        if chosen and (len(chosen) == runs_per_batch or i == len(log_bounds) - 1):
-            ratios = _majorant_ratios(runs[chosen].ravel(), moduli_in, weights, q)
+    ratio_max = float(np.max(_majorant_ratios(runs[order[0]], moduli_in, weights, q)))
+    for start in range(1, order.size, runs_per_batch):
+        batch = order[start : start + runs_per_batch]
+        floor = math.log(ratio_max / _ENVELOPE_MARGIN) if ratio_max > 0.0 else -math.inf
+        # the bounds fall along the order, so the runs that reach are a prefix
+        reach = int(np.count_nonzero(log_bounds[batch] >= floor))
+        if reach:
+            ratios = _majorant_ratios(runs[batch[:reach]].ravel(), moduli_in, weights, q)
             ratio_max = max(ratio_max, float(np.max(ratios)))
-            chosen = []
+        if reach < batch.size:
+            break
     return _ENVELOPE_SAFETY * ratio_max
 
 
@@ -542,8 +548,10 @@ def _rejection_sample(
     """Accepted beta of every shot and its exact outcome density p(beta).
 
     Shot i draws from ``rngs[i]``. Every round, each pending shot draws one
-    candidate and then its accept uniform, in one pass over the streams, so
-    a shot's stream sees the same draws as it would alone; the round's
+    candidate's two standard normals and then its accept uniform, in one pass
+    over the streams, so a shot's stream sees the same draws as it would
+    alone. The round's normals are then scaled by sigma and 0.0 added, which
+    is ``normal(0.0, sigma)`` of the same draws, bit for bit; the round's
     candidates get their densities from one ``teleport._outcome_density``
     call on the Hankel matrix of psi, built once per call, whose rows do not
     depend on the batch, and no output state is formed. The target is p(beta)
@@ -567,8 +575,11 @@ def _rejection_sample(
         uniforms = np.empty(pending.size)
         for row, i in enumerate(pending.tolist()):
             rng = rngs[i]
-            normals[row] = rng.normal(0.0, sigma, size=2)
+            rng.standard_normal(out=normals[row])
             uniforms[row] = rng.random()
+        # normal(0.0, sigma) is 0.0 + sigma z of the same z; the + 0.0 makes -0.0 +0.0
+        normals *= sigma
+        normals += 0.0
         candidates = normals.view(complex).ravel()
         targets = _outcome_density(q, candidates, hankel)
         # hypot rounds like abs() of a Python complex

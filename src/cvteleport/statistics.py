@@ -322,7 +322,9 @@ def _conditional_densities(q: float, betas) -> tuple[np.ndarray, ...]:
     and ``_single_photon_tail`` above level 1, a sum of positive terms. Where
     the total is 0, with its one warning per call, so are the parts. p0 and
     p1 carry e^{-2(1-q)|beta|^2}, which passes the same 1e-300 rule first;
-    past it they are exact zeros, not subnormals, with one warning more."""
+    past it they are exact zeros, not subnormals, with one warning more. Any
+    part below the smallest normal float is an exact 0 too, counted in that
+    warning, or for p_ge2, which carries no such exponent, in one of its own."""
     total = _beta_density(q, betas)
     live = total > 0.0
     parts = np.zeros((3, total.size))
@@ -330,6 +332,7 @@ def _conditional_densities(q: float, betas) -> tuple[np.ndarray, ...]:
     parts[2, live] = _single_photon_tail(q, betas[live], 1)
     r = np.where(live, np.abs(betas), 0.0)
     _zero_underflow("conditional density at levels 0 and 1", parts[:2], 2 * (1 - q) * r * r, r, q)
+    _zero_underflow("conditional density above level 1", parts[2:], 0.0, r, q)
     return (total, *parts)
 
 

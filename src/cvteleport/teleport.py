@@ -335,9 +335,10 @@ def single_photon_output_closed_form(
 def _beta_density(q: float, betas) -> np.ndarray:
     """The single-photon outcome density (a/pi) e^{-at} (a^2 t + q^2), a = 1-q^2,
     at a 1-D batch of finite betas, with |beta| from ``np.hypot``, which rounds
-    like ``abs`` of a complex. Where e^{-at} < 1e-300 it is an exact 0, with one
-    TruncationWarning per call; a |beta| past ``_SQUARABLE_RADIUS`` is squared
-    as that radius, which zeroes it. A non-finite beta raises ValueError."""
+    like ``abs`` of a complex. Where e^{-at} < 1e-300, or the density is below
+    the smallest normal float (a tiny prefactor as q -> 1), it is an exact 0,
+    with one TruncationWarning per call; a |beta| past ``_SQUARABLE_RADIUS`` is
+    squared as that radius, which zeroes it. A non-finite beta raises ValueError."""
     betas = np.asarray(betas, dtype=complex).reshape(-1)
     if not np.isfinite(betas).all():
         raise ValueError(f"beta must be finite, got {betas[~np.isfinite(betas)][0]!r}")
@@ -350,14 +351,18 @@ def _beta_density(q: float, betas) -> np.ndarray:
 
 
 def _zero_underflow(name: str, values: np.ndarray, exponents: np.ndarray, r, q: float) -> None:
-    """Exact zeros in ``values``, shape (..., B), where the Gaussian exponent they carry
-    passes ``DENSITY_UNDERFLOW_EXPONENT``, with one TruncationWarning per call."""
-    under = exponents > DENSITY_UNDERFLOW_EXPONENT
-    if under.any():
-        values[..., under] = 0.0
+    """Exact zeros in ``values``, shape (..., B), at the points whose Gaussian exponent,
+    shape (B,) or a scalar, passes ``DENSITY_UNDERFLOW_EXPONENT``, and in every cell
+    below the smallest normal float, so none is subnormal; one TruncationWarning per
+    call counts the points zeroed."""
+    subnormal = (values > 0.0) & (values < np.finfo(float).tiny)
+    under = (exponents > DENSITY_UNDERFLOW_EXPONENT) | subnormal
+    points = under.reshape(-1, r.size).any(axis=0)
+    if points.any():
+        values[under] = 0.0
         warnings.warn(
-            f"{name} underflows at {np.count_nonzero(under)} of {under.size} points, "
-            f"from |beta| = {r[under].min():.4g} for q = {q:g}; returning 0 there",
+            f"{name} underflows at {np.count_nonzero(points)} of {r.size} points, "
+            f"from |beta| = {r[points].min():.4g} for q = {q:g}; returning 0 there",
             TruncationWarning,
             stacklevel=4,  # the caller of the public function or the table command
         )
@@ -366,7 +371,8 @@ def _zero_underflow(name: str, values: np.ndarray, exponents: np.ndarray, r, q: 
 def single_photon_beta_density(q: float, beta: complex) -> float:
     """Outcome density for the single-photon input in closed form: ``_beta_density``
     at one beta, so a non-finite beta raises ValueError, and where
-    e^{-(1-q^2)|beta|^2} < 1e-300 it is an exact 0 with a TruncationWarning."""
+    e^{-(1-q^2)|beta|^2} < 1e-300, or the density is below the smallest normal
+    float, it is an exact 0 with a TruncationWarning."""
     return float(_beta_density(_as_q(q), [complex(beta)])[0])
 
 

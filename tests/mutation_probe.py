@@ -18,9 +18,11 @@ The exit status is 1 when a mutant that is not equivalent survives, or when
 a mutant's text no longer appears exactly once in its file; tier-1 checks
 the latter up front (``tests/test_mutation_probe.py``). The probe itself is
 not part of tier-1 or CI: it runs the whole suite once per mutant, about
-seven minutes on two cores.
+ten minutes on two cores. Named mutants run alone, after the same unmutated
+run; an unknown name exits 2 and lists the valid ones.
 
     python tests/mutation_probe.py
+    python tests/mutation_probe.py envelope-margin uniform-before-normals
 """
 
 from __future__ import annotations
@@ -158,10 +160,16 @@ MUTANTS = (
     Mutant(
         "uniform-before-normals",
         "sampler.py",
-        "            normals[row] = rng.normal(0.0, sigma, size=2)\n"
+        "            rng.standard_normal(out=normals[row])\n"
         "            uniforms[row] = rng.random()\n",
         "            uniforms[row] = rng.random()\n"
-        "            normals[row] = rng.normal(0.0, sigma, size=2)\n",
+        "            rng.standard_normal(out=normals[row])\n",
+    ),
+    Mutant(
+        "envelope-margin",
+        "sampler.py",
+        "_ENVELOPE_MARGIN = 2.0",
+        "_ENVELOPE_MARGIN = 0.5",
     ),
 )
 
@@ -208,7 +216,13 @@ def _probe(mutant: Mutant, scratch: Path) -> tuple[str, str]:
     return ("survived", "every tier-1 test passes") if passed else ("killed", failure)
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    valid = [mutant.name for mutant in MUTANTS]
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        print(f"unknown mutant {', '.join(unknown)}; valid: {', '.join(valid)}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
     with tempfile.TemporaryDirectory(prefix="cvteleport-mutants-") as tmp:
         scratch = Path(tmp)
         _copy_tree(scratch / "baseline")
@@ -217,7 +231,7 @@ def main() -> int:
             print(f"unmutated tier-1 fails ({failure}); no mutant can be judged", file=sys.stderr)
             return 2
         bad = 0
-        for mutant in MUTANTS:
+        for mutant in chosen:
             start = time.perf_counter()
             status, detail = _probe(mutant, scratch)
             bad += status in ("survived", "stale")
@@ -227,4 +241,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,7 @@ mutant list against the package's sources in milliseconds instead.
 """
 
 import pytest
-from mutation_probe import MUTANTS, ROOT
+from mutation_probe import MUTANTS, ROOT, main
 
 
 def test_mutant_names_are_unique():
@@ -19,3 +19,11 @@ def test_mutant_text_appears_once_in_its_module(mutant):
     source = (ROOT / "src" / "cvteleport" / mutant.module).read_text(encoding="utf-8")
     assert source.count(mutant.old) == 1
     assert mutant.new != mutant.old
+
+
+def test_an_unknown_mutant_name_exits_2_and_lists_the_valid_ones(capsys):
+    # checked before the unmutated run, so no suite is started
+    assert main(["envelope-margin", "no-such-mutant"]) == 2
+    message = capsys.readouterr().err
+    assert "no-such-mutant" in message
+    assert all(mutant.name in message for mutant in MUTANTS)

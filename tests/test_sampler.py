@@ -35,6 +35,7 @@ from cvteleport.sampler import (
     _envelope_rate,
     _is_single_photon,
     _log_interval_bounds,
+    _majorant_ratios,
     _rejection_sample,
     _shot_generator,
     _stream_keys,
@@ -660,16 +661,39 @@ def _envelope_bound_one_radius_at_a_time(state, q):
     q=st.floats(0.0, 0.95),
     parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=17),
 )
-# maxima far from beta = 0, where the pruned walk builds the runs up to the maximum
+# maxima far from beta = 0, where the run of the best bound need not hold the maximum
 @example(q=0.0, parts=[(0.0, 0.0)] * 12 + [(1.0, 0.0)])
 @example(q=0.5, parts=[(x, 0.0) for x in coherent_state(2.0, 32).amplitudes.real.tolist()])
+# |4> at cutoff 32, and a dense 30-level state near q = 1
+@example(q=0.5, parts=[(0.0, 0.0)] * 4 + [(1.0, 0.0)] + [(0.0, 0.0)] * 28)
+@example(q=0.97, parts=np.random.default_rng(30).uniform(-1.0, 1.0, (30, 2)).tolist())
 def test_envelope_bound_matches_one_radius_at_a_time(q, parts):
-    # cutoffs 1..16 and the two examples; the pruned bound must keep every
-    # bit of the loop over the whole grid
+    # cutoffs 1..16 and the examples; the pruned bound must keep every bit of
+    # the loop over the whole grid
     amplitudes = np.array([complex(x, y) for x, y in parts])
     assume(np.vdot(amplitudes, amplitudes).real > 1e-6)
     state = StateVector(amplitudes).unit()
     assert _envelope_bound(state, q) == _envelope_bound_one_radius_at_a_time(state, q)
+
+
+@pytest.mark.parametrize(
+    "state, q, most",
+    [(coherent_state(0.5, 32).unit(), 0.5, 128), (number_state(12, 12), 0.0, 320)],
+    ids=["coherent0.5", "number12-q0"],
+)
+def test_envelope_builds_only_runs_that_can_reach_the_maximum(monkeypatch, state, q, most):
+    # walked best first, the runs stop at the first whose bound times 2 misses
+    # the running maximum: 104 and 264 of the 2,048 radii, where building every
+    # run within a factor of 1,000, in radius order, built 248 and 960
+    built = []
+
+    def counting(radii, *args):
+        built.append(radii.size)
+        return _majorant_ratios(radii, *args)
+
+    monkeypatch.setattr("cvteleport.sampler._majorant_ratios", counting)
+    _envelope_bound(state, q)
+    assert sum(built) <= most
 
 
 def _random_state(n_max):
@@ -744,23 +768,64 @@ def test_envelope_bound_at_cutoff_400_is_refused_without_a_warning():
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
 def test_rejection_proposal_is_the_envelope(q):
-    # the sampler's own normal width: (1/(2 pi sigma^2)) e^{-t/(2 sigma^2)} is the envelope
-    scales = []
-
+    # the sampler's own normal width: (1/(2 pi sigma^2)) e^{-t/(2 sigma^2)} is the
+    # envelope; the stream serves the standard normals (1, -0.5), so the
+    # candidate it gets back is sigma (1, -0.5)
     class Recorder:
-        def normal(self, loc, scale, size):
-            scales.append(scale)
-            return np.array([0.3, -0.2])
+        def standard_normal(self, out):
+            out[:] = (1.0, -0.5)
+            return out
 
         def random(self):
             return 0.0
 
     state = coherent_state(0.5, 32).unit()
-    _rejection_sample(state, q, _envelope_bound(state, q), [Recorder()])
-    (sigma,) = scales
+    (beta,), _ = _rejection_sample(state, q, _envelope_bound(state, q), [Recorder()])
+    sigma = beta.real
+    assert beta.imag == -0.5 * sigma
     t = np.linspace(0.0, 60.0 / _envelope_rate(q), 50)
     proposal = np.exp(-t / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2)
     assert np.allclose(proposal, _envelope_density(q, t), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99])
+def test_rejection_draws_equal_those_of_the_normal_sampler(monkeypatch, q):
+    # the loop draws standard normals and scales each round's block once;
+    # numpy's normal(loc, scale) is loc + scale z of the same z, so every
+    # candidate and every accept uniform keeps its bits
+    shots = 2000
+    keys = _stream_keys(SEED, np.arange(shots))
+    order, uniforms, candidates = [], [], []
+
+    class Stream:
+        def __init__(self, i):
+            self.i, self.rng = i, _shot_generator(keys[i])
+
+        def standard_normal(self, out):
+            order.append(self.i)
+            return self.rng.standard_normal(out=out)
+
+        def random(self):
+            uniforms.append(self.rng.random())
+            return uniforms[-1]
+
+    def recording(q, betas, hankel):
+        candidates.append(betas.copy())
+        return _outcome_density(q, betas, hankel)
+
+    monkeypatch.setattr("cvteleport.sampler._outcome_density", recording)
+    state = coherent_state(0.5, 16).unit()
+    _rejection_sample(state, q, _envelope_bound(state, q), [Stream(i) for i in range(shots)])
+    sigma = math.sqrt(1.0 / (2.0 * _envelope_rate(q)))
+    twins = [_shot_generator(key) for key in keys]
+    expected_candidates, expected_uniforms = [], []
+    for i in order:
+        expected_candidates.append(complex(*twins[i].normal(0.0, sigma, size=2)))
+        expected_uniforms.append(twins[i].random())
+    got = np.concatenate(candidates)
+    assert len(order) == got.size > shots
+    assert np.array_equal(got.view(np.uint64), np.array(expected_candidates).view(np.uint64))
+    assert np.array_equal(np.array(uniforms).view(np.uint64), np.array(expected_uniforms).view(np.uint64))
 
 
 def test_rejection_raises_on_broken_envelope():

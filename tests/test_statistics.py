@@ -14,6 +14,7 @@ from cvteleport.statistics import (
     LossGainSplit,
     PhotonDistribution,
     _closed_form_tail,
+    _conditional_densities,
     _photon_transfer_matrix,
     _polar_grid,
     _single_photon_levels,
@@ -238,6 +239,37 @@ def test_conditional_densities_sum_to_total():
         total = single_photon_beta_density(0.5, beta)
         parts = sum(conditional_beta_density(0.5, beta))
         assert np.isclose(parts, total, atol=1e-15)
+
+
+_Q7, _Q9 = 1.0 - 1e-7, 1.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "q, t",
+    [
+        (_Q7, np.linspace(3.40e9, 3.454e9, 2000)),
+        (_Q9, np.linspace(600.0, 700.0, 4001) / (1.0 - _Q9 * _Q9)),
+    ],
+    ids=["q=1-1e-7", "q=1-1e-9"],
+)
+def test_densities_near_q_one_have_no_subnormal_cells(q, t):
+    # as q -> 1 the prefactors are tiny: at 1 - 1e-7 the exponent rules left
+    # 1,709 p0 and 1,581 p_ge2 cells of this grid subnormal while every total
+    # stayed live, and at 1 - 1e-9 the total itself fell below the smallest
+    # normal float at 143 radii; each call's one warning counts its zeros
+    tiny = np.finfo(float).tiny
+    with pytest.warns(TruncationWarning) as record:
+        total, *parts = _conditional_densities(q, np.sqrt(t).astype(complex))
+    names = ["beta density", "conditional density at levels 0 and 1", "conditional density above level 1"]
+    assert [str(w.message).split(" underflows")[0] for w in record] == names
+    parts = np.array(parts)
+    cells = np.vstack([total, parts])
+    assert not np.any((cells > 0.0) & (cells < tiny))
+    # where a part was zeroed, the sum misses by less than tiny per part; the
+    # rounding of a = 1 - q^2 moves the exponent a t by about eps t of itself
+    zeroed = np.any(parts == 0.0, axis=0)
+    miss = np.abs(parts.sum(axis=0) - total)
+    assert np.all(miss <= (1e-12 + np.finfo(float).eps * t) * total + 3.0 * tiny * zeroed)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.7, 0.9])
