@@ -38,6 +38,7 @@ from .statistics import (
     mean_photon_change,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
+    photon_transfer_closed_form,
     squeezing_db_to_q,
 )
 from .tables import OutputTable

@@ -8,7 +8,9 @@ writes to stdout. The metadata carries the package version and the
 subcommand. --cutoff defaults to 32. Options must be spelled in full. Usage
 errors, --max-n above the cutoff included, all come from the parser before
 any command starts. Exit codes: 0 success, 1 verification failure, 2 usage
-error, a q the quadrature grid cannot hold or an unwritable --out.
+error, a quadrature the kernel cannot hold at the cutoff (``photon-stats``
+refuses rows that miss the closed form by more than 1e-9) or an unwritable
+--out.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, polarization
-from .errors import GridMismatchError
+from .errors import CutoffViolationError, GridMismatchError, TruncationError
 from .fock import _as_n_max, number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
@@ -49,6 +51,9 @@ _MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 # closed-form vs quadrature disagreement that flags a sweep row
 _SWEEP_FLAG_TOLERANCE = 1e-6
+
+# closed-form vs quadrature disagreement at which photon-stats refuses its table
+_PHOTON_STATS_TOLERANCE = 1e-9
 
 
 def parse_range_spec(spec: str) -> np.ndarray:
@@ -162,11 +167,20 @@ def cmd_beta_density(args: argparse.Namespace) -> int:
 
 
 def cmd_photon_stats(args: argparse.Namespace) -> int:
+    """The closed-form and quadrature output law of |1>; raises ``TruncationError``
+    where a printed row's two values differ by more than 1e-9."""
     dist = photon_statistics_quadrature(number_state(1, args.cutoff), args.q)
     rows = [
         [float(n), photon_statistics_closed_form(args.q, n), float(dist.probabilities[n])]
         for n in range(args.max_n + 1)
     ]
+    miss = max(abs(closed - quad) for _, closed, quad in rows)
+    if miss > _PHOTON_STATS_TOLERANCE:
+        raise TruncationError(
+            f"photon-stats at q = {args.q:g} and cutoff {args.cutoff}: the quadrature misses "
+            f"the closed form by {miss:.3e} > {_PHOTON_STATS_TOLERANCE:g}, as the "
+            "displacement-form kernel D(r) diag(q^n) D(r)^T drops the levels above the cutoff"
+        )
     return _write_table(
         args,
         ["n", "probability", "probability_quadrature"],
@@ -346,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         args.usage_error(f"--max-n {args.max_n} above cutoff {args.cutoff}")
     try:
         return args.func(args)
-    except GridMismatchError as exc:
+    except (CutoffViolationError, GridMismatchError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
     except BrokenPipeError:

@@ -26,7 +26,7 @@ class TruncationWarning(UserWarning):
 
 
 class GridMismatchError(ValueError):
-    """A quadrature grid fails the truncation-radius test for the given q."""
+    """A quadrature's photon-number probabilities sum to more than 1 beyond tolerance."""
 
 
 class EnvelopeError(RuntimeError):

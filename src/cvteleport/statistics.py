@@ -2,15 +2,18 @@
 
 Two independent routes to the output photon-number distribution exist side
 by side: polar quadrature over the measurement outcome beta and the closed
-forms. The quadrature grid is fixed by q alone: a deliberately oversized
-128-node Gauss-Legendre radial grid reaching |beta| = sqrt(40/(1-q^2)).
-The angle is integrated exactly, so each q builds one photon-transfer
-matrix M[n, m], the output law of the number state |m>, and an input enters
-only through its photon-number populations. Where the grid's edge envelope
-exceeds 1e-14 (q above about 0.9915) it raises ``GridMismatchError``
-instead of truncating silently. The split into loss (n=0), success (n=1)
-and gain (n>=2) has the closed form (¼(1-q^2), ¼(1+q+q^2+q^3),
-¼(2-q-q^3)).
+forms. The angle is integrated exactly, so each q builds one
+photon-transfer matrix M[n, m], the output law of the number state |m>, and
+an input enters only through its photon-number populations. Each entry of
+the exact radial integrand is e^{-x} times a polynomial of degree at most
+2 n_max in x = 2(1-q)|beta|^2, so the radial rule is the dim-node
+Gauss-Laguerre rule in x, exact for every entry at every q (Golub & Welsch,
+Math. Comp. 23, 221 (1969)). Its error is that of the real kernel
+T_q(r) = pref D(r) diag(q^n) D(r)^T alone, which drops the levels above the
+cutoff once |beta|^2 nears it. The closed form of M is the pure-loss channel
+of transmissivity (1+q)/2 followed by the amplifier of gain 2/(1+q). The
+split into loss (n=0), success (n=1) and gain (n>=2) has the closed form
+(¼(1-q^2), ¼(1+q+q^2+q^3), ¼(2-q-q^3)).
 
 The number law of a teleported |1> given beta lives here once, its levels and
 its exact tail: the sampler draws counts from it, and the conditional densities split it.
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError, NoCrossingError
+from .errors import CutoffViolationError, GridMismatchError, NoCrossingError, TruncationError
 from .fock import StateVector, _as_n_max, _as_unit, _log_factorials
 from .teleport import _as_q, _batch_size, _beta_density, _transfer_stack, _zero_underflow
 
@@ -36,6 +39,7 @@ __all__ = [
     "PhotonDistribution",
     "LossGainSplit",
     "photon_statistics_closed_form",
+    "photon_transfer_closed_form",
     "photon_statistics_quadrature",
     "loss_gain_split",
     "conditional_beta_density",
@@ -44,42 +48,30 @@ __all__ = [
     "squeezing_db_to_q",
 ]
 
-# Grid validity: the integrand envelope e^{-(1-q^2)R^2}(1+R^2) must be below
-# this at the grid edge, otherwise the truncated radial domain bites.
-_GRID_EDGE_TOLERANCE = 1e-14
-# The radial extent R = sqrt(40/(1-q^2)) passes the edge test up to
-# q ~ 0.9915 while keeping 128 radial nodes comfortably dense.
-_RADIAL_EXPONENT_SPAN = 40.0
-
-
-# The fixed polar grid: 128 Gauss-Legendre radii against r dr on
-# [0, sqrt(40/(1-q^2))]. Every integrand here has its angle integrated
-# exactly, so the plane integral of a function of |beta| alone is
-# 2 pi sum_i w_i f(r_i).
-_RADIAL_NODES = 128
+# numpy's laggauss weights are positive normal floats through 185 nodes; the
+# smallest turns subnormal at 186, and they are NaN by 201
+_LAGUERRE_MAX_NODES = 185
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The ``_RADIAL_NODES``-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+def _laguerre_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dim-node Gauss-Laguerre nodes x_i and scaled weights w_i e^{x_i}, read-only.
+
+    sum_i w_i e^{x_i} f(x_i) is the integral of f over x >= 0, exactly for
+    every f = e^{-x} p(x) with p of degree below 2 dim. Each scaled weight is
+    exp(x_i + ln w_i), as e^{x_i} alone overflows from 184 nodes. Above
+    ``_LAGUERRE_MAX_NODES`` it raises ``CutoffViolationError``.
+    """
+    if dim > _LAGUERRE_MAX_NODES:
+        raise CutoffViolationError(
+            f"the photon-transfer quadrature holds cutoffs up to {_LAGUERRE_MAX_NODES - 1}, "
+            f"got {dim - 1}"
+        )
+    nodes, weights = np.polynomial.laguerre.laggauss(dim)
+    weights = np.exp(nodes + np.log(weights))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def _polar_grid(q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and their r dr weights for q; raises where the edge bites."""
-    radius = math.sqrt(_RADIAL_EXPONENT_SPAN / (1.0 - q * q))
-    edge = math.exp(-(1.0 - q * q) * radius**2) * (1.0 + radius**2)
-    if edge > _GRID_EDGE_TOLERANCE:
-        raise GridMismatchError(
-            f"quadrature grid cannot hold q = {q:g}: "
-            f"edge envelope {edge:.3e} > {_GRID_EDGE_TOLERANCE:g}"
-        )
-    nodes, weights = _legendre_rule()
-    r = 0.5 * radius * (nodes + 1.0)
-    return r, 0.5 * radius * weights * r
 
 
 @dataclass(frozen=True)
@@ -153,24 +145,69 @@ def loss_gain_split(q: float) -> LossGainSplit:
     )
 
 
+def photon_transfer_closed_form(q: float, cutoff: int) -> np.ndarray:
+    """M[n, m] for n, m <= cutoff: the output law of the number state |m>.
+
+    Averaged over beta, unit-gain teleportation is the additive classical-noise
+    channel (Braunstein & Kimble, PRL 80, 869 (1998)): a pure loss of
+    transmissivity eta = (1+q)/2 followed by an amplifier of gain
+    G = 1/eta (Garcia-Patron et al., PRL 108, 110505 (2012)), so
+    M[n, m] = sum_k C(m,k) eta^k (1-eta)^{m-k} C(n,k) G^{-(k+1)} (1-1/G)^{n-k}
+    = sum_k C(m,k) C(n,k) eta^{2k+1} (1-eta)^{n+m-2k}, a sum of positive
+    terms, each formed in the log domain. Column 1 is
+    ``photon_statistics_closed_form``, column 0 is thermal, and
+    M[0, 0] = (1+q)/2. A fresh (dim, dim) array.
+    """
+    q = _as_q(q)
+    dim = _as_n_max(cutoff) + 1
+    n = np.arange(dim)
+    log_factorials = _log_factorials(dim)
+    log_eta, log_rest = math.log(0.5 * (1.0 + q)), math.log(0.5 * (1.0 - q))
+    out = np.zeros((dim, dim))
+    for k in range(dim):
+        above = n[k:]
+        half = log_factorials[above] - log_factorials[k] - log_factorials[above - k]
+        half += (above - k) * log_rest
+        out[k:, k:] += np.exp(np.add.outer(half, half) + (2 * k + 1) * log_eta)
+    return out
+
+
 def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
     """M[n, m]: the outcome-plane integral of |<n| T_q(beta) |m>|^2.
 
     By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
     e^{-i theta n} and Parseval's identity the angular integral is exact,
     int dtheta |<n|T(r e^{i theta})|psi>|^2 = 2 pi sum_m |T_nm(r)|^2 |psi_m|^2,
-    so only the radial nodes are summed. The real T_q(r) are built in batches
-    of ``teleport._batch_size`` (the whole grid at cutoff 32), and each batch
-    is summed by one product of the weights with the squared entries.
+    so only the radius is summed. With x = 2(1-q) r^2 the plane integral of a
+    function of r alone is pi/(2(1-q)) times its integral over x >= 0, which
+    ``_laguerre_rule(dim)`` gives exactly for the exact integrand: the radii
+    are r_i = sqrt(x_i / (2(1-q))). The real T_q(r) are built in batches of
+    ``teleport._batch_size`` (the whole rule at cutoff 32), and each batch is
+    summed by one product of the weights with the squared entries. Where a
+    node's T_q(r) is not finite it raises ``TruncationError`` naming the
+    radius, so no NaN reaches M; above the rule's largest cutoff
+    ``CutoffViolationError``.
     """
-    radii, weights = _polar_grid(q)
     dim = _as_n_max(cutoff) + 1
+    nodes, weights = _laguerre_rule(dim)
+    radii = np.sqrt(nodes / (2.0 * (1.0 - q)))
     batch = _batch_size(dim)
     out = np.zeros(dim * dim)
-    for start in range(0, radii.size, batch):
+    for start in range(0, dim, batch):
         block = slice(start, start + batch)
-        t_r = _transfer_stack(q, radii[block], cutoff)
-        out += ((2.0 * math.pi) * weights[block]) @ (t_r * t_r).reshape(-1, dim * dim)
+        # the displacement build overflows past some radius at large cutoffs;
+        # the finite check below turns that into an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_r = _transfer_stack(q, radii[block], cutoff)
+        finite = np.isfinite(t_r).all(axis=(1, 2))
+        if not finite.all():
+            raise TruncationError(
+                f"T_q(r) is not finite at r = {radii[block][~finite][0]:.6g} "
+                f"(q = {q:g}, cutoff {dim - 1}): the displacement-form kernel "
+                "D(r) diag(q^n) D(r)^T overflows there"
+            )
+        out += weights[block] @ (t_r * t_r).reshape(-1, dim * dim)
+    out *= math.pi / (2.0 * (1.0 - q))
     return out.reshape(dim, dim)
 
 
@@ -363,8 +400,10 @@ def crossing_radius(q: float) -> float:
         return b * (2.0 * q * q - 1.0) * t + b * (a * a - b) * t * t + tail
 
     # g(0) = 0 and g'(0) < 0, so g is negative just right of the origin and
-    # the crossing is bracketed from the first scan point where g >= 0
-    scan = np.linspace(0.0, math.sqrt(_RADIAL_EXPONENT_SPAN / a), 512)
+    # the crossing is bracketed from the first scan point where g >= 0; the
+    # scan reaches (1-q^2)|beta|^2 = 40, past every crossing
+    radial_exponent_span = 40.0
+    scan = np.linspace(0.0, math.sqrt(radial_exponent_span / a), 512)
     i = next(i for i in range(1, len(scan)) if g(float(scan[i])) >= 0.0)
     lo, hi = float(scan[i - 1]), float(scan[i])
     while hi - lo > 1e-12:

@@ -79,7 +79,7 @@ _BATCH_BYTES = 5 << 18
 def _batch_size(dim: int) -> int:
     """Real (dim, dim) matrices per batch: as many whole blocks of 32 as
     ``_BATCH_BYTES`` holds, at least one block. At cutoff 32 that is 128,
-    the whole radial grid of ``statistics._photon_transfer_matrix``."""
+    more than the 33 radii of ``statistics._photon_transfer_matrix``."""
     return 32 * max(1, _BATCH_BYTES // (32 * 8 * dim * dim))
 
 

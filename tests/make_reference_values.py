@@ -15,7 +15,8 @@ the package:
   drops most of its middle sum;
 - the photon-transfer matrix M[n, m] from unit-gain teleportation as a pure
   loss of transmissivity eta = 1/G followed by an amplifier of gain
-  G = 2/(1+q) (Garcia-Patron et al., PRL 108, 110505 (2012));
+  G = 2/(1+q) (Garcia-Patron et al., PRL 108, 110505 (2012)): n, m <= 3 at
+  the q above, and n, m <= 8 at q = 0.5, 0.9 and 0.999;
 - the conditional densities of the |1> input at |beta|: levels 0 and 1 as
   |<n|T_q(beta)|1>|^2 from the sum above, and the gain as the total density
   minus both, the total being <1|T_q(beta)^2|1> through
@@ -52,6 +53,8 @@ SIZE = 4
 DEEP_QS = ("0.5", "0.97")
 DEEP_BETAS = ((3.0, 0.0), (-1.8, 2.4), (4.8, -6.4), (-8.0, 0.0))
 DEEP_SIZE = 9
+# q of the n, m <= 8 photon-transfer blocks
+PHOTON_TRANSFER_DEEP_QS = ("0.5", "0.9", "0.999")
 # (q, |beta|) of the conditional densities, as the floats the tests pass
 CONDITIONAL_QS = (0.5, 0.9)
 CONDITIONAL_RADII = (0.02, 0.5, 2.0, 6.0)
@@ -154,6 +157,16 @@ def print_literals() -> None:
         for n in range(SIZE):
             row = ", ".join(repr(float(loss_gain_entry(q, n, m))) for m in range(SIZE))
             print(f"        [{row}],")
+        print("    ],")
+    print("}")
+    print("PHOTON_TRANSFER_DEEP = {")
+    for q_text in PHOTON_TRANSFER_DEEP_QS:
+        q = mp.mpf(q_text)
+        print(f"    {q_text}: [")
+        for n in range(DEEP_SIZE):
+            row = [repr(float(loss_gain_entry(q, n, m))) for m in range(DEEP_SIZE)]
+            lines = [", ".join(row[i : i + 3]) for i in range(0, DEEP_SIZE, 3)]
+            print("        [" + ",\n         ".join(lines) + "],")
         print("    ],")
     print("}")
     print("CONDITIONAL = {")

@@ -166,6 +166,12 @@ MUTANTS = (
         "            rng.standard_normal(out=normals[row])\n",
     ),
     Mutant(
+        "laguerre-rule",
+        "statistics.py",
+        "nodes, weights = np.polynomial.laguerre.laggauss(dim)",
+        "nodes, weights = np.polynomial.laguerre.laggauss(dim - 1)",
+    ),
+    Mutant(
         "envelope-margin",
         "sampler.py",
         "_ENVELOPE_MARGIN = 2.0",

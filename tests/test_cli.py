@@ -18,7 +18,6 @@ from cvteleport.errors import TruncationWarning
 from cvteleport.polarization import PolarizationOutcomeBudget
 from cvteleport.statistics import (
     LossGainSplit,
-    _closed_form_tail,
     conditional_beta_density,
     loss_gain_split,
     squeezing_db_to_q,
@@ -73,13 +72,31 @@ def test_photon_stats_accounts_for_all_mass(capsys):
     assert table.metadata["cutoff"] == 32
 
 
-def test_photon_stats_missing_mass_is_never_negative(capsys):
-    # near q = 1 the closed-form rows sum to 1 in float64, so 1 - sum is -2.2e-16
-    code, out = run_cli(capsys, "photon-stats", "--q", "0.97", "--max-n", "12")
-    assert code == 0
-    residual = OutputTable.from_csv(out).metadata["residual_closed_form"]
-    assert residual == _closed_form_tail(0.97, 12)
-    assert 1.6e-21 < residual < 1.7e-21
+def test_photon_stats_refuses_a_quadrature_that_misses_the_closed_form(capsys):
+    # the displacement-form kernel misses P(1) by 0.19 at q = 0.97 and by
+    # 0.011 at cutoff 4; the table is refused with one error line, not written
+    for argv, q, cutoff in (
+        (["--q", "0.97", "--max-n", "12"], "0.97", 32),
+        (["--max-n", "2", "--cutoff", "4"], "0.5", 4),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["photon-stats", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: photon-stats at q = {q} and cutoff {cutoff}: ")
+        assert "misses the closed form by " in line and "D(r) diag(q^n) D(r)^T" in line
+
+
+def test_quadrature_past_the_rules_largest_cutoff_exits_two(capsys):
+    # the Gauss-Laguerre rule holds cutoffs up to 184; the refusal comes
+    # before any transfer operator is built
+    with pytest.raises(SystemExit) as exc:
+        main(["loss-gain", "--with-quadrature", "--q-range", "0.5:0.5:1", "--cutoff", "185"])
+    assert exc.value.code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: the photon-transfer quadrature holds cutoffs up to 184, got 185"
 
 
 def test_loss_gain_sweep(capsys):
@@ -129,7 +146,7 @@ def test_sweep_takes_plain_float_q(capsys):
 # each table subcommand with arguments small enough to run in a blink
 TABLE_COMMANDS = {
     "beta-density": ["--range", "0:1:1"],
-    "photon-stats": ["--max-n", "2", "--cutoff", "4"],
+    "photon-stats": ["--max-n", "2"],
     "loss-gain": ["--q-range", "0:0.5:0.5"],
     "conditional": ["--radial-range", "0:1:1"],
     "polarization": ["--q-range", "0:0.5:0.5"],

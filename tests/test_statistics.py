@@ -7,16 +7,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from cvteleport.errors import GridMismatchError, NoCrossingError, TruncationWarning, ZeroNormError
+from cvteleport.errors import (
+    CutoffViolationError,
+    NoCrossingError,
+    TruncationError,
+    TruncationWarning,
+    ZeroNormError,
+)
 from cvteleport.fock import StateVector, coherent_state, number_state
 from cvteleport.statistics import (
-    _RADIAL_NODES,
+    _LAGUERRE_MAX_NODES,
     LossGainSplit,
     PhotonDistribution,
     _closed_form_tail,
     _conditional_densities,
+    _laguerre_rule,
     _photon_transfer_matrix,
-    _polar_grid,
     _single_photon_levels,
     _single_photon_tail,
     conditional_beta_density,
@@ -25,6 +31,7 @@ from cvteleport.statistics import (
     mean_photon_change,
     photon_statistics_closed_form,
     photon_statistics_quadrature,
+    photon_transfer_closed_form,
     squeezing_db_to_q,
 )
 from cvteleport.teleport import _batch_size, single_photon_beta_density, transfer_operator
@@ -65,6 +72,14 @@ def test_photon_statistics_decrease_beyond_one():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_closed_form_tail_is_positive_where_one_minus_the_sum_is_not():
+    # near q = 1 the closed-form rows sum to 1 in float64, so 1 - sum is -2.2e-16
+    terms = [photon_statistics_closed_form(0.97, n) for n in range(13)]
+    assert 1.0 - sum(terms) < 0.0
+    tail = _closed_form_tail(0.97, 12)
+    assert 1.6e-21 < tail < 1.7e-21
+
+
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.97, 0.99, 0.999])
 @pytest.mark.parametrize("n_max", [0, 1, 12, 32])
 def test_closed_form_tail_is_the_series_above_the_cutoff(q, n_max):
@@ -101,21 +116,40 @@ def test_loss_gain_matches_series_terms():
         assert np.isclose(split.p_gain, tail, atol=1e-12)
 
 
-def test_grid_construction_and_validation():
-    radii, weights = _polar_grid(0.5)
-    assert radii.size == weights.size == 128
-    assert np.all(radii < math.sqrt(40.0 / 0.75))
-    # near q = 1 the fixed radial extent no longer contains the integrand
-    with pytest.raises(GridMismatchError):
-        _polar_grid(0.995)
+def test_laguerre_rule_is_exact_to_degree_2dim_minus_1():
+    # sum_i w_i x_i^k = int_0^inf e^{-x} x^k dx = k! for every k < 2 dim
+    for dim in (3, 33, 49):
+        nodes, scaled = _laguerre_rule(dim)
+        assert nodes.size == scaled.size == dim and not nodes.flags.writeable
+        weights = scaled * np.exp(-nodes)
+        for k in range(2 * dim):
+            assert math.isclose(math.fsum(weights * nodes**k), math.factorial(k), rel_tol=1e-12)
+
+
+def test_laguerre_rule_refuses_cutoffs_past_its_last_normal_weight():
+    # at the limit every weight w_i = e^{ln(w_i e^{x_i}) - x_i} is a normal float
+    nodes, scaled = _laguerre_rule(_LAGUERRE_MAX_NODES)
+    assert np.all(np.isfinite(scaled))
+    assert np.all(np.log(scaled) - nodes >= np.log(np.finfo(float).tiny))
+    with pytest.raises(CutoffViolationError, match=f"up to {_LAGUERRE_MAX_NODES - 1}, got 185"):
+        _photon_transfer_matrix(0.5, _LAGUERRE_MAX_NODES)
+
+
+def test_transfer_matrix_refuses_a_node_where_the_displacement_overflows():
+    # the rule's largest radius at cutoff 128 and q = 0.98 is 110.5, where the
+    # displacement build overflows; cutoff 64 builds at every node up to q = 0.999
+    with pytest.raises(TruncationError, match=r"r = 110\.5.*cutoff 128"):
+        _photon_transfer_matrix(0.98, 128)
+    assert np.all(np.isfinite(_photon_transfer_matrix(0.999, 64)))
 
 
 def _per_radius_transfer_matrix(q, cutoff):
-    """M summed one radial node at a time over ``transfer_operator``."""
-    radii, weights = _polar_grid(q)
+    """M summed one Gauss-Laguerre node at a time over ``transfer_operator``."""
+    nodes, weights = _laguerre_rule(cutoff + 1)
+    scale = 2.0 * (1.0 - q)
     return sum(
-        (2.0 * math.pi * w) * np.abs(transfer_operator(q, r, cutoff)) ** 2
-        for r, w in zip(radii, weights)
+        (math.pi / scale * w) * np.abs(transfer_operator(q, math.sqrt(x / scale), cutoff)) ** 2
+        for x, w in zip(nodes, weights)
     )
 
 
@@ -130,9 +164,50 @@ def test_transfer_matrix_does_not_depend_on_the_batch(cutoff, q):
 
 
 def test_default_cutoff_grid_is_one_batch():
-    # the whole radial grid at cutoff 32 is summed in one product, so the
-    # loss-gain quadrature golden (cutoff 32) holds only while it stays one batch
-    assert _batch_size(33) == 128 >= _RADIAL_NODES
+    # the whole rule at cutoff 32 is summed in one product, so the loss-gain
+    # quadrature golden (cutoff 32) holds only while it stays one batch
+    assert _batch_size(33) >= 33
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.9, 0.999])
+def test_closed_form_transfer_matrix_columns(q):
+    matrix = photon_transfer_closed_form(q, 48)
+    levels = np.arange(49)
+    single = [photon_statistics_closed_form(q, n) for n in levels]
+    assert np.allclose(matrix[:, 1], single, rtol=1e-13, atol=0.0)
+    # thermal: (1+q)/2 ((1-q)/2)^n
+    thermal = 0.5 * (1.0 + q) * (0.5 * (1.0 - q)) ** levels
+    assert np.allclose(matrix[:, 0], thermal, rtol=1e-13, atol=0.0)
+    assert math.isclose(matrix[0, 0], 0.5 * (1.0 + q), rel_tol=1e-15)
+    assert np.array_equal(matrix, matrix.T)
+
+
+@settings(max_examples=20, deadline=None)
+@seed(2001)
+@given(noise=st.floats(0.01, 0.99), share=st.floats(0.01, 1.0))
+def test_closed_form_transfer_matrices_form_a_semigroup(noise, share):
+    # classical-noise channels add their noise (Holevo & Werner, PRA 63,
+    # 032312 (2001)): with N = (1-q)/(1+q), M(N1) M(N2) = M(N1 + N2); the
+    # intermediate sum runs over 121 levels, far past where the mass of the
+    # leading 33 x 33 block ends
+    n1, n2 = noise, share * (1.0 - noise)
+
+    def q_of(n):
+        return (1.0 - n) / (1.0 + n)
+
+    product = photon_transfer_closed_form(q_of(n1), 120)[:33] @ (
+        photon_transfer_closed_form(q_of(n2), 120)[:, :33]
+    )
+    direct = photon_transfer_closed_form(q_of(n1 + n2), 32)
+    assert np.max(np.abs(product - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("q,tolerance", [(0.0, 1e-13), (0.1, 1e-13), (0.2, 1e-13), (0.5, 1e-10)])
+def test_quadrature_matches_the_closed_form_transfer_matrix(q, tolerance):
+    # the rule is exact for the exact integrand, so what is left is the
+    # displacement-form kernel's miss, which grows with q
+    quadrature = _photon_transfer_matrix(q, 32)
+    assert np.max(np.abs(quadrature - photon_transfer_closed_form(q, 32))) <= tolerance
 
 
 def test_distribution_guards():
@@ -194,11 +269,12 @@ def test_quadrature_matches_64_angle_rule(alpha, q):
     state = coherent_state(alpha, 32)
     angles = 2.0 * math.pi * np.arange(64) / 64
     rotated = state.amplitudes[:, None] * np.exp(-1j * np.outer(np.arange(33), angles))
-    radii, weights = _polar_grid(q)
+    nodes, weights = _laguerre_rule(33)
+    scale = 2.0 * (1.0 - q)
     reference = np.zeros(33)
-    for r, w in zip(radii, weights):
-        out = transfer_operator(q, float(r), 32) @ rotated
-        reference += (w * 2.0 * math.pi / 64) * (np.abs(out) ** 2).sum(axis=1)
+    for x, w in zip(nodes, weights):
+        out = transfer_operator(q, math.sqrt(x / scale), 32) @ rotated
+        reference += (w * math.pi / scale / 64) * (np.abs(out) ** 2).sum(axis=1)
     dist = photon_statistics_quadrature(state, q)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-14
 
