@@ -4,7 +4,6 @@ of single-photon and polarization-encoded states."""
 from .errors import (
     CutoffViolationError,
     EnvelopeError,
-    GridMismatchError,
     NoCrossingError,
     TruncationError,
     TruncationWarning,

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, polarization
-from .errors import CutoffViolationError, GridMismatchError, TruncationError
+from .errors import CutoffViolationError, TruncationError
 from .fock import _as_n_max, number_state
 from .sampler import MAX_SHOTS, SamplerConfig, run_shots
 from .statistics import (
@@ -360,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         args.usage_error(f"--max-n {args.max_n} above cutoff {args.cutoff}")
     try:
         return args.func(args)
-    except (CutoffViolationError, GridMismatchError, TruncationError) as exc:
+    except (CutoffViolationError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
     except BrokenPipeError:

@@ -6,7 +6,6 @@ __all__ = [
     "CutoffViolationError",
     "TruncationError",
     "TruncationWarning",
-    "GridMismatchError",
     "EnvelopeError",
     "ZeroNormError",
     "NoCrossingError",
@@ -23,10 +22,6 @@ class TruncationError(ValueError):
 
 class TruncationWarning(UserWarning):
     """Non-fatal diagnostic: a significant share of a result lies above the cutoff."""
-
-
-class GridMismatchError(ValueError):
-    """A quadrature's photon-number probabilities sum to more than 1 beyond tolerance."""
 
 
 class EnvelopeError(RuntimeError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statistics import _photon_distribution, _photon_transfer_matrix
+from .statistics import _photon_transfer_matrix
 from .teleport import _as_q, transfer_operator
 
 __all__ = [
@@ -73,16 +73,14 @@ def polarization_budget_numerical(
 ) -> PolarizationOutcomeBudget:
     """Outcome budget assembled from per-channel quadrature integrals.
 
-    Integrates |<m| T_q(beta) |n>|^2 over each channel's outcome plane
-    (m, n in {0, 1}) and combines: the H channel carries the photon, the V
-    channel the vacuum, and the two channels are independent, so each class
-    probability is a product of one H integral and one V integral.
+    Reads the four entries of the photon-transfer matrix M[:2, :2], the
+    integrals of |<n| T_q(beta) |m>|^2 over one channel's outcome plane
+    (n, m in {0, 1}): the H channel carries the photon (column 1), the V
+    channel the vacuum (column 0), and the two channels are independent, so
+    each class probability is a product of one H entry and one V entry.
     """
     q = _as_q(q)
-    # column m of the photon-transfer matrix is the quadrature of |m>
-    transfer = _photon_transfer_matrix(q, cutoff)
-    h0, h1 = map(float, _photon_distribution(transfer[:, 1]).probabilities[:2])
-    v0, v1 = map(float, _photon_distribution(transfer[:, 0]).probabilities[:2])
+    (v0, h0), (v1, h1) = _photon_transfer_matrix(q, cutoff)[:2, :2].tolist()
     p_trans = h1 * v0
     p_flip = h0 * v1
     p_zero = h0 * v0

@@ -16,8 +16,9 @@ over t = |beta|^2
 
 obtained by integrating the outcome density; it is inverted by bisection.
 Other inputs go through rejection sampling against an isotropic Gaussian
-envelope whose bound is certified at sample time: a target density above
-the envelope raises, never clips. This path needs numpy's normal sampler,
+envelope whose cap is certified for the density truncated at the cutoff;
+each candidate's exact density is checked against it, and one above it
+raises, never clips. This path needs numpy's normal sampler,
 so each shot keys numpy's ``Philox`` with its derived key, handed over as
 a seed sequence that holds nothing but the key: the generator is the one
 ``Philox(key=key)`` builds, but nothing reads OS entropy for a seed that the
@@ -501,7 +502,11 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     each candidate is checked against it, and one above it raises
     ``EnvelopeError``. On 300 random inputs (cutoffs 1-12, q up to 0.99,
     half of them heavy on the top level), each at 2,000 proposal draws and
-    on a radial grid, p stayed below 0.69 of the cap.
+    on a radial grid, p stayed below 0.69 of the cap. Number states whose
+    mass sits at the cutoff come closer: on 8,000 radii, the largest p/cap
+    is 0.856 for |8> at cutoff 8 and q = 0.95, 0.871 for |12> at cutoff 12
+    and q = 0.965, and 0.880 for |30> at cutoff 30 and q = 0.985, at
+    |beta| = 8.77.
 
     Only radii whose ratio can still reach the maximum are built. The grid
     is cut into runs of ``_ENVELOPE_INTERVAL`` radii, each with the certified

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CutoffViolationError, GridMismatchError, NoCrossingError, TruncationError
+from .errors import CutoffViolationError, NoCrossingError, TruncationError
 from .fock import StateVector, _as_n_max, _as_unit, _log_factorials
 from .teleport import _as_q, _batch_size, _beta_density, _transfer_stack, _zero_underflow
 
@@ -186,7 +186,9 @@ def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
     summed by one product of the weights with the squared entries. Where a
     node's T_q(r) is not finite it raises ``TruncationError`` naming the
     radius, so no NaN reaches M; above the rule's largest cutoff
-    ``CutoffViolationError``.
+    ``CutoffViolationError``. Where a column m, the law of |m> up to the
+    cutoff, sums above 1 + 1e-9 it raises ``ValueError`` naming m; a unit
+    input's total is a convex combination of the column sums.
     """
     dim = _as_n_max(cutoff) + 1
     nodes, weights = _laguerre_rule(dim)
@@ -208,16 +210,14 @@ def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
             )
         out += weights[block] @ (t_r * t_r).reshape(-1, dim * dim)
     out *= math.pi / (2.0 * (1.0 - q))
-    return out.reshape(dim, dim)
-
-
-def _photon_distribution(probabilities: np.ndarray) -> PhotonDistribution:
-    """Quadrature probabilities with the mass beyond the cutoff as residual."""
-    total = float(probabilities.sum())
-    residual = 1.0 - total
-    if residual < -1e-9:
-        raise GridMismatchError(f"quadrature total {total!r} exceeds 1 beyond tolerance")
-    return PhotonDistribution(probabilities=probabilities, residual=max(residual, 0.0))
+    out = out.reshape(dim, dim)
+    for m, total in enumerate(out.sum(axis=0).tolist()):
+        if total > 1.0 + 1e-9:
+            raise ValueError(
+                f"column {m} of the photon-transfer matrix sums to {total!r}, above 1 "
+                f"beyond 1e-9 (q = {q:g}, cutoff {dim - 1})"
+            )
+    return out
 
 
 def photon_statistics_quadrature(
@@ -229,11 +229,13 @@ def photon_statistics_quadrature(
     The input is normalized by ``fock._as_unit``, and the angle is integrated
     exactly (see ``_photon_transfer_matrix``), so the input enters only
     through its photon-number populations |input_m|^2. Node traversal order
-    is fixed, making the reduction deterministic.
+    is fixed, making the reduction deterministic. The mass above the cutoff,
+    1 minus the probabilities' sum, is the residual.
     """
     q = _as_q(q)
     transfer = _photon_transfer_matrix(q, input_state.n_max)
-    return _photon_distribution(transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2))
+    probabilities = transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2)
+    return PhotonDistribution(probabilities, residual=1.0 - float(probabilities.sum()))
 
 
 def conditional_beta_density(q: float, beta: complex) -> tuple[float, float, float]:

@@ -24,7 +24,10 @@ the package:
   number-law closed form of the package enters;
 - the outcome density p(beta) = <psi|T_q(beta)^2|psi> of |4> and of
   (|0>+|1>)/sqrt(2), through the same T_{q^2} identity, as a double sum of
-  normal-order entries over the levels of psi.
+  normal-order entries over the levels of psi;
+- the mean photon change of the |1> input at beta,
+  sum n |<n|T_q(beta)|1>|^2 / sum |<n|T_q(beta)|1>|^2 - 1, from the sum above
+  with n <= 80, where the terms fall below 1e-40 for |beta| <= 3.
 
 Needs mpmath, which the package does not depend on (it is in the ``test``
 extra). Run it by hand and paste its output over the literals:
@@ -65,6 +68,10 @@ DENSITY_INPUTS = {
 }
 DENSITY_QS = (0.5, 0.9)
 DENSITY_BETAS = ((0.3, -0.2), (-1.2, 0.7), (2.5, 1.5))
+# q and beta of the mean photon change, as the floats the tests pass
+MEAN_CHANGE_QS = (0.0, 0.5, 0.9)
+MEAN_CHANGE_BETAS = ((0.3, 0.1), (-0.8, 0.6), (2.0, -1.0))
+MEAN_CHANGE_LEVELS = 80
 TESTS = Path(__file__).with_name("test_reference_values.py")
 
 
@@ -119,6 +126,12 @@ def outcome_density(q, beta, amplitudes: dict):
         for n in amplitudes
         for m in amplitudes
     ).real
+
+
+def mean_photon_change(q, beta):
+    """sum n |<n|T_q(beta)|1>|^2 / sum |<n|T_q(beta)|1>|^2 - 1 over n <= 80."""
+    weights = [abs(transfer_entry(q, beta, n, 1)) ** 2 for n in range(MEAN_CHANGE_LEVELS + 1)]
+    return mp.fsum(n * w for n, w in enumerate(weights)) / mp.fsum(weights) - 1
 
 
 def print_literals() -> None:
@@ -181,6 +194,12 @@ def print_literals() -> None:
             for re, im in DENSITY_BETAS:
                 value = outcome_density(mp.mpf(q), mp.mpc(mp.mpf(re), mp.mpf(im)), amplitudes)
                 print(f"    ({name!r}, {q!r}, {complex(re, im)!r}): {float(value)!r},")
+    print("}")
+    print("MEAN_PHOTON_CHANGE = {")
+    for q in MEAN_CHANGE_QS:
+        for re, im in MEAN_CHANGE_BETAS:
+            value = mean_photon_change(mp.mpf(q), mp.mpc(mp.mpf(re), mp.mpf(im)))
+            print(f"    ({q!r}, {complex(re, im)!r}): {float(value)!r},")
     print("}")
 
 

@@ -177,6 +177,18 @@ MUTANTS = (
         "_ENVELOPE_MARGIN = 2.0",
         "_ENVELOPE_MARGIN = 0.5",
     ),
+    Mutant(
+        "polarization-columns",
+        "polarization.py",
+        "(v0, h0), (v1, h1) = _photon_transfer_matrix",
+        "(h0, v0), (h1, v1) = _photon_transfer_matrix",
+    ),
+    Mutant(
+        "transfer-closed-form",
+        "statistics.py",
+        "(2 * k + 1) * log_eta",
+        "(2 * k + 2) * log_eta",
+    ),
 )
 
 

@@ -8,7 +8,11 @@ from cvteleport.polarization import (
     polarization_budget_numerical,
     polarized_output,
 )
-from cvteleport.statistics import loss_gain_split, photon_statistics_quadrature
+from cvteleport.statistics import (
+    _photon_transfer_matrix,
+    loss_gain_split,
+    photon_statistics_quadrature,
+)
 
 
 def test_budget_values_at_half():
@@ -19,6 +23,19 @@ def test_budget_values_at_half():
     numeric = polarization_budget_numerical(0.5)
     assert type(budget) is type(numeric) is PolarizationOutcomeBudget
     assert np.allclose(numeric, budget, atol=1e-6)
+
+
+@pytest.mark.parametrize("cutoff", [8, 32])
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.995])
+def test_numerical_budget_is_the_products_of_the_transfer_block(q, cutoff):
+    # column 1 of M is the photon's H channel, column 0 the vacuum's V channel;
+    # p_multi is 1 minus the three, subtracted in turn
+    m = _photon_transfer_matrix(q, cutoff)
+    p_trans = m[1, 1] * m[0, 0]
+    p_flip = m[0, 1] * m[1, 0]
+    p_zero = m[0, 1] * m[0, 0]
+    expected = (p_trans, p_flip, p_zero, 1.0 - p_trans - p_flip - p_zero)
+    assert polarization_budget_numerical(q, cutoff) == expected
 
 
 @pytest.mark.parametrize("q", np.arange(0.0, 0.995, 0.01))

@@ -590,6 +590,20 @@ def test_exact_density_stays_under_the_envelope_cap():
         assert np.all(p <= caps), (n_max, q)
 
 
+@pytest.mark.parametrize("n,q,largest", [(8, 0.95, 0.856), (12, 0.965, 0.871), (30, 0.985, 0.880)])
+def test_number_states_at_their_cutoff_stay_under_the_envelope_cap(n, q, largest):
+    # |n> at cutoff n holds all its mass at the top level, where the exact
+    # p(beta) comes closest to the cap, which certifies the density truncated
+    # at the cutoff; the largest p/cap on the envelope's radial span, as the
+    # _envelope_bound docstring states it
+    state = number_state(n, n)
+    radii = np.sqrt(np.linspace(0.0, (4.0 * (n + 1) + 120.0) / (1.0 - q * q), 8000))
+    p = _outcome_density(q, radii, _binomial_hankel(state.amplitudes))
+    ratios = p / (_envelope_bound(state, q) * _envelope_density(q, radii * radii))
+    assert ratios.max() == pytest.approx(largest, abs=1e-3)
+    assert ratios.max() < 1.0
+
+
 def test_shot_beta_follows_inverse_cdf():
     q = 0.5
     beta = run_shots(SamplerConfig(master_seed=SEED, shots=1, q=q)).records[0].beta

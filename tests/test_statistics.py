@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from cvteleport import statistics
+from cvteleport.cli import parse_range_spec
 from cvteleport.errors import (
     CutoffViolationError,
     NoCrossingError,
@@ -15,6 +17,7 @@ from cvteleport.errors import (
     ZeroNormError,
 )
 from cvteleport.fock import StateVector, coherent_state, number_state
+from cvteleport.polarization import polarization_budget_numerical
 from cvteleport.statistics import (
     _LAGUERRE_MAX_NODES,
     LossGainSplit,
@@ -208,6 +211,35 @@ def test_quadrature_matches_the_closed_form_transfer_matrix(q, tolerance):
     # displacement-form kernel's miss, which grows with q
     quadrature = _photon_transfer_matrix(q, 32)
     assert np.max(np.abs(quadrature - photon_transfer_closed_form(q, 32))) <= tolerance
+
+
+def test_transfer_matrix_refuses_a_column_that_sums_above_one(monkeypatch):
+    # weights 1e-6 too large lift column 0, whose mass above cutoff 32 is
+    # 0.25^33, past 1 + 1e-9; every consumer of M meets the one guard
+    rule = statistics._laguerre_rule
+
+    def heavy_rule(dim):
+        nodes, weights = rule(dim)
+        return nodes, weights * (1.0 + 1e-6)
+
+    monkeypatch.setattr(statistics, "_laguerre_rule", heavy_rule)
+    for build in (
+        lambda: _photon_transfer_matrix(0.5, 32),
+        lambda: photon_statistics_quadrature(number_state(1, 32), 0.5),
+        lambda: polarization_budget_numerical(0.5, 32),
+    ):
+        with pytest.raises(ValueError, match=r"column 0 of the photon-transfer matrix sums to"):
+            build()
+
+
+def test_transfer_matrix_columns_stay_below_one_on_the_sweep_grid():
+    # the sweeps' default q grid at their cutoff 32: the worst column sum is
+    # 1 - 6e-15, so the guard at 1 + 1e-9 never turns a flagged row into an error
+    worst = max(
+        float(_photon_transfer_matrix(q, 32).sum(axis=0).max())
+        for q in parse_range_spec("0:0.99:0.01").tolist()
+    )
+    assert worst <= 1.0 + 1e-12
 
 
 def test_distribution_guards():
