@@ -283,6 +283,18 @@ def _polar(alphas, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return r, phase
 
 
+# bytes of one (B, dim, dim) batch of real displacement or T_q matrices: 1.25 MiB,
+# so a batch and its build's arrays stay near the size of a core's L2 cache
+_BATCH_BYTES = 5 << 18
+
+
+def _batch_size(dim: int) -> int:
+    """Real (dim, dim) matrices per batch: as many whole blocks of 32 as
+    ``_BATCH_BYTES`` holds, at least one block. At cutoff 32 that is 128,
+    more than the 33 radii of ``statistics._photon_transfer_matrix``."""
+    return 32 * max(1, _BATCH_BYTES // (32 * 8 * dim * dim))
+
+
 def _radial_displacement_stack(radii: np.ndarray, cutoff: int) -> np.ndarray:
     """Real matrices <m|D(r)|n> for a 1-D batch of radii r >= 0, shape (B, dim, dim).
 
@@ -314,11 +326,20 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     indices and alpha -> -conj(alpha). With alpha = r u this is the real D(r)
     with u^k on the diagonal m - n = k and conj(u^k) on n - m = k. D(-alpha)
     equals D(alpha)^dagger bit for bit, and alpha = 0 gives exactly the identity.
+    Where the Laguerre recurrence overflows, as at |alpha| = 38 and cutoff 400,
+    it raises ``TruncationError`` naming |alpha| and the cutoff.
     """
     dim = _as_n_max(cutoff) + 1
     r, phase = _polar([alpha], dim)
     triangle = _triangle(dim)
-    mat = _radial_displacement_stack(r, cutoff)[0].astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = _radial_displacement_stack(r, cutoff)[0]
+    if not np.isfinite(real).all():
+        raise TruncationError(
+            f"D(alpha) is not finite at |alpha| = {r[0]:.6g} and cutoff {dim - 1}: "
+            "its Laguerre recurrence overflows there"
+        )
+    mat = real.astype(complex)
     mat[triangle.rows, triangle.cols] *= phase[0, triangle.diagonal]
     mat[triangle.cols, triangle.rows] *= phase[0, triangle.diagonal].conj()
     mat.setflags(write=False)

@@ -43,16 +43,15 @@ class PolarizationOutcomeBudget(NamedTuple):
 def polarized_output(q: float, beta_h: complex, beta_v: complex, cutoff: int) -> np.ndarray:
     """Unnormalized two-channel output of |1>_H |0>_V for outcomes beta_h, beta_v.
 
-    A (dim, dim) complex array on axes (H, V): T_q(beta_h) acts on the H axis
-    and T_q(beta_v) on the V axis of the input X = |1>_H |0>_V, giving
-    T_h @ X @ T_v.T; no closed form is assumed.
+    A (dim, dim) complex array on axes (H, V): the product T_q(beta_h)|1> (x)
+    T_q(beta_v)|0>, column 1 of one ``transfer_operator`` times column 0 of the
+    other, both exact at any cutoff; no closed form is assumed.
     """
     q = _as_q(q)
-    t_h = transfer_operator(q, beta_h, cutoff)
-    t_v = transfer_operator(q, beta_v, cutoff)
-    state = np.zeros_like(t_h)
-    state[1, 0] = 1.0
-    return t_h @ state @ t_v.T
+    t_h, t_v = (transfer_operator(q, beta, cutoff) for beta in (beta_h, beta_v))
+    out = np.outer(t_h[:, 1], t_v[:, 0])
+    out.setflags(write=False)
+    return out
 
 
 def polarization_budget(q: float) -> PolarizationOutcomeBudget:

@@ -31,7 +31,7 @@ cutoff, from one ``_outcome_density`` call, and each chunk's accepted shots
 their outputs from one ``_transfer_apply`` call. The envelope bound builds
 the real displacement D(r) only at the grid radii whose certified bound,
 from the same normal-order steps, can still reach the maximum, best bound
-first, ``teleport._batch_size`` at a time. Each stream is consumed in the
+first, ``fock._batch_size`` at a time. Each stream is consumed in the
 same order as one shot at a time (candidate normals, accept uniform, then
 the count uniform), and a candidate's density and output do not depend on
 the others in its batch, so records do not depend on the batching. Uniforms
@@ -70,13 +70,13 @@ from .fock import (
     TAIL_MASS_THRESHOLD,
     StateVector,
     _as_unit,
+    _batch_size,
     _radial_displacement_stack,
     number_state,
 )
 from .statistics import _single_photon_levels, _single_photon_tail
 from .teleport import (
     _as_q,
-    _batch_size,
     _binomial_hankel,
     _log_powers,
     _lower,
@@ -512,7 +512,7 @@ def _envelope_bound(input_state: StateVector, q: float) -> float:
     is cut into runs of ``_ENVELOPE_INTERVAL`` radii, each with the certified
     bound of ``_log_interval_bounds``, and walked in decreasing bound: the
     top run alone seeds the running maximum, then the others are built
-    ``teleport._batch_size`` radii at a time while a run's bound times
+    ``fock._batch_size`` radii at a time while a run's bound times
     ``_ENVELOPE_MARGIN`` reaches it, and the walk stops at the first that
     does not, since every later bound is smaller. A +inf bound sorts first
     and is built. A ratio does not depend on its batch, so the result is the

@@ -11,11 +11,11 @@ operator
 
 which is hermitian and, at beta = 0, exactly diagonal. With beta = r u,
 r >= 0 and |u| = 1, it is the real T_q(r) between unit phases,
-T_q(beta)[n, m] = u^n T_q(r)[n, m] conj(u)^m. ``_transfer_stack`` builds
-T_q(r) from the real displacement D(r); the other routes work in normal order
-from three steps kept here once: ``_log_powers`` (ln s^d/sqrt(d!)), ``_lower``
-(e^{conj(c) a}, one Hankel product per beta) and ``_raise`` (e^{c a^dag}, a
-sum over d). ``_transfer_apply`` applies T_q(beta) with both halves,
+T_q(beta)[n, m] = u^n T_q(r)[n, m] conj(u)^m. Every route works in normal
+order from three steps kept here once: ``_log_powers`` (ln s^d/sqrt(d!)),
+``_lower`` (e^{conj(c) a}, one Hankel product per beta) and ``_raise``
+(e^{c a^dag}, a sum over d). ``_transfer_stack`` builds T_q(r) with two
+raises, ``_transfer_apply`` applies T_q(beta) with both halves,
 ``_outcome_density`` takes ||T_q(beta) psi||^2, with no cutoff on the output,
 from the lowering half of T_q(beta)^2, and the sampler's envelope bounds its
 grid with them. ``_missing_mass``, that density less the truncated output's
@@ -45,7 +45,6 @@ from .fock import (
     _as_n_max,
     _log_factorials,
     _polar,
-    _radial_displacement_stack,
     displacement_matrix,
 )
 
@@ -70,17 +69,6 @@ _SQUARABLE_RADIUS = 1e150
 _EPR_DEFECT_THRESHOLD = 1e-8
 # a row's mass above the cutoff at most this many dim eps of its density is rounding
 _MISSING_MASS_FLOOR = 4.0
-
-# bytes of one (B, dim, dim) batch of real displacement or T_q matrices: 1.25 MiB,
-# so a batch and its build's arrays stay near the size of a core's L2 cache
-_BATCH_BYTES = 5 << 18
-
-
-def _batch_size(dim: int) -> int:
-    """Real (dim, dim) matrices per batch: as many whole blocks of 32 as
-    ``_BATCH_BYTES`` holds, at least one block. At cutoff 32 that is 128,
-    more than the 33 radii of ``statistics._photon_transfer_matrix``."""
-    return 32 * max(1, _BATCH_BYTES // (32 * 8 * dim * dim))
 
 
 def _as_q(q: float) -> float:
@@ -124,17 +112,15 @@ def transfer_operator(
     cutoff: int,
 ) -> np.ndarray:
     """T_q(beta) = sqrt((1-q^2)/pi) D(beta) diag(q^n) D(-beta), a read-only
-    (dim, dim) complex array.
+    (dim, dim) complex array, each entry exact at any cutoff.
 
     With beta = r u and R = diag(u^n), D(beta) = R D(r) R^dagger, so T_q(beta)
-    is the real T_q(r) of ``_transfer_stack`` times the unit phases
-    u^n conj(u)^m. Those phases are hermitian exactly; T_q(r) is symmetric to
-    rounding only, as its two off-diagonal halves come from separate sums
-    that may differ in the last bits (``verify`` bounds the defect at 1e-12).
-    At beta = 0 the matrix is exactly diagonal with entries
-    sqrt((1-q^2)/pi) q^n. Until T_q(r) moves to normal order, this D-form
-    still truncates its middle sum: diag(q^n) stops at the cutoff, so the
-    matrix is wrong once |beta|^2 nears it, where ``_transfer_apply`` is not.
+    is the real T_q(r) of ``_transfer_stack``, in normal order, times the unit
+    phases u^n conj(u)^m. Those phases are hermitian exactly; T_q(r) is symmetric
+    to rounding only, as its two off-diagonal halves come from separate sums
+    (``verify`` bounds the defect at 1e-12). At beta = 0 the matrix is exactly
+    diagonal with entries sqrt((1-q^2)/pi) q^n. Entry [n, m] sums levels up to
+    min(n, m) alone: the leading block of a larger cutoff is the same, bit for bit.
     """
     q = _as_q(q)
     dim = _as_n_max(cutoff) + 1
@@ -144,13 +130,15 @@ def transfer_operator(
     return mat
 
 
-def _transfer_stack(q: float, radii, cutoff: int) -> np.ndarray:
-    """Real matrices T_q(r) = pref D(r) W D(r)^T for a 1-D batch of radii r >= 0,
-    shape (B, dim, dim), with W = diag(q^n) and pref = sqrt((1-q^2)/pi)."""
-    disp = _radial_displacement_stack(radii, cutoff)
-    out = (disp * q ** np.arange(disp.shape[-1])) @ disp.transpose(0, 2, 1)
-    out *= math.sqrt((1.0 - q * q) / math.pi)
-    return out
+def _transfer_stack(q: float, radii: np.ndarray, cutoff: int) -> np.ndarray:
+    """Real T_q(r) = E W E^T for a 1-D batch of radii r >= 0, shape (B, dim, dim), with
+    W = sqrt((1-q^2)/pi) diag(q^k) and E = e^{c a^dag} from ``_normal_order_powers``:
+    ``_raise`` on W gives E W, and on its level-major transpose E W E^T."""
+    dim = _as_n_max(cutoff) + 1
+    powers = _normal_order_powers(q, radii, dim)
+    weights = np.diag(math.sqrt((1.0 - q * q) / math.pi) * q ** np.arange(dim))
+    weights = np.broadcast_to(weights[:, :, None], (dim,) + powers.shape)
+    return _raise(_raise(weights, powers).transpose(1, 0, 2), powers).transpose(2, 0, 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -85,6 +85,33 @@ def check_closed_form_output() -> CheckResult:
     return CheckResult("single-photon closed form", worst < 1e-10, 1e-10, worst)
 
 
+def check_coherent_transfer_operator() -> CheckResult:
+    """``transfer_operator(q, beta, 48)`` on |alpha> vs its closed form, relative to
+    the largest closed-form entry, at |beta| up to 6 and q up to 0.9.
+
+    With c = (1-q) beta and gamma = q alpha + c, T_q(beta)|alpha> is
+    sqrt((1-q^2)/pi) e^{-(1-q)|beta|^2 + conj(c) alpha - |alpha|^2/2} e^{|gamma|^2/2} |gamma>,
+    whose norm is sqrt((1-q^2)/pi) e^{-(1-q^2)|beta - alpha|^2/2}. The amplitudes
+    gamma^n / sqrt(n!) of e^{|gamma|^2/2} |gamma> come from their own recurrence,
+    not from ``coherent_state``, which refuses |gamma| = 5.94 at cutoff 48 for
+    the 1.7e-2 of its mass above it; each entry below the cutoff is still exact.
+    """
+    levels = np.arange(49)
+    worst = 0.0
+    for alpha in (0.5, -0.3 + 0.4j):
+        psi = coherent_state(alpha, 48).amplitudes
+        for q in (0.0, 0.3, 0.5, 0.9):
+            for beta in (0.0, 1.0, -2.0 + 1.0j, 3.0j, 4.2 - 4.2j, 6.0):
+                c = (1.0 - q) * beta
+                gamma = q * alpha + c
+                exponent = -(1.0 - q) * abs(beta) ** 2 + np.conj(c) * alpha - abs(alpha) ** 2 / 2
+                ket = np.cumprod(np.concatenate([[1.0], gamma / np.sqrt(levels[1:])]))
+                closed = math.sqrt((1.0 - q * q) / math.pi) * np.exp(exponent) * ket
+                miss = np.max(np.abs(transfer_operator(q, beta, 48) @ psi - closed))
+                worst = max(worst, float(miss / np.max(np.abs(closed))))
+    return CheckResult("transfer operator on coherent inputs", worst < 1e-12, 1e-12, worst)
+
+
 def check_density_closed_form() -> CheckResult:
     """norm^2 of T_q(beta)|1> vs the closed-form outcome density, relative."""
     worst = 0.0
@@ -349,6 +376,7 @@ _FAST_CHECKS = [
 _FULL_CHECKS = _FAST_CHECKS + [
     check_density_closed_form,
     check_exact_outcome_density,
+    check_coherent_transfer_operator,
     check_photon_transfer_quadrature,
     check_mean_photon_change,
     check_conditional_integrals,

@@ -17,9 +17,10 @@ It prints one line per mutant:
 The exit status is 1 when a mutant that is not equivalent survives, or when
 a mutant's text no longer appears exactly once in its file; tier-1 checks
 the latter up front (``tests/test_mutation_probe.py``). The probe itself is
-not part of tier-1 or CI: it runs the whole suite once per mutant, about
-ten minutes on two cores. Named mutants run alone, after the same unmutated
-run; an unknown name exits 2 and lists the valid ones.
+not part of tier-1: it runs the whole suite once per mutant, about ten
+minutes on two cores, so CI runs only the two mutants of the normal-order
+T_q kernels. Named mutants run alone, after the same unmutated run; an
+unknown name exits 2 and lists the valid ones.
 
     python tests/mutation_probe.py
     python tests/mutation_probe.py envelope-margin uniform-before-normals
@@ -109,6 +110,12 @@ MUTANTS = (
         "teleport.py",
         "        raised[d:] += term[:rows]\n",
         "        raised[d:] += term[:rows] * (1.0 + 1e-3 * (d == 2))\n",
+    ),
+    Mutant(
+        "transfer-stack-weights",
+        "teleport.py",
+        "math.pi) * q ** np.arange(dim))",
+        "math.pi) * q ** np.arange(dim) * np.where(np.arange(dim) == 2, 1.05, 1.0))",
     ),
     Mutant(
         "output-warning-compare",

@@ -19,6 +19,7 @@ from cvteleport import verification
 from cvteleport.verification import (
     CheckResult,
     check_closed_form_output,
+    check_coherent_transfer_operator,
     check_conditional_integrals,
     check_density_closed_form,
     check_diagonal_at_zero,
@@ -39,7 +40,12 @@ from cvteleport.verification import (
 # criterion -> the checks that judge it
 CRITERIA = {
     1: (check_path_equivalence,),
-    2: (check_density_closed_form, check_exact_outcome_density, check_closed_form_output),
+    2: (
+        check_density_closed_form,
+        check_exact_outcome_density,
+        check_closed_form_output,
+        check_coherent_transfer_operator,
+    ),
     3: (check_loss_gain_identities, check_mean_photon_change),
     4: (check_conditional_integrals,),
     5: (check_polarization_identities, check_two_mode_factorization),

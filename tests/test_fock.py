@@ -24,7 +24,7 @@ from cvteleport.fock import (
     displacement_matrix,
     number_state,
 )
-from cvteleport.teleport import teleport_output
+from cvteleport.teleport import measurement_eigenstate, teleport_output
 
 
 def test_cutoff_basics():
@@ -211,6 +211,17 @@ def test_radial_magnitudes_hold_one_triangle_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * radii.size * (dim * (dim + 1) // 2) * 8
+
+
+def test_displacement_refuses_a_build_that_overflows():
+    # the Laguerre recurrence overflows at |alpha| = 38 and cutoff 400, which
+    # returned 2,454 non-finite entries; the run turns any RuntimeWarning into an error
+    for alpha in (38.0, -38.0j):
+        with pytest.raises(TruncationError, match=r"\|alpha\| = 38 and cutoff 400"):
+            displacement_matrix(alpha, 400)
+    with pytest.raises(TruncationError, match="cutoff 400"):
+        measurement_eigenstate(38.0, 400)
+    assert np.all(np.isfinite(displacement_matrix(37.0, 400)))
 
 
 def test_displacement_unitary_on_leading_block():

@@ -13,6 +13,7 @@ from cvteleport.statistics import (
     loss_gain_split,
     photon_statistics_quadrature,
 )
+from cvteleport.teleport import _transfer_apply
 
 
 def test_budget_values_at_half():
@@ -81,6 +82,19 @@ def test_polarized_output_amplitude_at_zero_outcomes():
     expect = (0.75 / np.pi) * 0.5
     assert np.isclose(out[1, 0], expect, atol=1e-15)
     assert np.count_nonzero(out) == 1
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+def test_polarized_output_is_the_product_of_the_channel_outputs(q):
+    # T_q(beta_h)|1> (x) T_q(beta_v)|0>, each channel from the normal-order apply;
+    # read-only, like every operator and two-mode object
+    beta_h, beta_v = 2.0 - 1.5j, -0.4 + 3.0j
+    out = polarized_output(q, beta_h, beta_v, 24)
+    h = _transfer_apply(q, [beta_h], number_state(1, 24).amplitudes)[0]
+    v = _transfer_apply(q, [beta_v], number_state(0, 24).amplitudes)[0]
+    expected = np.outer(h, v)
+    assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert not out.flags.writeable
 
 
 @pytest.mark.parametrize("q", [0.33, 0.5])

@@ -16,7 +16,13 @@ from cvteleport.errors import (
     TruncationWarning,
     ZeroNormError,
 )
-from cvteleport.fock import StateVector, coherent_state, number_state
+from cvteleport.fock import (
+    StateVector,
+    _batch_size,
+    coherent_state,
+    displacement_matrix,
+    number_state,
+)
 from cvteleport.polarization import polarization_budget_numerical
 from cvteleport.statistics import (
     _LAGUERRE_MAX_NODES,
@@ -37,7 +43,7 @@ from cvteleport.statistics import (
     photon_transfer_closed_form,
     squeezing_db_to_q,
 )
-from cvteleport.teleport import _batch_size, single_photon_beta_density, transfer_operator
+from cvteleport.teleport import single_photon_beta_density
 
 
 @pytest.mark.parametrize(
@@ -146,24 +152,17 @@ def test_transfer_matrix_refuses_a_node_where_the_displacement_overflows():
     assert np.all(np.isfinite(_photon_transfer_matrix(0.999, 64)))
 
 
-def _per_radius_transfer_matrix(q, cutoff):
-    """M summed one Gauss-Laguerre node at a time over ``transfer_operator``."""
-    nodes, weights = _laguerre_rule(cutoff + 1)
-    scale = 2.0 * (1.0 - q)
-    return sum(
-        (math.pi / scale * w) * np.abs(transfer_operator(q, math.sqrt(x / scale), cutoff)) ** 2
-        for x, w in zip(nodes, weights)
-    )
-
-
 @settings(max_examples=4, deadline=None)
 @seed(1969)
 @given(q=st.floats(0.0, 0.98))
 @pytest.mark.parametrize("cutoff", [2, 32, 48])
 def test_transfer_matrix_does_not_depend_on_the_batch(cutoff, q):
-    # the batched sum agrees with one operator per radius to rounding
+    # the batched sum agrees with one radius per batch to rounding
     batched = _photon_transfer_matrix(q, cutoff)
-    assert np.max(np.abs(batched - _per_radius_transfer_matrix(q, cutoff))) <= 1e-14
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statistics, "_batch_size", lambda dim: 1)
+        per_radius = _photon_transfer_matrix(q, cutoff)
+    assert np.max(np.abs(batched - per_radius)) <= 1e-14
 
 
 def test_default_cutoff_grid_is_one_batch():
@@ -305,7 +304,11 @@ def test_quadrature_matches_64_angle_rule(alpha, q):
     scale = 2.0 * (1.0 - q)
     reference = np.zeros(33)
     for x, w in zip(nodes, weights):
-        out = transfer_operator(q, math.sqrt(x / scale), 32) @ rotated
+        # the quadrature's displacement form pref D(beta) diag(q^n) D(beta)^dagger,
+        # from the public displacement matrix
+        disp = displacement_matrix(math.sqrt(x / scale), 32)
+        out = math.sqrt((1.0 - q * q) / math.pi) * (disp * q ** np.arange(33)) @ disp.conj().T
+        out = out @ rotated
         reference += (w * math.pi / scale / 64) * (np.abs(out) ** 2).sum(axis=1)
     dist = photon_statistics_quadrature(state, q)
     assert np.max(np.abs(dist.probabilities - reference)) <= 1e-14

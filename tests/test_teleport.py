@@ -122,8 +122,13 @@ _REFERENCE_LEVELS = 200
 
 
 def _reference_apply(q, beta, psi):
-    n_max = psi.size - 1
-    return transfer_operator(q, beta, n_max + _REFERENCE_LEVELS)[: n_max + 1, : n_max + 1] @ psi
+    # the leading block of pref D(beta) diag(q^n) D(beta)^dagger, from the public
+    # displacement matrix, which shares no step with the normal-order kernels:
+    # two matrix-vector products through the leading rows of D(beta)
+    dim = psi.size + _REFERENCE_LEVELS
+    rows = displacement_matrix(beta, dim - 1)[: psi.size]
+    middle = q ** np.arange(dim) * (rows.conj().T @ psi)
+    return np.sqrt((1.0 - q * q) / np.pi) * (rows @ middle)
 
 
 @settings(max_examples=40, deadline=None)
