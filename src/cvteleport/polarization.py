@@ -72,14 +72,15 @@ def polarization_budget_numerical(
 ) -> PolarizationOutcomeBudget:
     """Outcome budget assembled from per-channel quadrature integrals.
 
-    Reads the four entries of the photon-transfer matrix M[:2, :2], the
-    integrals of |<n| T_q(beta) |m>|^2 over one channel's outcome plane
-    (n, m in {0, 1}): the H channel carries the photon (column 1), the V
-    channel the vacuum (column 0), and the two channels are independent, so
-    each class probability is a product of one H entry and one V entry.
+    Reads the four entries M[:2, :2] of the photon-transfer matrix, built
+    only in its two leading columns, the integrals of |<n| T_q(beta) |m>|^2
+    over one channel's outcome plane (n, m in {0, 1}): the H channel carries
+    the photon (column 1), the V channel the vacuum (column 0), and the two
+    channels are independent, so each class probability is a product of one
+    H entry and one V entry.
     """
     q = _as_q(q)
-    (v0, h0), (v1, h1) = _photon_transfer_matrix(q, cutoff)[:2, :2].tolist()
+    (v0, h0), (v1, h1) = _photon_transfer_matrix(q, cutoff, 2)[:2].tolist()
     p_trans = h1 * v0
     p_flip = h0 * v1
     p_zero = h0 * v0

@@ -179,8 +179,8 @@ def photon_transfer_closed_form(q: float, cutoff: int) -> np.ndarray:
     return out
 
 
-def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
-    """M[n, m]: the outcome-plane integral of |<n| T_q(beta) |m>|^2.
+def _photon_transfer_matrix(q: float, cutoff: int, columns: int | None = None) -> np.ndarray:
+    """M[n, m]: the outcome-plane integral of |<n| T_q(beta) |m>|^2, m below ``columns``.
 
     By the polar factorization T_q(r e^{i theta}) = e^{i theta n} T_q(r)
     e^{-i theta n} and Parseval's identity the angular integral is exact,
@@ -194,22 +194,25 @@ def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
     summed by one product of the weights with the squared entries. Where a
     node's T_q(r) is not finite it raises ``TruncationError`` naming the
     radius, so no NaN reaches M; above the rule's largest cutoff
-    ``CutoffViolationError``. Where a column m, the law of |m> up to the
-    cutoff, sums above 1 + 1e-9 it raises ``ValueError`` naming m; a unit
-    input's total is a convex combination of the column sums.
+    ``CutoffViolationError``. Only the leading ``columns`` columns are built,
+    each over every row (default all, the square M), and where a built
+    column m, the law of |m> up to the cutoff, sums above 1 + 1e-9 it raises
+    ``ValueError`` naming m; a unit input's total is a convex combination of
+    the sums of the columns it occupies.
     """
     dim = _as_n_max(cutoff) + 1
+    columns = dim if columns is None else columns
     nodes, weights = _laguerre_rule(dim)
     radii = np.sqrt(nodes / (2.0 * (1.0 - q)))
     batch = _batch_size(dim)
-    out = np.zeros(dim * dim)
+    out = np.zeros(dim * columns)
     for start in range(0, dim, batch):
         block = slice(start, start + batch)
         # the D-form stays while the benchmark smoke test pins the sweep rows it misses,
         # until that test takes ``teleport._transfer_stack``; an overflow raises below
         with np.errstate(over="ignore", invalid="ignore"):
             disp = _radial_displacement_stack(radii[block], cutoff)
-            t_r = (disp * q ** np.arange(dim)) @ disp.transpose(0, 2, 1)
+            t_r = (disp * q ** np.arange(dim)) @ disp[:, :columns, :].transpose(0, 2, 1)
             t_r *= math.sqrt((1.0 - q * q) / math.pi)
         finite = np.isfinite(t_r).all(axis=(1, 2))
         if not finite.all():
@@ -218,9 +221,9 @@ def _photon_transfer_matrix(q: float, cutoff: int) -> np.ndarray:
                 f"(q = {q:g}, cutoff {dim - 1}): the displacement-form kernel "
                 "D(r) diag(q^n) D(r)^T overflows there"
             )
-        out += weights[block] @ (t_r * t_r).reshape(-1, dim * dim)
+        out += weights[block] @ (t_r * t_r).reshape(-1, dim * columns)
     out *= math.pi / (2.0 * (1.0 - q))
-    out = out.reshape(dim, dim)
+    out = out.reshape(dim, columns)
     for m, total in enumerate(out.sum(axis=0).tolist()):
         if total > 1.0 + 1e-9:
             raise ValueError(
@@ -238,13 +241,17 @@ def photon_statistics_quadrature(
 
     The input is normalized by ``fock._as_unit``, and the angle is integrated
     exactly (see ``_photon_transfer_matrix``), so the input enters only
-    through its photon-number populations |input_m|^2. Node traversal order
-    is fixed, making the reduction deterministic. The mass above the cutoff,
-    1 minus the probabilities' sum, is the residual.
+    through its photon-number populations |input_m|^2, and M is built only
+    up to the last occupied column: two columns for |1>, all for a coherent
+    state. Node traversal order is fixed, making the reduction
+    deterministic. The mass above the cutoff, 1 minus the probabilities'
+    sum, is the residual.
     """
     q = _as_q(q)
-    transfer = _photon_transfer_matrix(q, input_state.n_max)
-    probabilities = transfer @ (np.abs(_as_unit(input_state).amplitudes) ** 2)
+    populations = np.abs(_as_unit(input_state).amplitudes) ** 2
+    occupied = 1 + int(np.flatnonzero(populations)[-1])
+    transfer = _photon_transfer_matrix(q, input_state.n_max, occupied)
+    probabilities = transfer @ populations[:occupied]
     return PhotonDistribution(probabilities, residual=1.0 - float(probabilities.sum()))
 
 

@@ -19,8 +19,9 @@ a mutant's text no longer appears exactly once in its file; tier-1 checks
 the latter up front (``tests/test_mutation_probe.py``). The probe itself is
 not part of tier-1: it runs the whole suite once per mutant, about ten
 minutes on two cores, so CI runs only the two mutants of the normal-order
-T_q kernels. Named mutants run alone, after the same unmutated run; an
-unknown name exits 2 and lists the valid ones.
+T_q kernels and the one of the quadrature's occupied columns. Named mutants
+run alone, after the same unmutated run; an unknown name exits 2 and lists
+the valid ones.
 
     python tests/mutation_probe.py
     python tests/mutation_probe.py envelope-margin uniform-before-normals
@@ -189,6 +190,12 @@ MUTANTS = (
         "polarization.py",
         "(v0, h0), (v1, h1) = _photon_transfer_matrix",
         "(h0, v0), (h1, v1) = _photon_transfer_matrix",
+    ),
+    Mutant(
+        "occupied-columns",
+        "statistics.py",
+        "occupied = 1 + int(np.flatnonzero(populations)[-1])",
+        "occupied = int(np.flatnonzero(populations)[-1])",
     ),
     Mutant(
         "transfer-closed-form",

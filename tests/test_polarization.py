@@ -29,9 +29,9 @@ def test_budget_values_at_half():
 @pytest.mark.parametrize("cutoff", [8, 32])
 @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.995])
 def test_numerical_budget_is_the_products_of_the_transfer_block(q, cutoff):
-    # column 1 of M is the photon's H channel, column 0 the vacuum's V channel;
-    # p_multi is 1 minus the three, subtracted in turn
-    m = _photon_transfer_matrix(q, cutoff)
+    # column 1 of M is the photon's H channel, column 0 the vacuum's V channel,
+    # read from the two-column build; p_multi is 1 minus the three, subtracted in turn
+    m = _photon_transfer_matrix(q, cutoff, 2)
     p_trans = m[1, 1] * m[0, 0]
     p_flip = m[0, 1] * m[1, 0]
     p_zero = m[0, 1] * m[0, 0]

@@ -140,15 +140,27 @@ def test_laguerre_rule_refuses_cutoffs_past_its_last_normal_weight():
     nodes, scaled = _laguerre_rule(_LAGUERRE_MAX_NODES)
     assert np.all(np.isfinite(scaled))
     assert np.all(np.log(scaled) - nodes >= np.log(np.finfo(float).tiny))
-    with pytest.raises(CutoffViolationError, match=f"up to {_LAGUERRE_MAX_NODES - 1}, got 185"):
-        _photon_transfer_matrix(0.5, _LAGUERRE_MAX_NODES)
+    # the narrow builds of the |1> and polarization quadratures refuse it too
+    for build in (
+        lambda: _photon_transfer_matrix(0.5, _LAGUERRE_MAX_NODES),
+        lambda: photon_statistics_quadrature(number_state(1, _LAGUERRE_MAX_NODES), 0.5),
+        lambda: polarization_budget_numerical(0.5, _LAGUERRE_MAX_NODES),
+    ):
+        with pytest.raises(CutoffViolationError, match=f"up to {_LAGUERRE_MAX_NODES - 1}, got 185"):
+            build()
 
 
 def test_transfer_matrix_refuses_a_node_where_the_displacement_overflows():
     # the rule's largest radius at cutoff 128 and q = 0.98 is 110.5, where the
-    # displacement build overflows; cutoff 64 builds at every node up to q = 0.999
-    with pytest.raises(TruncationError, match=r"r = 110\.5.*cutoff 128"):
-        _photon_transfer_matrix(0.98, 128)
+    # displacement build overflows, in the full and the two-column builds alike;
+    # cutoff 64 builds at every node up to q = 0.999
+    for build in (
+        lambda: _photon_transfer_matrix(0.98, 128),
+        lambda: photon_statistics_quadrature(number_state(1, 128), 0.98),
+        lambda: polarization_budget_numerical(0.98, 128),
+    ):
+        with pytest.raises(TruncationError, match=r"r = 110\.5.*cutoff 128"):
+            build()
     assert np.all(np.isfinite(_photon_transfer_matrix(0.999, 64)))
 
 
@@ -157,12 +169,28 @@ def test_transfer_matrix_refuses_a_node_where_the_displacement_overflows():
 @given(q=st.floats(0.0, 0.98))
 @pytest.mark.parametrize("cutoff", [2, 32, 48])
 def test_transfer_matrix_does_not_depend_on_the_batch(cutoff, q):
-    # the batched sum agrees with one radius per batch to rounding
-    batched = _photon_transfer_matrix(q, cutoff)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(statistics, "_batch_size", lambda dim: 1)
-        per_radius = _photon_transfer_matrix(q, cutoff)
-    assert np.max(np.abs(batched - per_radius)) <= 1e-14
+    # the batched sum agrees with one radius per batch to rounding, in the
+    # square M and in the two-column build alike
+    for columns in (None, 2):
+        batched = _photon_transfer_matrix(q, cutoff, columns)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(statistics, "_batch_size", lambda dim: 1)
+            per_radius = _photon_transfer_matrix(q, cutoff, columns)
+        assert np.max(np.abs(batched - per_radius)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [2, 8, 32, 48])
+def test_transfer_matrix_columns_are_the_leading_columns_of_the_full_build(cutoff):
+    # a narrow build takes the same rows of D(r) into a narrower product, so it
+    # agrees with the square M to rounding, and at full width it is the square M
+    for q in parse_range_spec("0:0.98:0.07").tolist() + [0.995]:
+        full = _photon_transfer_matrix(q, cutoff)
+        for columns in (1, 2, 5):
+            if columns <= cutoff + 1:
+                narrow = _photon_transfer_matrix(q, cutoff, columns)
+                assert narrow.shape == (cutoff + 1, columns)
+                assert np.max(np.abs(narrow - full[:, :columns])) <= 1e-15
+        assert np.array_equal(_photon_transfer_matrix(q, cutoff, cutoff + 1), full)
 
 
 def test_default_cutoff_grid_is_one_batch():
